@@ -59,13 +59,17 @@ fn count_allocs(f: impl FnOnce()) -> u64 {
 #[test]
 fn transform_hot_paths_allocate_nothing_at_steady_state() {
     use flash_fft::negacyclic::NegacyclicFft;
+    use flash_he::{Ciphertext, HeParams, Poly, SecretKey};
     use flash_math::C64;
-    use flash_ntt::polymul::{negacyclic_mul_ntt_batch_into, negacyclic_mul_ntt_into};
+    use flash_ntt::polymul::{
+        negacyclic_mul_ntt_into, negacyclic_mul_prepared_batch, PreparedOperand,
+    };
     use flash_ntt::transform::{
         forward, forward_batch, inverse, inverse_batch, pointwise_mul_assign,
     };
     use flash_ntt::NttTables;
     use flash_sparse::{SparsePlan, SparsityPattern};
+    use rand::SeedableRng;
 
     let n = 256;
     let q = flash_math::prime::ntt_prime(40, n as u64).unwrap();
@@ -105,6 +109,25 @@ fn transform_hot_paths_allocate_nothing_at_steady_state() {
     let mut fft3_out = vec![0.0f64; 3 * n];
     let mut ntt3 = a3.clone();
     let mut ntt3_out = vec![0u64; 3 * n];
+    let b_prepared = PreparedOperand::new(&b, &tables);
+
+    // Client key path on both ring families: a prepared secret key and a
+    // 3-wide batch of ciphertexts (remainder lanes again). Steady-state
+    // batched phase/decrypt must stage everything — operand copies,
+    // per-limb residues, lane transposes — through the scratch pools.
+    let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+    let keyed: Vec<(SecretKey, Vec<Ciphertext>)> =
+        [HeParams::test_256(), HeParams::pow2_test_256()]
+            .iter()
+            .map(|p| {
+                let sk = SecretKey::generate(p, &mut rng);
+                let cts = (0..3)
+                    .map(|_| sk.encrypt(&Poly::uniform(p.n, p.t, &mut rng), &mut rng))
+                    .collect();
+                (sk, cts)
+            })
+            .collect();
+    let mut key_out = vec![0u64; 3 * n];
 
     let drive = |u: &mut Vec<u64>,
                  ntt_out: &mut Vec<u64>,
@@ -115,7 +138,8 @@ fn transform_hot_paths_allocate_nothing_at_steady_state() {
                  spec3: &mut Vec<C64>,
                  fft3_out: &mut Vec<f64>,
                  ntt3: &mut Vec<u64>,
-                 ntt3_out: &mut Vec<u64>| {
+                 ntt3_out: &mut Vec<u64>,
+                 key_out: &mut Vec<u64>| {
         // NTT kernels: forward / pointwise / inverse plus the fused
         // scratch-backed polynomial product.
         forward(u, &tables);
@@ -137,7 +161,15 @@ fn transform_hot_paths_allocate_nothing_at_steady_state() {
         ntt3.copy_from_slice(&a3);
         forward_batch(ntt3, &tables);
         inverse_batch(ntt3, &tables);
-        negacyclic_mul_ntt_batch_into(ntt3_out, &a3, &b, &tables);
+        ntt3_out.copy_from_slice(&a3);
+        negacyclic_mul_prepared_batch(ntt3_out, &b_prepared, &tables);
+        // Batched client key products, prime and power-of-two ring, and
+        // their width-1 case.
+        for (sk, cts) in &keyed {
+            sk.phase_batch_into(cts, key_out).unwrap();
+            sk.decrypt_batch_into(cts, key_out).unwrap();
+            sk.decrypt_batch_into(&cts[..1], &mut key_out[..n]).unwrap();
+        }
     };
 
     // Warm up twice: the first pass takes every pool miss, the second
@@ -153,6 +185,7 @@ fn transform_hot_paths_allocate_nothing_at_steady_state() {
         &mut fft3_out,
         &mut ntt3,
         &mut ntt3_out,
+        &mut key_out,
     );
     drive(
         &mut u,
@@ -165,6 +198,7 @@ fn transform_hot_paths_allocate_nothing_at_steady_state() {
         &mut fft3_out,
         &mut ntt3,
         &mut ntt3_out,
+        &mut key_out,
     );
 
     let allocs = count_allocs(|| {
@@ -179,6 +213,7 @@ fn transform_hot_paths_allocate_nothing_at_steady_state() {
             &mut fft3_out,
             &mut ntt3,
             &mut ntt3_out,
+            &mut key_out,
         );
         drive(
             &mut u,
@@ -191,6 +226,7 @@ fn transform_hot_paths_allocate_nothing_at_steady_state() {
             &mut fft3_out,
             &mut ntt3,
             &mut ntt3_out,
+            &mut key_out,
         );
     });
     assert_eq!(

@@ -366,26 +366,52 @@ impl ConvEncoder {
         idx
     }
 
+    /// The slice of the `m·out_h·out_w` row-major output tensor that band
+    /// `b` of output channel `oc` produces: its `rows_out` output rows,
+    /// which are contiguous.
+    pub fn band_output_range(&self, b: usize, oc: usize) -> std::ops::Range<usize> {
+        let s = &self.shape;
+        let (_, _, out_row0, rows_out) = self.bands[b];
+        let start = (oc * s.out_h() + out_row0) * s.out_w();
+        start..start + rows_out * s.out_w()
+    }
+
     /// Extracts the outputs of band `b` from the (group-accumulated)
-    /// product polynomial of one output channel, writing into
-    /// `y[oc]` laid out `m·out_h·out_w` row-major.
+    /// product polynomial of one output channel into `rows`, the band's
+    /// own `rows_out × out_w` block ([`ConvEncoder::band_output_range`]
+    /// of any channel). Generic over the coefficient type: signed
+    /// products in the plain-integer pipeline, `Z_t` residues when the
+    /// output is a secret share.
     ///
     /// # Panics
     ///
     /// Panics on size mismatches.
-    pub fn decode_band(&self, prod: &[i64], b: usize, oc: usize, y: &mut [i64]) {
+    pub fn decode_band_rows<T: Copy>(&self, prod: &[T], b: usize, rows: &mut [T]) {
         let s = &self.shape;
         assert_eq!(prod.len(), self.n, "product polynomial length mismatch");
-        assert_eq!(y.len(), s.output_len(), "output tensor size mismatch");
         let (rs, cs) = self.strides(b);
-        let (_, _, out_row0, rows_out) = self.bands[b];
-        for p in 0..rows_out {
-            for q in 0..s.out_w() {
-                let idx = (self.cg - 1) * cs + (p + s.k - 1) * rs + (q + s.k - 1);
-                let dst = (oc * s.out_h() + out_row0 + p) * s.out_w() + q;
-                y[dst] = prod[idx];
-            }
+        let (_, _, _, rows_out) = self.bands[b];
+        assert_eq!(rows.len(), rows_out * s.out_w(), "band block size mismatch");
+        for (p, row) in rows.chunks_exact_mut(s.out_w()).enumerate() {
+            let idx = (self.cg - 1) * cs + (p + s.k - 1) * rs + (s.k - 1);
+            row.copy_from_slice(&prod[idx..idx + s.out_w()]);
         }
+    }
+
+    /// [`ConvEncoder::decode_band_rows`] into the band's place in the
+    /// full output tensor `y` (`m·out_h·out_w` row-major); only the
+    /// band's own rows are touched.
+    ///
+    /// # Panics
+    ///
+    /// Panics on size mismatches.
+    pub fn decode_band<T: Copy>(&self, prod: &[T], b: usize, oc: usize, y: &mut [T]) {
+        assert_eq!(
+            y.len(),
+            self.shape.output_len(),
+            "output tensor size mismatch"
+        );
+        self.decode_band_rows(prod, b, &mut y[self.band_output_range(b, oc)]);
     }
 }
 

@@ -8,6 +8,7 @@
 //! are `debug_assert!`-checked on hot paths.
 
 use crate::serialize::WireError;
+use flash_ntt::pow2::SmallOperandError;
 use std::fmt;
 
 /// Errors from validating or operating on wire-derived HE data.
@@ -38,6 +39,15 @@ pub enum HeError {
         /// The ceiling `q/(2t)`.
         ceiling: f64,
     },
+    /// The small operand of a key product (a secret or encryption
+    /// randomness) is too large for the power-of-two ring's exact CRT
+    /// lift; the product would silently wrap.
+    OperandTooLarge {
+        /// Largest admissible `‖b‖_∞`.
+        bound: u64,
+        /// The operand's `‖b‖_∞` after center lift.
+        norm: u64,
+    },
 }
 
 impl fmt::Display for HeError {
@@ -53,6 +63,10 @@ impl fmt::Display for HeError {
             HeError::NoiseOverflow { bound, ceiling } => write!(
                 f,
                 "noise bound {bound:.3e} exceeds the decryption ceiling {ceiling:.3e}"
+            ),
+            HeError::OperandTooLarge { bound, norm } => write!(
+                f,
+                "key-product operand norm {norm} exceeds the exact-lift bound {bound}"
             ),
         }
     }
@@ -70,6 +84,15 @@ impl std::error::Error for HeError {
 impl From<WireError> for HeError {
     fn from(e: WireError) -> Self {
         HeError::Wire(e)
+    }
+}
+
+impl From<SmallOperandError> for HeError {
+    fn from(e: SmallOperandError) -> Self {
+        HeError::OperandTooLarge {
+            bound: e.bound,
+            norm: e.norm,
+        }
     }
 }
 

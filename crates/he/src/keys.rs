@@ -3,19 +3,36 @@
 //! Symmetric-key BFV suffices for the hybrid protocol (the client both
 //! encrypts and decrypts): `ct = (c0, c1)` with `c1 = a` uniform and
 //! `c0 = −a·s + Δ·m + e`, so `c0 + c1·s = Δ·m + e`.
+//!
+//! Every encryption and decryption is one exact key product `c1·s`, and
+//! `s` is fixed for the life of the key, so [`SecretKey::generate`]
+//! stores it in the ring's transform domain once
+//! ([`HeParams::prepare_key_operand`]) and the products run batched
+//! ([`SecretKey::encrypt_batch`], [`SecretKey::phase_batch_into`],
+//! [`SecretKey::decrypt_batch_into`]): a chunk of ciphertexts shares
+//! each twiddle in the lane-interleaved NTT kernels, and the `+ c0` add
+//! and the `round(t·x/q)` scaling ride in the product's final sweep. The
+//! per-ciphertext calls are the same code at batch width 1.
 
 use crate::cipher::Ciphertext;
-use crate::params::HeParams;
+use crate::error::HeError;
+use crate::params::{HeParams, KeyOperand};
 use crate::poly::Poly;
-use flash_math::modular::add_mod;
+use flash_math::modular::{add_mod, sub_mod, Shoup};
 use flash_runtime::U64_SCRATCH;
 use rand::Rng;
 
-/// A BFV secret key (ternary).
+/// Ciphertexts per batched key product at the protocol call sites: one
+/// full lane block at the widest SIMD tier. Callers chunk their
+/// ciphertext lists by this so staging buffers stay a few polynomials
+/// large and a parallel region still has chunks to fan out.
+pub const KEY_BATCH: usize = flash_runtime::simd::MAX_LANES;
+
+/// A BFV secret key (ternary), held in the transform domain.
 #[derive(Debug, Clone)]
 pub struct SecretKey {
     params: HeParams,
-    s: Poly,
+    s: KeyOperand,
 }
 
 /// A BFV public key: an encryption of zero `(p0, p1) = (−a·s + e, a)`.
@@ -28,6 +45,64 @@ pub struct PublicKey {
     params: HeParams,
     p0: Poly,
     p1: Poly,
+}
+
+/// The one key-product entry point of this module: `out[i] =
+/// fold(prod[i], out[i])` for `prod = a·b`, timed as `he.key_mul`.
+fn key_mul<F: Fn(u64, u64) -> u64>(
+    params: &HeParams,
+    out: &mut [u64],
+    a: &[u64],
+    b: &KeyOperand,
+    fold: F,
+) {
+    let _t = flash_telemetry::span!("he.key_mul");
+    flash_telemetry::counter!("he.key_mul_polys").add((a.len() / params.n) as u64);
+    params.key_mul_batch(out, a, b, fold);
+}
+
+/// `Δ·m` for a plaintext coefficient `m` (`mod t`, center-lifted into
+/// `Z_q` first); `delta` is the Shoup form of `Δ`.
+#[inline]
+fn scale_plain(m: u64, delta: &Shoup, t: u64, q: u64) -> u64 {
+    let lifted = if m > t / 2 { q - (t - m) } else { m };
+    delta.mul(lifted, q)
+}
+
+/// `round(t·c/q) mod t` without a division: with `ratio = ⌊t·2^64/q⌋`,
+/// `⌊ratio·c/2^64⌋` is `⌊t·c/q⌋` or one below it (Shoup's quotient
+/// estimate), and the remainder it leaves decides both the correction
+/// and the rounding.
+struct Rounder {
+    q: u64,
+    t: u64,
+    ratio: u64,
+}
+
+impl Rounder {
+    fn new(params: &HeParams) -> Self {
+        Self {
+            q: params.q,
+            t: params.t,
+            ratio: (((params.t as u128) << 64) / params.q as u128) as u64,
+        }
+    }
+
+    #[inline]
+    fn round(&self, c: u64) -> u64 {
+        let mut quot = ((self.ratio as u128 * c as u128) >> 64) as u64;
+        // t·c − quot·q ∈ [0, 2q) fits a u64, so wrapping arithmetic is exact.
+        let mut rem = self
+            .t
+            .wrapping_mul(c)
+            .wrapping_sub(quot.wrapping_mul(self.q));
+        if rem >= self.q {
+            rem -= self.q;
+            quot += 1;
+        }
+        // ⌊(t·c + ⌊q/2⌋)/q⌋ rounds up exactly when rem ≥ ⌈q/2⌉.
+        (quot + u64::from(rem >= self.q - self.q / 2)) & (self.t - 1)
+    }
 }
 
 impl PublicKey {
@@ -46,25 +121,42 @@ impl PublicKey {
         let p = &self.params;
         assert_eq!(m.modulus(), p.t, "plaintext must be mod t");
         assert_eq!(m.len(), p.n, "plaintext length must be N");
-        let u = Poly::ternary(p.n, p.q, rng);
-        let e1 = Poly::gaussian(p.n, p.q, p.noise_std, rng);
-        let e2 = Poly::gaussian(p.n, p.q, p.noise_std, rng);
-        let scaled_m = m.lift_to(p.q).scale(p.delta());
-        let c0 = Poly::from_coeffs(p.key_mul(self.p0.coeffs(), u.coeffs()), p.q)
-            .add(&e1)
-            .add(&scaled_m);
-        let c1 = Poly::from_coeffs(p.key_mul(self.p1.coeffs(), u.coeffs()), p.q).add(&e2);
-        Ciphertext::new(c0, c1)
+        let (n, q) = (p.n, p.q);
+        let u = Poly::ternary(n, q, rng);
+        let e1 = Poly::gaussian(n, q, p.noise_std, rng);
+        let e2 = Poly::gaussian(n, q, p.noise_std, rng);
+        let u = p
+            .prepare_key_operand(u.coeffs())
+            .expect("a ternary polynomial is within every ring's exactness bound");
+        let delta = Shoup::new(p.delta(), q);
+        // (p0 ‖ p1)·u as one two-polynomial batch, added onto
+        // (e1 + Δ·m ‖ e2).
+        let mut out: Vec<u64> = m
+            .coeffs()
+            .iter()
+            .zip(e1.coeffs())
+            .map(|(&m, &e)| add_mod(scale_plain(m, &delta, p.t, q), e, q))
+            .chain(e2.coeffs().iter().copied())
+            .collect();
+        let mut pk = U64_SCRATCH.take(2 * n);
+        pk[..n].copy_from_slice(self.p0.coeffs());
+        pk[n..].copy_from_slice(self.p1.coeffs());
+        key_mul(p, &mut out, &pk, &u, |prod, x| add_mod(x, prod, q));
+        let c1 = out.split_off(n);
+        Ciphertext::new(Poly::from_coeffs(out, q), Poly::from_coeffs(c1, q))
     }
 }
 
 impl SecretKey {
-    /// Samples a fresh ternary secret key.
+    /// Samples a fresh ternary secret key and prepares it for the
+    /// ring's key products.
     pub fn generate<R: Rng>(params: &HeParams, rng: &mut R) -> Self {
         let s = Poly::ternary(params.n, params.q, rng);
         Self {
             params: params.clone(),
-            s,
+            s: params
+                .prepare_key_operand(s.coeffs())
+                .expect("a ternary polynomial is within every ring's exactness bound"),
         }
     }
 
@@ -78,78 +170,174 @@ impl SecretKey {
         let p = &self.params;
         let a = Poly::uniform(p.n, p.q, rng);
         let e = Poly::gaussian(p.n, p.q, p.noise_std, rng);
-        let a_s = Poly::from_coeffs(p.key_mul(a.coeffs(), self.s.coeffs()), p.q);
+        let mut p0 = e.coeffs().to_vec();
+        key_mul(p, &mut p0, a.coeffs(), &self.s, |prod, e| {
+            sub_mod(e, prod, p.q)
+        });
         PublicKey {
             params: p.clone(),
-            p0: e.sub(&a_s),
+            p0: Poly::from_coeffs(p0, p.q),
             p1: a,
         }
     }
 
-    /// Encrypts a plaintext polynomial (`mod t`).
+    /// Encrypts a plaintext polynomial (`mod t`):
+    /// [`SecretKey::encrypt_batch`] at width 1.
     ///
     /// # Panics
     ///
     /// Panics if the plaintext modulus or length does not match the
     /// parameters.
     pub fn encrypt<R: Rng>(&self, m: &Poly, rng: &mut R) -> Ciphertext {
-        let p = &self.params;
-        assert_eq!(m.modulus(), p.t, "plaintext must be mod t");
-        assert_eq!(m.len(), p.n, "plaintext length must be N");
-        let a = Poly::uniform(p.n, p.q, rng);
-        let e = Poly::gaussian(p.n, p.q, p.noise_std, rng);
-        let scaled_m = m.lift_to(p.q).scale(p.delta());
-        let a_s = Poly::from_coeffs(p.key_mul(a.coeffs(), self.s.coeffs()), p.q);
-        let c0 = scaled_m.add(&e).sub(&a_s);
-        Ciphertext::new(c0, a)
+        self.encrypt_batch(std::slice::from_ref(m), rng)
+            .pop()
+            .expect("one plaintext in, one ciphertext out")
     }
 
-    /// The raw decryption phase `c0 + c1·s` (mod `q`).
+    /// Encrypts a batch of plaintext polynomials with one batched key
+    /// product. The RNG is drawn per ciphertext in order (`a`, then `e`),
+    /// so the result is byte-identical to repeated [`SecretKey::encrypt`]
+    /// calls on the same stream.
     ///
-    /// Runs per ciphertext in the protocol's client step, so the `c1·s`
-    /// product stays in a scratch buffer; only the returned polynomial
-    /// is allocated.
-    pub fn phase(&self, ct: &Ciphertext) -> Poly {
+    /// # Panics
+    ///
+    /// Panics if a plaintext's modulus or length does not match the
+    /// parameters.
+    pub fn encrypt_batch<R: Rng>(&self, ms: &[Poly], rng: &mut R) -> Vec<Ciphertext> {
         let p = &self.params;
-        let mut c1_s = U64_SCRATCH.take(p.n);
-        p.key_mul_into(&mut c1_s, ct.c1().coeffs(), self.s.coeffs());
-        let coeffs = ct
-            .c0()
-            .coeffs()
+        let (n, q) = (p.n, p.q);
+        let delta = Shoup::new(p.delta(), q);
+        let mut a_flat = U64_SCRATCH.take(ms.len() * n);
+        let mut c0_flat = U64_SCRATCH.take(ms.len() * n);
+        let mut c1s = Vec::with_capacity(ms.len());
+        for ((m, a_k), c0_k) in ms
             .iter()
-            .zip(c1_s.iter())
-            .map(|(&a, &b)| add_mod(a, b, p.q))
-            .collect();
-        Poly::from_coeffs(coeffs, p.q)
+            .zip(a_flat.chunks_exact_mut(n))
+            .zip(c0_flat.chunks_exact_mut(n))
+        {
+            assert_eq!(m.modulus(), p.t, "plaintext must be mod t");
+            assert_eq!(m.len(), n, "plaintext length must be N");
+            let a = Poly::uniform(n, q, rng);
+            let e = Poly::gaussian(n, q, p.noise_std, rng);
+            a_k.copy_from_slice(a.coeffs());
+            for ((c, &m), &e) in c0_k.iter_mut().zip(m.coeffs()).zip(e.coeffs()) {
+                *c = add_mod(scale_plain(m, &delta, p.t, q), e, q);
+            }
+            c1s.push(a);
+        }
+        // c0 = Δ·m + e − a·s
+        key_mul(p, &mut c0_flat, &a_flat, &self.s, |prod, x| {
+            sub_mod(x, prod, q)
+        });
+        c0_flat
+            .chunks_exact(n)
+            .zip(c1s)
+            .map(|(c0, c1)| Ciphertext::new(Poly::from_coeffs(c0.to_vec(), q), c1))
+            .collect()
     }
 
-    /// Decryption for wire-derived ciphertexts: validates the ciphertext
-    /// against this key's parameter set before running [`decrypt`]
-    /// (`SecretKey::decrypt`), so malformed peer data surfaces as a typed
-    /// error instead of a panic deep in the NTT.
+    /// Shared body of the batched phase/decrypt: validates every
+    /// ciphertext, then `out[k·N + i] = finish(c0_k[i] + (c1_k·s)[i])`
+    /// in the key product's final sweep.
+    fn phase_batch_with<F: Fn(u64) -> u64>(
+        &self,
+        cts: &[Ciphertext],
+        out: &mut [u64],
+        finish: F,
+    ) -> Result<(), HeError> {
+        let p = &self.params;
+        let (n, q) = (p.n, p.q);
+        assert_eq!(
+            out.len(),
+            cts.len() * n,
+            "output must hold N per ciphertext"
+        );
+        let mut c1_flat = U64_SCRATCH.take(out.len());
+        for ((ct, c0_k), c1_k) in cts
+            .iter()
+            .zip(out.chunks_exact_mut(n))
+            .zip(c1_flat.chunks_exact_mut(n))
+        {
+            ct.validate_for(p)?;
+            c0_k.copy_from_slice(ct.c0().coeffs());
+            c1_k.copy_from_slice(ct.c1().coeffs());
+        }
+        key_mul(p, out, &c1_flat, &self.s, |prod, c0| {
+            finish(add_mod(c0, prod, q))
+        });
+        Ok(())
+    }
+
+    /// The raw decryption phases `c0 + c1·s` (mod `q`) of a batch of
+    /// ciphertexts, written to `out` (`N` coefficients per ciphertext,
+    /// in order). Allocates nothing in steady state.
     ///
     /// # Errors
     ///
-    /// Returns [`crate::error::HeError`] on a degree or modulus mismatch.
-    pub fn try_decrypt(&self, ct: &Ciphertext) -> Result<Poly, crate::error::HeError> {
-        ct.validate_for(&self.params)?;
-        Ok(self.decrypt(ct))
+    /// [`HeError`] when a ciphertext's degree or modulus disagrees with
+    /// this key's parameter set (`out` is then unspecified).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len() != cts.len() · N`.
+    pub fn phase_batch_into(&self, cts: &[Ciphertext], out: &mut [u64]) -> Result<(), HeError> {
+        self.phase_batch_with(cts, out, |x| x)
+    }
+
+    /// Decrypts a batch of ciphertexts — `round(t/q · (c0 + c1·s)) mod t`
+    /// — into `out` (`N` plaintext coefficients per ciphertext, in
+    /// order). Safe for wire-derived ciphertexts: malformed peer data
+    /// surfaces as a typed error instead of a panic deep in the NTT.
+    /// Allocates nothing in steady state.
+    ///
+    /// # Errors
+    ///
+    /// [`HeError`] when a ciphertext's degree or modulus disagrees with
+    /// this key's parameter set (`out` is then unspecified).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len() != cts.len() · N`.
+    pub fn decrypt_batch_into(&self, cts: &[Ciphertext], out: &mut [u64]) -> Result<(), HeError> {
+        let rounder = Rounder::new(&self.params);
+        self.phase_batch_with(cts, out, |x| rounder.round(x))
+    }
+
+    /// The raw decryption phase `c0 + c1·s` (mod `q`):
+    /// [`SecretKey::phase_batch_into`] at width 1.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the ciphertext does not belong to this key's parameter
+    /// set.
+    pub fn phase(&self, ct: &Ciphertext) -> Poly {
+        let mut out = vec![0u64; self.params.n];
+        self.phase_batch_into(std::slice::from_ref(ct), &mut out)
+            .expect("ciphertext belongs to this key's parameter set");
+        Poly::from_coeffs(out, self.params.q)
+    }
+
+    /// Decryption for wire-derived ciphertexts:
+    /// [`SecretKey::decrypt_batch_into`] at width 1.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`HeError`] on a degree or modulus mismatch.
+    pub fn try_decrypt(&self, ct: &Ciphertext) -> Result<Poly, HeError> {
+        let mut out = vec![0u64; self.params.n];
+        self.decrypt_batch_into(std::slice::from_ref(ct), &mut out)?;
+        Ok(Poly::from_coeffs(out, self.params.t))
     }
 
     /// Decrypts a ciphertext: `round(t/q · (c0 + c1·s)) mod t`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the ciphertext does not belong to this key's parameter
+    /// set.
     pub fn decrypt(&self, ct: &Ciphertext) -> Poly {
-        let p = &self.params;
-        let phase = self.phase(ct);
-        let coeffs = phase
-            .coeffs()
-            .iter()
-            .map(|&c| {
-                // round(t * c / q) mod t, in u128 to avoid overflow
-                let num = c as u128 * p.t as u128 + p.q as u128 / 2;
-                ((num / p.q as u128) % p.t as u128) as u64
-            })
-            .collect();
-        Poly::from_coeffs(coeffs, p.t)
+        self.try_decrypt(ct)
+            .expect("ciphertext belongs to this key's parameter set")
     }
 
     /// Exact residual noise of a ciphertext that should decrypt to `m`:
@@ -205,6 +393,70 @@ mod tests {
             let ct_pk = pk.encrypt(&m, &mut rng);
             assert_eq!(sk.decrypt(&ct_pk), m);
         }
+    }
+
+    #[test]
+    fn rounder_matches_the_wide_division_on_both_rings() {
+        for p in [
+            HeParams::test_256(),
+            HeParams::pow2_test_256(),
+            HeParams::toy(),
+        ] {
+            let rounder = Rounder::new(&p);
+            let reference = |c: u64| {
+                let num = c as u128 * p.t as u128 + p.q as u128 / 2;
+                ((num / p.q as u128) % p.t as u128) as u64
+            };
+            let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+            let delta = p.delta();
+            // Rounding boundaries sit at odd multiples of Δ/2.
+            let edges = [0, 1, p.q / 2, p.q - 1]
+                .into_iter()
+                .chain((0..64u64).flat_map(|k| {
+                    let mid = (k * 977 % p.t) * delta + delta / 2;
+                    [mid.saturating_sub(1), mid, mid + 1]
+                }))
+                .chain((0..4096).map(|_| rng.gen_range(0..p.q)));
+            for c in edges.filter(|&c| c < p.q) {
+                assert_eq!(rounder.round(c), reference(c), "q={} c={c}", p.q);
+            }
+        }
+    }
+
+    #[test]
+    fn batch_calls_match_per_ciphertext_calls() {
+        for p in [HeParams::test_256(), HeParams::pow2_test_256()] {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(8);
+            let sk = SecretKey::generate(&p, &mut rng);
+            let ms: Vec<Poly> = (0..11).map(|_| Poly::uniform(p.n, p.t, &mut rng)).collect();
+            let mut r1 = rand::rngs::StdRng::seed_from_u64(99);
+            let mut r2 = r1.clone();
+            let batch = sk.encrypt_batch(&ms, &mut r1);
+            let single: Vec<Ciphertext> = ms.iter().map(|m| sk.encrypt(m, &mut r2)).collect();
+            assert_eq!(batch, single);
+            let mut phases = vec![0u64; ms.len() * p.n];
+            sk.phase_batch_into(&batch, &mut phases).unwrap();
+            let mut plains = vec![0u64; ms.len() * p.n];
+            sk.decrypt_batch_into(&batch, &mut plains).unwrap();
+            for (k, ct) in batch.iter().enumerate() {
+                assert_eq!(&phases[k * p.n..][..p.n], sk.phase(ct).coeffs());
+                assert_eq!(&plains[k * p.n..][..p.n], ms[k].coeffs());
+            }
+        }
+    }
+
+    #[test]
+    fn batch_decrypt_rejects_a_foreign_ciphertext() {
+        let p = HeParams::test_256();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(6);
+        let sk = SecretKey::generate(&p, &mut rng);
+        let foreign = Ciphertext::zero(p.n, HeParams::pow2_test_256().q);
+        let mut out = vec![0u64; p.n];
+        assert!(matches!(
+            sk.decrypt_batch_into(std::slice::from_ref(&foreign), &mut out),
+            Err(HeError::ModulusMismatch { .. })
+        ));
+        assert!(sk.try_decrypt(&foreign).is_err());
     }
 
     #[test]

@@ -133,12 +133,14 @@ impl MatVecEncoder {
     }
 
     /// Extracts this row block's outputs from the (chunk-accumulated)
-    /// product polynomial into `y` (length `no`).
+    /// product polynomial into its own rows of `y` (length `no`).
+    /// Generic over the coefficient type, like
+    /// [`crate::encoding::ConvEncoder::decode_band`].
     ///
     /// # Panics
     ///
     /// Panics on size mismatches.
-    pub fn decode_block(&self, prod: &[i64], rb: usize, y: &mut [i64]) {
+    pub fn decode_block<T: Copy>(&self, prod: &[T], rb: usize, y: &mut [T]) {
         assert_eq!(prod.len(), self.n, "product length mismatch");
         assert_eq!(y.len(), self.no, "output length mismatch");
         let row0 = rb * self.rows_per_block;

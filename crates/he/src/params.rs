@@ -23,9 +23,12 @@ use flash_math::prime::ntt_prime;
 use std::fmt;
 use std::sync::Arc;
 
+use crate::error::HeError;
 use flash_fft::negacyclic::NegacyclicFft;
-use flash_ntt::pow2::Pow2Ring;
+use flash_ntt::polymul::{negacyclic_mul_prepared_batch, PreparedOperand};
+use flash_ntt::pow2::{Pow2Ring, PreparedSmall};
 use flash_ntt::NttTables;
+use flash_runtime::U64_SCRATCH;
 
 /// The coefficient-ring context: the modulus family decides which exact
 /// multiplication machinery key operations use.
@@ -195,14 +198,14 @@ impl HeParams {
     /// # Panics
     ///
     /// Panics for a power-of-two ring — `2^l` admits no negacyclic NTT;
-    /// exact products go through [`HeParams::key_mul_into`] (dense, key
+    /// exact products go through [`HeParams::key_mul_batch`] (dense, key
     /// operations) or the wrapping schoolbook (sparse fallback) instead.
     #[inline]
     pub fn ntt(&self) -> &NttTables {
         match &self.ring {
             RingCtx::Prime(t) => t,
             RingCtx::Pow2(_) => panic!(
-                "power-of-two modulus {q} has no NTT; use key_mul_into or the \
+                "power-of-two modulus {q} has no NTT; use key_mul_batch or the \
                  wrapping kernels",
                 q = self.q
             ),
@@ -228,25 +231,70 @@ impl HeParams {
         &self.fft
     }
 
-    /// Exact negacyclic product for key operations (`a·s`, `p·u`, …)
-    /// where the second operand is *small* (ternary secrets, encryption
-    /// randomness): Shoup-NTT on a prime ring, CRT-NTT lift on a
-    /// power-of-two ring. Never used on the MAC hot path.
-    pub fn key_mul_into(&self, out: &mut [u64], a: &[u64], b_small: &[u64]) {
-        match &self.ring {
-            RingCtx::Prime(t) => {
-                flash_ntt::polymul::negacyclic_mul_ntt_into(out, a, b_small, t);
-            }
-            RingCtx::Pow2(r) => r.negacyclic_mul_small_into(out, a, b_small),
-        }
+    /// Prepares the fixed *small* operand of key products (`a·s`, `p·u`,
+    /// …: ternary secrets, encryption randomness) for
+    /// [`HeParams::key_mul_batch`]: the operand moves into the transform
+    /// domain once, with Shoup constants, so every product afterwards
+    /// skips its transform.
+    ///
+    /// # Errors
+    ///
+    /// [`HeError::OperandTooLarge`] on a power-of-two ring when `‖b‖_∞`
+    /// exceeds the exact CRT-lift bound. A prime ring accepts any
+    /// reduced operand.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `b_small.len() != N`.
+    pub fn prepare_key_operand(&self, b_small: &[u64]) -> Result<KeyOperand, HeError> {
+        Ok(KeyOperand(match &self.ring {
+            RingCtx::Prime(t) => KeyOperandRepr::Prime(PreparedOperand::new(b_small, t)),
+            RingCtx::Pow2(r) => KeyOperandRepr::Pow2(r.prepare_small(b_small)?),
+        }))
     }
 
-    /// Allocating convenience wrapper over [`HeParams::key_mul_into`].
-    pub fn key_mul(&self, a: &[u64], b_small: &[u64]) -> Vec<u64> {
-        let mut out = vec![0u64; self.n];
-        self.key_mul_into(&mut out, a, b_small);
-        out
+    /// Exact negacyclic key products of a batch of ring elements `a`
+    /// (`batch × N`, concatenated) against one prepared operand, folded
+    /// into `out`: `out[i] = fold(prod[i], out[i])` with `prod` fully
+    /// reduced modulo `q`. Batched Shoup-NTT on a prime ring, batched
+    /// CRT-NTT lift on a power-of-two ring; a batch of one is the same
+    /// code at width 1. Never used on the MAC hot path.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a.len() != out.len()`, the length is not a multiple of
+    /// `N`, or `b` was prepared on the other ring family.
+    pub fn key_mul_batch<F: Fn(u64, u64) -> u64>(
+        &self,
+        out: &mut [u64],
+        a: &[u64],
+        b: &KeyOperand,
+        fold: F,
+    ) {
+        match (&self.ring, &b.0) {
+            (RingCtx::Prime(t), KeyOperandRepr::Prime(b)) => {
+                assert_eq!(out.len(), a.len(), "output batch length must match");
+                let mut prod = U64_SCRATCH.take_copied(a);
+                negacyclic_mul_prepared_batch(&mut prod, b, t);
+                for (o, &p) in out.iter_mut().zip(prod.iter()) {
+                    *o = fold(p, *o);
+                }
+            }
+            (RingCtx::Pow2(r), KeyOperandRepr::Pow2(b)) => r.mul_prepared_batch(out, a, b, fold),
+            _ => panic!("key operand prepared for the other ring family"),
+        }
     }
+}
+
+/// The small operand of key products in this ring's transform domain;
+/// see [`HeParams::prepare_key_operand`].
+#[derive(Debug, Clone)]
+pub struct KeyOperand(KeyOperandRepr);
+
+#[derive(Debug, Clone)]
+enum KeyOperandRepr {
+    Prime(PreparedOperand),
+    Pow2(PreparedSmall),
 }
 
 #[cfg(test)]
@@ -295,14 +343,33 @@ mod tests {
                 .map(|&x| flash_math::modular::from_signed(x, q))
                 .collect()
         };
-        let rp = prime.key_mul(&enc(&a_signed, prime.q), &enc(&s_signed, prime.q));
-        let r2 = pow2.key_mul(&enc(&a_signed, pow2.q), &enc(&s_signed, pow2.q));
+        let key_mul = |p: &HeParams| -> Vec<u64> {
+            let s = p.prepare_key_operand(&enc(&s_signed, p.q)).unwrap();
+            let mut out = vec![0u64; p.n];
+            p.key_mul_batch(&mut out, &enc(&a_signed, p.q), &s, |prod, _| prod);
+            out
+        };
+        let (rp, r2) = (key_mul(&prime), key_mul(&pow2));
         for (x, y) in rp.iter().zip(&r2) {
             assert_eq!(
                 flash_math::modular::center_lift(*x, prime.q),
                 flash_math::modular::center_lift(*y, pow2.q)
             );
         }
+    }
+
+    #[test]
+    fn oversized_key_operand_is_a_typed_error_on_pow2_only() {
+        let pow2 = HeParams::pow2_test_256();
+        let mut b = vec![0u64; 256];
+        b[3] = pow2.q / 2;
+        assert!(matches!(
+            pow2.prepare_key_operand(&b),
+            Err(HeError::OperandTooLarge { norm, .. }) if norm == pow2.q / 2
+        ));
+        let prime = HeParams::test_256();
+        b[3] = prime.q / 2;
+        assert!(prime.prepare_key_operand(&b).is_ok());
     }
 
     #[test]

@@ -144,6 +144,24 @@ impl TruncatedCiphertext {
         })
     }
 
+    /// Deserializes a response ciphertext as a server sent it under the
+    /// session's agreed truncation: the plain wire form when `truncation`
+    /// is `None`, otherwise the truncated form, reconstructed.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`WireError`] when the bytes are rejected.
+    pub fn response_from_bytes(
+        buf: &[u8],
+        truncation: Option<(u32, u32)>,
+        params: &HeParams,
+    ) -> Result<Ciphertext, WireError> {
+        match truncation {
+            None => crate::serialize::ciphertext_from_bytes(buf, params.n, params.q),
+            Some((d0, d1)) => Ok(Self::from_bytes(buf, d0, d1, params)?.reconstruct(params)),
+        }
+    }
+
     /// Worst-case noise added by the truncation: `2^{d0-1}` from `c0`
     /// plus `2^{d1-1}·‖s‖₁` from `c1` (ternary key: `‖s‖₁ ≤ N`).
     pub fn noise_bound(&self, params: &HeParams) -> f64 {

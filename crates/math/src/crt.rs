@@ -6,7 +6,7 @@
 //! arithmetic; with ≤ 3 limbs of ≤ 42 bits every intermediate fits
 //! `u128`/`i128`.
 
-use crate::modular::{inv_mod, mul_mod, sub_mod};
+use crate::modular::{inv_mod, mul_mod, sub_mod, Shoup};
 
 /// A CRT basis: pairwise-coprime moduli and the Garner precomputation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -83,36 +83,26 @@ impl CrtBasis {
 
     /// Garner reconstruction: residues → the unique value in `[0, Q)`.
     ///
+    /// Allocation-free for any limb count: the mixed-radix value
+    /// `v = d0 + d1·q0 + d2·q0·q1 + …` is carried as one running `u128`
+    /// instead of a digit vector.
+    ///
     /// # Panics
     ///
     /// Panics if `residues.len()` differs from the basis size.
     pub fn reconstruct(&self, residues: &[u64]) -> u128 {
         assert_eq!(residues.len(), self.len(), "residue count mismatch");
-        // mixed-radix digits: v = d0 + d1·q0 + d2·q0·q1 + ...
-        let k = self.len();
-        let mut digits = vec![0u64; k];
-        for j in 0..k {
-            let qj = self.moduli[j];
-            // subtract the already-known digits, in Z_qj
-            let mut acc = residues[j] % qj;
-            let mut radix = 1u64 % qj;
-            for (&di, &mi) in digits.iter().zip(&self.moduli).take(j) {
-                let term = mul_mod(di % qj, radix, qj);
-                acc = sub_mod(acc, term, qj);
-                radix = mul_mod(radix, mi % qj, qj);
-            }
-            // divide by the radix (q0·…·q_{j-1}) mod qj
-            let mut digit = acc;
-            for i in 0..j {
-                digit = mul_mod(digit, self.inv[j][i], qj);
-            }
-            digits[j] = digit;
-        }
         let mut value: u128 = 0;
         let mut radix: u128 = 1;
-        for (&d, &m) in digits.iter().zip(&self.moduli) {
-            value += d as u128 * radix;
-            radix *= m as u128;
+        for (j, (&rj, &qj)) in residues.iter().zip(&self.moduli).enumerate() {
+            // digit_j = (r_j − v) / (q0·…·q_{j-1})  in Z_qj
+            let known = (value % qj as u128) as u64;
+            let mut digit = sub_mod(rj % qj, known, qj);
+            for &inv in &self.inv[j][..j] {
+                digit = mul_mod(digit, inv, qj);
+            }
+            value += digit as u128 * radix;
+            radix *= qj as u128;
         }
         value
     }
@@ -126,6 +116,59 @@ impl CrtBasis {
         } else {
             v as i128
         }
+    }
+
+    /// The two-limb fast path of [`CrtBasis::reconstruct_centered`] for
+    /// callers that only need the result modulo `2^64`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the basis has exactly two limbs, both below `2^62`,
+    /// the second one odd.
+    pub fn garner2(&self) -> Garner2 {
+        assert_eq!(self.len(), 2, "Garner2 needs exactly two limbs");
+        let (p0, p1) = (self.moduli[0], self.moduli[1]);
+        assert!(p0 < 1 << 62 && p1 < 1 << 62, "Garner2 limbs must be < 2^62");
+        assert!(p1 % 2 == 1, "Garner2 centering needs an odd second limb");
+        Garner2 {
+            p0,
+            p1,
+            p0_inv: Shoup::new(self.inv[1][0], p1),
+            lift: p1 * p0.div_ceil(p1),
+            product_lo: p0.wrapping_mul(p1),
+        }
+    }
+}
+
+/// Two-limb Garner recombination into the centered integer, truncated
+/// modulo `2^64`: `v = r0 + p0·((r1 − r0)·p0⁻¹ mod p1)`, minus `P` when
+/// `v > P/2`. One Shoup multiply, one wrapping multiply-add and a
+/// branchless sign select per value — no `u128` arithmetic — and
+/// bit-identical to `CrtBasis::reconstruct_centered(..) as u64`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Garner2 {
+    p0: u64,
+    p1: u64,
+    /// `p0⁻¹ mod p1`.
+    p0_inv: Shoup,
+    /// The smallest multiple of `p1` that is `≥ p0`: keeps `r1 − r0`
+    /// non-negative before the modular multiply.
+    lift: u64,
+    /// `P mod 2^64`.
+    product_lo: u64,
+}
+
+impl Garner2 {
+    /// Recombines residues `r0 < p0`, `r1 < p1`.
+    #[inline]
+    pub fn centered_wrapping(&self, r0: u64, r1: u64) -> u64 {
+        debug_assert!(r0 < self.p0 && r1 < self.p1);
+        let d = self.p0_inv.mul(r1 + self.lift - r0, self.p1);
+        // With p1 = 2h + 1: v = r0 + p0·d exceeds ⌊P/2⌋ = p0·h + ⌊p0/2⌋
+        // iff d > h, or d = h and r0 > ⌊p0/2⌋.
+        let negative = 2 * d + u64::from(r0 > self.p0 / 2) >= self.p1;
+        r0.wrapping_add(self.p0.wrapping_mul(d))
+            .wrapping_sub(if negative { self.product_lo } else { 0 })
     }
 }
 
@@ -187,6 +230,42 @@ mod tests {
             .map(|((&a, &c), &m)| mul_mod(a, c, m))
             .collect();
         assert_eq!(b.reconstruct(&prod), (x * y) % q);
+    }
+
+    /// `Garner2` against the generic routine at every edge of the
+    /// centered range: extreme residues, the values around `±P/2`, and
+    /// the magnitudes the pow2 key product actually reaches (`±N·q/2`).
+    #[test]
+    fn garner2_matches_generic_reconstruction_at_the_edges() {
+        let helper = crate::prime::ntt_primes(50, 4096, 2);
+        for moduli in [vec![97, 101], vec![101, 97], vec![4, 9], helper] {
+            let b = CrtBasis::new(moduli.clone());
+            let g = b.garner2();
+            let check = |r0: u64, r1: u64| {
+                assert_eq!(
+                    g.centered_wrapping(r0, r1),
+                    b.reconstruct_centered(&[r0, r1]) as u64,
+                    "moduli {moduli:?} residues ({r0}, {r1})"
+                );
+            };
+            let edge = |p: u64| [0, 1, p / 2 - 1, p / 2, p / 2 + 1, p - 2, p - 1];
+            for r0 in edge(moduli[0]) {
+                for r1 in edge(moduli[1]) {
+                    check(r0, r1);
+                }
+            }
+            let half = (b.product() / 2) as i128;
+            let nq_half = (4096i128 << 62) / 2;
+            for centre in [0, half, -half, nq_half % half, -(nq_half % half)] {
+                for x in centre - 2..=centre + 2 {
+                    let r = b.decompose_i128(x);
+                    check(r[0], r[1]);
+                    if -half < x && x <= half {
+                        assert_eq!(g.centered_wrapping(r[0], r[1]), x as u64);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

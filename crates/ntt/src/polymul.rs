@@ -7,10 +7,8 @@
 //! Figure 11(a)).
 
 use crate::tables::NttTables;
-use crate::transform::{
-    forward, forward_batch, inverse, inverse_batch, pointwise_mul_assign, pointwise_mul_into,
-};
-use flash_math::modular::{add_mod, mul_mod, sub_mod};
+use crate::transform::{forward, inverse, mul_prepared_batch, pointwise_mul_into};
+use flash_math::modular::{add_mod, mul_mod, sub_mod, Shoup};
 use flash_runtime::U64_SCRATCH;
 
 /// Exact negacyclic product via the NTT.
@@ -44,38 +42,52 @@ pub fn negacyclic_mul_ntt_into(out: &mut [u64], a: &[u64], b: &[u64], tables: &N
     inverse(out, tables);
 }
 
-/// Exact negacyclic products of a batch of polynomials against one shared
-/// operand, written into `out` (`batch × n`, concatenated). Both transform
-/// legs run through the lane-interleaved batched kernels
-/// ([`forward_batch`] / [`inverse_batch`]), so `W` polynomials at a time
-/// share each twiddle; results are bit-identical to per-polynomial
-/// [`negacyclic_mul_ntt_into`] calls.
+/// A fixed multiplicand held in the transform domain: `NTT(b)·N⁻¹` with
+/// one Shoup constant per slot, built once by [`PreparedOperand::new`]
+/// and reused by every [`negacyclic_mul_prepared_batch`] call — the
+/// secret key of a session, multiplied into every ciphertext.
+#[derive(Debug, Clone)]
+pub struct PreparedOperand {
+    spectrum: Vec<Shoup>,
+}
+
+impl PreparedOperand {
+    /// Transforms `b` (reduced modulo the table modulus) and precomputes
+    /// the Shoup constants; the inverse transform's `N⁻¹` scaling is
+    /// folded in here so products skip it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `b.len()` differs from the table degree.
+    pub fn new(b: &[u64], tables: &NttTables) -> Self {
+        let q = tables.modulus();
+        let mut fb = b.to_vec();
+        forward(&mut fb, tables);
+        let n_inv = tables.n_inv();
+        Self {
+            spectrum: fb.iter().map(|&x| Shoup::new(n_inv.mul(x, q), q)).collect(),
+        }
+    }
+}
+
+/// Exact negacyclic products of a batch of polynomials (`batch × n`,
+/// concatenated) against one prepared operand, in place. Blocks of `W`
+/// polynomials share each twiddle in the lane-interleaved kernels; a
+/// batch of one runs the same kernel at width 1. Inputs may be lazily
+/// reduced (anywhere in `[0, 4q)`); results are fully reduced and
+/// bit-identical to [`negacyclic_mul_ntt_into`] for every batch size and
+/// SIMD level.
 ///
 /// # Panics
 ///
-/// Panics if `out.len() != polys.len()`, if `polys.len()` is not a
-/// multiple of the table degree, or if `shared.len()` differs from it.
-pub fn negacyclic_mul_ntt_batch_into(
-    out: &mut [u64],
-    polys: &[u64],
-    shared: &[u64],
+/// Panics if `polys.len()` is not a multiple of the table degree or the
+/// operand was prepared for a different degree.
+pub fn negacyclic_mul_prepared_batch(
+    polys: &mut [u64],
+    prepared: &PreparedOperand,
     tables: &NttTables,
 ) {
-    let n = tables.degree();
-    assert_eq!(out.len(), polys.len(), "output batch length must match");
-    assert_eq!(
-        polys.len() % n,
-        0,
-        "batch length must be a multiple of the ring degree"
-    );
-    let mut fs = U64_SCRATCH.take_copied(shared);
-    forward(&mut fs, tables);
-    out.copy_from_slice(polys);
-    forward_batch(out, tables);
-    for chunk in out.chunks_exact_mut(n) {
-        pointwise_mul_assign(chunk, &fs, tables);
-    }
-    inverse_batch(out, tables);
+    mul_prepared_batch(polys, &prepared.spectrum, tables);
 }
 
 /// Schoolbook negacyclic product: `c_k = Σ_{i+j=k} a_i b_j − Σ_{i+j=k+N}
@@ -207,21 +219,37 @@ mod tests {
     }
 
     #[test]
-    fn batched_mul_matches_per_polynomial() {
+    fn prepared_batch_matches_per_polynomial() {
         let t = tables(64, 40);
         let q = t.modulus();
         let mut rng = rand::rngs::StdRng::seed_from_u64(11);
         let shared: Vec<u64> = (0..64).map(|_| rng.gen_range(0..q)).collect();
+        let prepared = PreparedOperand::new(&shared, &t);
         for batch in [0usize, 1, 3, 8, 9] {
             let polys: Vec<u64> = (0..batch * 64).map(|_| rng.gen_range(0..q)).collect();
-            let mut got = vec![0u64; polys.len()];
-            negacyclic_mul_ntt_batch_into(&mut got, &polys, &shared, &t);
+            let mut got = polys.clone();
+            negacyclic_mul_prepared_batch(&mut got, &prepared, &t);
             for b in 0..batch {
                 let mut want = vec![0u64; 64];
                 negacyclic_mul_ntt_into(&mut want, &polys[b * 64..(b + 1) * 64], &shared, &t);
                 assert_eq!(&got[b * 64..(b + 1) * 64], &want[..], "batch={batch} b={b}");
             }
         }
+    }
+
+    #[test]
+    fn prepared_product_is_reduced_at_a_large_modulus() {
+        // The fused lazy chain must normalize even right under the 2^62
+        // headroom bound of the lazy butterflies.
+        let n = 256;
+        let q = ntt_prime(61, n as u64).unwrap();
+        let t = NttTables::new(n, q).unwrap();
+        let a: Vec<u64> = (0..n as u64).map(|i| q - 1 - i * 37).collect();
+        let b: Vec<u64> = (0..n as u64).map(|i| q - 1 - i * 101).collect();
+        let mut got = a.clone();
+        negacyclic_mul_prepared_batch(&mut got, &PreparedOperand::new(&b, &t), &t);
+        assert!(got.iter().all(|&x| x < q));
+        assert_eq!(got, negacyclic_mul_ntt(&a, &b, &t));
     }
 
     #[test]

@@ -213,8 +213,9 @@ unsafe fn inverse_lanes_avx512(soa: &mut [u64], lanes: usize, tables: &NttTables
 /// SoA scratch buffer, run one butterfly cascade over all lanes, and
 /// transpose back. Lane count is the *actual* block width (no zero
 /// padding needed — modular arithmetic has no remainder-lane hazards).
-fn batch_lanes<F>(polys: &mut [u64], tables: &NttTables, scalar: fn(&mut [u64], &NttTables), run: F)
+fn batch_lanes<S, F>(polys: &mut [u64], tables: &NttTables, scalar: S, run: F)
 where
+    S: Fn(&mut [u64], &NttTables),
     F: Fn(&mut [u64], usize, &NttTables, SimdLevel),
 {
     let n = tables.degree();
@@ -304,6 +305,88 @@ pub fn inverse_batch(polys: &mut [u64], tables: &NttTables) {
                 inverse_butterflies(soa, lanes, tables);
                 normalize_inverse(soa, tables);
             }
+        },
+    );
+}
+
+/// Fused `INTT(NTT(x) ⊙ ŝ)` over a lane-interleaved buffer (same layout
+/// as [`forward_butterflies`]) against a transform-domain operand whose
+/// Shoup constants already carry the `N⁻¹` scaling. The whole chain
+/// stays lazy — the forward cascade leaves `[0, 4q)`, the Shoup product
+/// maps any operand into `[0, 2q)`, which is exactly the inverse
+/// cascade's input invariant — and one compare-subtract at the end
+/// normalizes to `[0, q)`.
+#[inline(always)]
+fn mul_prepared_lanes(soa: &mut [u64], lanes: usize, spectrum: &[Shoup], tables: &NttTables) {
+    let q = tables.modulus();
+    forward_butterflies(soa, lanes, tables);
+    for (slot, s) in soa.chunks_exact_mut(lanes).zip(spectrum) {
+        for x in slot {
+            *x = s.mul_lazy(*x, q);
+        }
+    }
+    inverse_butterflies(soa, lanes, tables);
+    for x in soa.iter_mut() {
+        if *x >= q {
+            *x -= q;
+        }
+    }
+}
+
+/// # Safety
+///
+/// The CPU must support AVX2 (guaranteed by the dispatch).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn mul_prepared_lanes_avx2(
+    soa: &mut [u64],
+    lanes: usize,
+    spectrum: &[Shoup],
+    tables: &NttTables,
+) {
+    mul_prepared_lanes(soa, lanes, spectrum, tables);
+}
+
+/// # Safety
+///
+/// The CPU must support AVX-512F/DQ (guaranteed by the dispatch).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512dq")]
+unsafe fn mul_prepared_lanes_avx512(
+    soa: &mut [u64],
+    lanes: usize,
+    spectrum: &[Shoup],
+    tables: &NttTables,
+) {
+    mul_prepared_lanes(soa, lanes, spectrum, tables);
+}
+
+/// Batched in-place negacyclic products of `polys.len() / n` polynomials
+/// against one prepared operand: the kernel behind
+/// [`crate::polymul::negacyclic_mul_prepared_batch`]. Each block of `W`
+/// polynomials is transposed into lane layout once and runs forward →
+/// Shoup point-wise → inverse there, so a product costs two transforms
+/// and two transposes instead of three and four; a batch of one is the
+/// scalar (`lanes == 1`) instance of the same kernel.
+pub(crate) fn mul_prepared_batch(polys: &mut [u64], spectrum: &[Shoup], tables: &NttTables) {
+    assert_eq!(
+        spectrum.len(),
+        tables.degree(),
+        "prepared operand length must equal ring degree"
+    );
+    batch_lanes(
+        polys,
+        tables,
+        |poly, tables| mul_prepared_lanes(poly, 1, spectrum, tables),
+        |soa, lanes, tables, level| match level {
+            // SAFETY: `level` comes from `simd::level()`, which never
+            // reports a tier the CPU lacks.
+            #[cfg(target_arch = "x86_64")]
+            SimdLevel::Avx512 => unsafe { mul_prepared_lanes_avx512(soa, lanes, spectrum, tables) },
+            // SAFETY: as above.
+            #[cfg(target_arch = "x86_64")]
+            SimdLevel::Avx2 => unsafe { mul_prepared_lanes_avx2(soa, lanes, spectrum, tables) },
+            _ => mul_prepared_lanes(soa, lanes, spectrum, tables),
         },
     );
 }

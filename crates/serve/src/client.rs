@@ -8,14 +8,15 @@
 //! server's admission, and [`Client::collect`] drains one response
 //! (decrypt + decode into the client's output share).
 
-use crate::model::merge_band;
 use crate::server::InferenceServer;
 use crate::{wire, ServeError};
 use flash_2pc::transport::TransportConfig;
 use flash_2pc::{ShareRing, SharedTransport, Transport};
 use flash_he::encoding::{ConvEncoder, ConvShape};
+use flash_he::keys::KEY_BATCH;
 use flash_he::truncate::TruncatedCiphertext;
-use flash_he::{serialize, HeParams, Poly, SecretKey};
+use flash_he::{serialize, Ciphertext, HeParams, Poly, SecretKey};
+use flash_runtime::U64_SCRATCH;
 use rand::Rng;
 use std::time::Duration;
 
@@ -129,15 +130,16 @@ impl Client {
         );
         let (x_client, x_server) = self.ring.share_vec(x, rng);
         let xc_signed: Vec<i64> = x_client.iter().map(|&v| v as i64).collect();
-        let blobs: Vec<Vec<u8>> = self
-            .encoder
-            .encode_activation(&xc_signed)
-            .iter()
-            .map(|tile| {
-                let m = Poly::from_signed(tile, self.params.t);
-                serialize::ciphertext_to_bytes(&self.sk.encrypt(&m, rng))
-            })
-            .collect();
+        let tiles = self.encoder.encode_activation(&xc_signed);
+        let mut blobs: Vec<Vec<u8>> = Vec::with_capacity(tiles.len());
+        for tiles in tiles.chunks(KEY_BATCH) {
+            let ms: Vec<Poly> = tiles
+                .iter()
+                .map(|tile| Poly::from_signed(tile, self.params.t))
+                .collect();
+            let cts = self.sk.encrypt_batch(&ms, rng);
+            blobs.extend(cts.iter().map(serialize::ciphertext_to_bytes));
+        }
         PreparedRequest {
             req_id,
             upload: wire::encode_request(req_id, &blobs),
@@ -201,24 +203,20 @@ impl Client {
         if blobs.len() != shape.m * bands {
             return Err(ServeError::Malformed("response ciphertext count"));
         }
-        let out_len = shape.output_len();
-        let mut y_client = vec![0u64; out_len];
-        let mut band_vals = vec![0i64; out_len];
-        for (u, bytes) in blobs.iter().enumerate() {
-            let (oc, b) = (u / bands, u % bands);
-            let ct = match self.truncation {
-                None => {
-                    let ct = serialize::ciphertext_from_bytes(bytes, p.n, p.q)?;
-                    ct.validate_for(p)?;
-                    ct
-                }
-                Some((d0, d1)) => TruncatedCiphertext::from_bytes(bytes, d0, d1, p)?.reconstruct(p),
-            };
-            let m = self.sk.try_decrypt(&ct)?;
-            let coeffs: Vec<i64> = m.coeffs().iter().map(|&v| v as i64).collect();
-            band_vals.iter_mut().for_each(|v| *v = 0);
-            self.encoder.decode_band(&coeffs, b, oc, &mut band_vals);
-            merge_band(&self.encoder, &band_vals, b, oc, &mut y_client);
+        let mut y_client = vec![0u64; shape.output_len()];
+        let mut plain = U64_SCRATCH.take(KEY_BATCH.min(blobs.len()) * p.n);
+        for (chunk, blobs) in blobs.chunks(KEY_BATCH).enumerate() {
+            let cts = blobs
+                .iter()
+                .map(|bytes| TruncatedCiphertext::response_from_bytes(bytes, self.truncation, p))
+                .collect::<Result<Vec<Ciphertext>, _>>()?;
+            let plain = &mut plain[..cts.len() * p.n];
+            self.sk.decrypt_batch_into(&cts, plain)?;
+            for (k, m) in plain.chunks_exact(p.n).enumerate() {
+                let u = chunk * KEY_BATCH + k;
+                self.encoder
+                    .decode_band(m, u % bands, u / bands, &mut y_client);
+            }
         }
         Ok((req_id, y_client))
     }

@@ -334,26 +334,6 @@ pub(crate) fn mask_coeffs(seed: u64, n: usize, t: u64) -> Vec<u64> {
         .collect()
 }
 
-/// Copies one decoded band (only its own output rows) into an
-/// accumulated share tensor — the serving-side twin of the protocol's
-/// band merge.
-pub(crate) fn merge_band(
-    encoder: &ConvEncoder,
-    band_vals: &[i64],
-    b: usize,
-    oc: usize,
-    out: &mut [u64],
-) {
-    let shape = encoder.shape();
-    let spec = encoder.band_spec(b);
-    for pp in 0..spec.rows_out {
-        for q in 0..shape.out_w() {
-            let idx = (oc * shape.out_h() + spec.out_row0 + pp) * shape.out_w() + q;
-            out[idx] = band_vals[idx] as u64;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

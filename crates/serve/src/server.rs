@@ -55,7 +55,7 @@
 //!   counts stall alarms, so even an uncontained worker death degrades
 //!   capacity instead of wedging the queue.
 
-use crate::model::{mask_coeffs, mask_seed, merge_band, ModelPlan, ModelSpec, UnitWeights};
+use crate::model::{mask_coeffs, mask_seed, ModelPlan, ModelSpec, UnitWeights};
 use crate::session::{Priority, SessionHealth, SessionSnapshot, SessionState};
 use crate::wire::RefusalReason;
 use crate::{wire, ServeError};
@@ -1253,10 +1253,8 @@ fn finalize_ticket(
     let p = model.params();
     let enc = model.encoder();
     let bands = enc.bands();
-    let out_len = model.shape().output_len();
-    let mut y_server = vec![0u64; out_len];
+    let mut y_server = vec![0u64; model.shape().output_len()];
     let mut blobs = Vec::with_capacity(unit_cts.len());
-    let mut band_vals = vec![0i64; out_len];
     for (u, ct) in unit_cts.into_iter().enumerate() {
         let mut ct = ct.expect("every unit resolved before finalize");
         let (oc, b) = (u / bands, u % bands);
@@ -1264,10 +1262,7 @@ fn finalize_ticket(
         let mask_vals = mask_coeffs(seed, p.n, p.t);
         let mask = Poly::from_coeffs(mask_vals, p.t);
         ct.sub_plain_assign(&mask, p);
-        let mask_signed: Vec<i64> = mask.coeffs().iter().map(|&v| v as i64).collect();
-        band_vals.iter_mut().for_each(|v| *v = 0);
-        enc.decode_band(&mask_signed, b, oc, &mut band_vals);
-        merge_band(enc, &band_vals, b, oc, &mut y_server);
+        enc.decode_band(mask.coeffs(), b, oc, &mut y_server);
         blobs.push(match model.truncation() {
             None => serialize::ciphertext_to_bytes(&ct),
             Some((d0, d1)) => TruncatedCiphertext::truncate(&ct, d0, d1, p).to_bytes(p),

@@ -263,6 +263,29 @@ fn concurrent_batched_sessions_match_serial_baseline_bitwise() {
 }
 
 #[test]
+fn responses_are_bit_identical_at_one_and_two_runtime_threads() {
+    // The runtime's thread count (`FLASH_THREADS`) is a different axis
+    // from the server's worker count: it sizes the parallel regions
+    // inside the kernels and the client's chunked key products.
+    let (n_clients, reqs) = (4, 2);
+    let runs: Vec<FleetRun> = [1usize, 2]
+        .into_iter()
+        .map(|threads| {
+            let _guard = flash_runtime::ThreadOverrideGuard::set(threads);
+            run_fleet(BatchPolicy::batched(), 2, n_clients, reqs, &clean_cfg)
+        })
+        .collect();
+    for run in &runs {
+        assert!(run.errors.is_empty(), "clean run failed: {:?}", run.errors);
+        verify_against_reference(run, n_clients, reqs);
+    }
+    assert_eq!(
+        runs[0].outputs, runs[1].outputs,
+        "client and server shares must not depend on FLASH_THREADS"
+    );
+}
+
+#[test]
 fn pow2_model_roundtrips_and_batched_matches_serial_bitwise() {
     // The serving stack end-to-end on a power-of-two ciphertext modulus:
     // HELLO/params handshake, 8-byte-coefficient serialization, the

@@ -13,8 +13,10 @@ use crate::error::FlashError;
 use crate::protocol::ProtocolStats;
 use crate::shares::ShareRing;
 use crate::transport::{InMemoryTransport, Transport, TransportConfig};
+use flash_he::keys::KEY_BATCH;
 use flash_he::matvec::MatVecEncoder;
 use flash_he::{serialize, Ciphertext, HeParams, Poly, PolyMulBackend, SecretKey};
+use flash_runtime::U64_SCRATCH;
 use rand::Rng;
 
 /// `(client share, server share)` of the FC output vector.
@@ -101,13 +103,19 @@ impl MatVecProtocol {
         let xc: Vec<i64> = x_client.iter().map(|&v| v as i64).collect();
         let xs: Vec<i64> = x_server.iter().map(|&v| v as i64).collect();
 
-        // Client: encrypt its share per column chunk and upload the
-        // serialized ciphertexts.
+        // Client: encrypt its share per column chunk (one batched key
+        // product per `KEY_BATCH` chunks) and upload the serialized
+        // ciphertexts.
         let chunks = enc.encode_vector(&xc);
         stats.ciphertexts_up = chunks.len();
-        for poly in &chunks {
-            let ct = sk.encrypt(&Poly::from_signed(poly, p.t), rng);
-            up.send(&serialize::ciphertext_to_bytes(&ct))?;
+        for polys in chunks.chunks(KEY_BATCH) {
+            let ms: Vec<Poly> = polys
+                .iter()
+                .map(|poly| Poly::from_signed(poly, p.t))
+                .collect();
+            for ct in sk.encrypt_batch(&ms, rng) {
+                up.send(&serialize::ciphertext_to_bytes(&ct))?;
+            }
         }
 
         // Server: receive, validate, fold in its share.
@@ -145,21 +153,22 @@ impl MatVecProtocol {
             stats.ciphertexts_down += 1;
 
             // server share from the mask; the response goes down the wire
-            let mask_signed: Vec<i64> = mask.coeffs().iter().map(|&v| v as i64).collect();
-            let mut tmp = vec![0i64; no];
-            enc.decode_block(&mask_signed, rb, &mut tmp);
-            merge_block(enc, rb, &tmp, &mut y_server);
+            enc.decode_block(mask.coeffs(), rb, &mut y_server);
             down.send(&serialize::ciphertext_to_bytes(&masked))?;
+        }
 
-            // client: receive, validate, decrypt, decode its share
-            let bytes = down.recv()?;
-            let response = serialize::ciphertext_from_bytes(&bytes, p.n, p.q)?;
-            response.validate_for(p)?;
-            let dec = sk.try_decrypt(&response)?;
-            let dec_signed: Vec<i64> = dec.coeffs().iter().map(|&v| v as i64).collect();
-            let mut tmp = vec![0i64; no];
-            enc.decode_block(&dec_signed, rb, &mut tmp);
-            merge_block(enc, rb, &tmp, &mut y_client);
+        // Client: receive, validate, decrypt (batched) and decode each
+        // response into its own rows of the output share.
+        for rb0 in (0..enc.row_blocks()).step_by(KEY_BATCH) {
+            let width = KEY_BATCH.min(enc.row_blocks() - rb0);
+            let cts = (0..width)
+                .map(|_| Ok(serialize::ciphertext_from_bytes(&down.recv()?, p.n, p.q)?))
+                .collect::<Result<Vec<Ciphertext>, FlashError>>()?;
+            let mut plain = U64_SCRATCH.take(width * p.n);
+            sk.decrypt_batch_into(&cts, &mut plain)?;
+            for (k, m) in plain.chunks_exact(p.n).enumerate() {
+                enc.decode_block(m, rb0 + k, &mut y_client);
+            }
         }
         stats.download_bytes = down.stats().payload_bytes as usize;
         let wire = up.stats().merge(down.stats());
@@ -173,14 +182,6 @@ impl MatVecProtocol {
     /// Reconstructs the signed output from the two shares.
     pub fn reconstruct(&self, client: &[u64], server: &[u64]) -> Vec<i64> {
         self.ring.reconstruct_vec(client, server)
-    }
-}
-
-fn merge_block(enc: &MatVecEncoder, rb: usize, vals: &[i64], out: &mut [u64]) {
-    let row0 = rb * enc.rows_per_block();
-    let rows = enc.rows_per_block().min(enc.output_dim() - row0);
-    for i in 0..rows {
-        out[row0 + i] = vals[row0 + i] as u64;
     }
 }
 

@@ -34,6 +34,7 @@ use crate::transport::{FaultPlan, InMemoryTransport, Transport, TransportConfig}
 use flash_fft::C64_SCRATCH;
 use flash_he::backend::{weight_residues_into, BandAccumulator};
 use flash_he::encoding::{ConvEncoder, ConvShape};
+use flash_he::keys::KEY_BATCH;
 use flash_he::noise::NoiseBound;
 use flash_he::truncate::TruncatedCiphertext;
 use flash_he::{serialize, Ciphertext, HeParams, Poly, PolyMulBackend, SecretKey};
@@ -305,27 +306,30 @@ impl ConvProtocol {
         let xc_signed: Vec<i64> = x_client.iter().map(|&v| v as i64).collect();
         let xs_signed: Vec<i64> = x_server.iter().map(|&v| v as i64).collect();
 
-        // --- Client: encode its share per tile, encrypt, and upload the
-        // serialized ciphertexts.
+        // --- Client: encode its share per tile, then encrypt and upload
+        // chunk by chunk — one batched key product per chunk, and only a
+        // chunk of ciphertexts alive at a time.
         let enc = &self.encoder;
-        let encode_span = flash_telemetry::span!("hconv.encode");
-        let client_tiles = enc.encode_activation(&xc_signed);
-        let cts: Vec<Ciphertext> = client_tiles
-            .iter()
-            .map(|tile| {
-                let m = Poly::from_signed(tile, p.t);
-                sk.encrypt(&m, rng)
-            })
-            .collect();
-        drop(encode_span);
-        stats.ciphertexts_up = cts.len();
-        {
+        let client_tiles = {
+            let _t = flash_telemetry::span!("hconv.encode");
+            enc.encode_activation(&xc_signed)
+        };
+        stats.ciphertexts_up = client_tiles.len();
+        for tiles in client_tiles.chunks(KEY_BATCH) {
+            let cts = {
+                let _t = flash_telemetry::span!("hconv.encode");
+                let ms: Vec<Poly> = tiles
+                    .iter()
+                    .map(|tile| Poly::from_signed(tile, p.t))
+                    .collect();
+                sk.encrypt_batch(&ms, rng)
+            };
             let _t = flash_telemetry::span!("hconv.wire_serialize");
             for ct in &cts {
                 up.send(&serialize::ciphertext_to_bytes(ct))?;
             }
         }
-        drop(cts);
+        drop(client_tiles);
 
         // --- Server: receive and validate the upload, fold in its share.
         let server_tiles = enc.encode_activation(&xs_signed);
@@ -489,10 +493,9 @@ impl ConvProtocol {
                     let mask = Poly::from_coeffs(mask_vals, p.t);
                     let masked = acc.sub_plain(&mask, p);
                     // Server keeps its share from the mask coefficients at
-                    // the output positions.
-                    let mask_signed: Vec<i64> = mask.coeffs().iter().map(|&v| v as i64).collect();
-                    let mut server_share = vec![0i64; out_len];
-                    enc.decode_band(&mask_signed, b, oc, &mut server_share);
+                    // the output positions: just the band's own rows.
+                    let mut server_share = vec![0u64; enc.band_output_range(b, oc).len()];
+                    enc.decode_band_rows(mask.coeffs(), b, &mut server_share);
                     // Serialize the response for the downlink — optionally
                     // truncated (Cheetah's download compression; the
                     // `(d0, d1)` pair travels in the session context).
@@ -520,7 +523,7 @@ impl ConvProtocol {
                 stats.download_bytes += band_stats.download_bytes;
                 stats.ntt_fallbacks += band_stats.ntt_fallbacks;
                 stats.pow2_fallbacks += band_stats.pow2_fallbacks;
-                self.merge_band(&server_share, b, oc, &mut y_server);
+                y_server[enc.band_output_range(b, oc)].copy_from_slice(&server_share);
                 down.send(&response)?;
                 order.push((b, oc));
             }
@@ -529,29 +532,40 @@ impl ConvProtocol {
 
         // --- Client: drain the downlink (sequential — the transport owns
         // delivery order and recovery), then deserialize, validate,
-        // decrypt and decode in parallel; the merge stays sequential.
+        // decrypt and decode chunk by chunk in parallel: one batched key
+        // product per chunk, each band decoded into its own rows only.
         let mut received = Vec::with_capacity(order.len());
         for (b, oc) in order {
             received.push((b, oc, down.recv()?));
         }
-        let decoded = flash_runtime::parallel_map(&received, |(b, oc, bytes)| {
+        let chunks: Vec<&[(usize, usize, Vec<u8>)]> = received.chunks(KEY_BATCH).collect();
+        let decoded = flash_runtime::parallel_map(&chunks, |chunk| {
             let _t = flash_telemetry::span!("hconv.decrypt");
-            let ct = match self.truncation {
-                None => {
-                    let ct = serialize::ciphertext_from_bytes(bytes, p.n, p.q)?;
-                    ct.validate_for(p)?;
-                    ct
-                }
-                Some((d0, d1)) => TruncatedCiphertext::from_bytes(bytes, d0, d1, p)?.reconstruct(p),
-            };
-            let m = sk.try_decrypt(&ct)?;
-            let coeffs: Vec<i64> = m.coeffs().iter().map(|&v| v as i64).collect();
-            let mut tmp = vec![0i64; out_len];
-            enc.decode_band(&coeffs, *b, *oc, &mut tmp);
-            Ok::<_, FlashError>(tmp)
+            let cts = chunk
+                .iter()
+                .map(|(_, _, bytes)| {
+                    TruncatedCiphertext::response_from_bytes(bytes, self.truncation, p)
+                })
+                .collect::<Result<Vec<Ciphertext>, _>>()?;
+            let mut plain = U64_SCRATCH.take(cts.len() * p.n);
+            sk.decrypt_batch_into(&cts, &mut plain)?;
+            let mut rows = Vec::new();
+            for ((b, oc, _), m) in chunk.iter().zip(plain.chunks_exact(p.n)) {
+                let at = rows.len();
+                rows.resize(at + enc.band_output_range(*b, *oc).len(), 0u64);
+                enc.decode_band_rows(m, *b, &mut rows[at..]);
+            }
+            Ok::<_, FlashError>(rows)
         });
-        for ((b, oc, _), tmp) in received.iter().zip(decoded) {
-            self.merge_band(&tmp?, *b, *oc, &mut y_client);
+        for (chunk, rows) in chunks.iter().zip(decoded) {
+            let rows = rows?;
+            let mut at = 0;
+            for (b, oc, _) in chunk.iter() {
+                let range = enc.band_output_range(*b, *oc);
+                let len = range.len();
+                y_client[range].copy_from_slice(&rows[at..at + len]);
+                at += len;
+            }
         }
 
         let wire = up.stats().merge(down.stats());
@@ -594,19 +608,6 @@ impl ConvProtocol {
     /// Reconstructs the signed output from the two shares.
     pub fn reconstruct(&self, shares: &ConvOutputShares) -> Vec<i64> {
         self.ring.reconstruct_vec(&shares.client, &shares.server)
-    }
-
-    /// Copies one decoded band (only its own output rows) into the
-    /// accumulated share tensor.
-    fn merge_band(&self, band_vals: &[i64], b: usize, oc: usize, out: &mut [u64]) {
-        let shape = self.encoder.shape();
-        let spec = self.encoder.band_spec(b);
-        for pp in 0..spec.rows_out {
-            for q in 0..shape.out_w() {
-                let idx = (oc * shape.out_h() + spec.out_row0 + pp) * shape.out_w() + q;
-                out[idx] = band_vals[idx] as u64;
-            }
-        }
     }
 }
 

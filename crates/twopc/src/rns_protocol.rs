@@ -109,30 +109,11 @@ impl RnsConvProtocol {
                 let mask = Poly::from_coeffs(mask_vals, p.t);
                 let masked = acc.sub_plain(&mask, p);
 
-                let mask_signed: Vec<i64> = mask.coeffs().iter().map(|&v| v as i64).collect();
-                let mut tmp = vec![0i64; out_len];
-                enc.decode_band(&mask_signed, b, oc, &mut tmp);
-                merge_band(enc, &tmp, b, oc, &mut y_server);
-
-                let dec = sk.decrypt(&masked);
-                let dec_signed: Vec<i64> = dec.coeffs().iter().map(|&v| v as i64).collect();
-                let mut tmp = vec![0i64; out_len];
-                enc.decode_band(&dec_signed, b, oc, &mut tmp);
-                merge_band(enc, &tmp, b, oc, &mut y_client);
+                enc.decode_band(mask.coeffs(), b, oc, &mut y_server);
+                enc.decode_band(sk.decrypt(&masked).coeffs(), b, oc, &mut y_client);
             }
         }
         self.ring.reconstruct_vec(&y_client, &y_server)
-    }
-}
-
-fn merge_band(enc: &ConvEncoder, vals: &[i64], b: usize, oc: usize, out: &mut [u64]) {
-    let shape = enc.shape();
-    let spec = enc.band_spec(b);
-    for pp in 0..spec.rows_out {
-        for q in 0..shape.out_w() {
-            let idx = (oc * shape.out_h() + spec.out_row0 + pp) * shape.out_w() + q;
-            out[idx] = vals[idx] as u64;
-        }
     }
 }
 
