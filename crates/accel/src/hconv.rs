@@ -91,7 +91,8 @@ impl FlashHconv {
 
     /// Runs one quantized conv layer privately and returns the
     /// reconstructed signed outputs (`m·out_h·out_w`) plus aggregated
-    /// protocol statistics.
+    /// protocol statistics: shares `x`, runs
+    /// [`Self::run_layer_shared`], reconstructs.
     ///
     /// # Errors
     ///
@@ -110,69 +111,11 @@ impl FlashHconv {
         weights: &[i64],
         rng: &mut R,
     ) -> Result<(Vec<i64>, ProtocolStats), FlashError> {
-        let _t = flash_telemetry::span!("hconv.layer");
         assert_eq!(x.len(), spec.c * spec.h * spec.w, "input size mismatch");
-        let xp = pad_input(x, spec.c, spec.h, spec.w, spec.pad);
-        let (hp, wp) = (spec.h + 2 * spec.pad, spec.w + 2 * spec.pad);
-        match spec.stride {
-            1 => {
-                let shape = ConvShape {
-                    c: spec.c,
-                    h: hp,
-                    w: wp,
-                    m: spec.m,
-                    k: spec.k,
-                };
-                let proto = self.protocol(shape);
-                let (shares, stats) = proto.run(sk, &xp, weights, rng)?;
-                Ok((proto.reconstruct(&shares), stats))
-            }
-            2 => {
-                let shape = ConvShape {
-                    c: spec.c,
-                    h: hp,
-                    w: wp,
-                    m: spec.m,
-                    k: spec.k,
-                };
-                let (sub, parts) = stride2_decompose(&xp, weights, &shape);
-                let (oh, ow) = strided_out_dims(hp, wp, spec.k, 2);
-                let ring = self.ring();
-                let mut sum = vec![0i64; spec.m * sub.out_h() * sub.out_w()];
-                let mut stats = ProtocolStats::default();
-                // One seed per phase, drawn sequentially up front, so the
-                // four stride-2 phases can run in parallel with the same
-                // results for any worker count.
-                let phase_seeds: Vec<u64> = parts.iter().map(|_| rng.next_u64()).collect();
-                let phase_results = flash_runtime::parallel_gen(parts.len(), |i| {
-                    let (xs, fs) = &parts[i];
-                    let proto = self.protocol(sub);
-                    let mut phase_rng = StdRng::seed_from_u64(phase_seeds[i]);
-                    let (shares, s) = proto.run(sk, xs, fs, &mut phase_rng)?;
-                    Ok::<_, FlashError>((proto.reconstruct(&shares), s))
-                });
-                for phase in phase_results {
-                    let (y, s) = phase?;
-                    for (acc, v) in sum.iter_mut().zip(&y) {
-                        *acc = ring.to_signed(ring.add(ring.reduce(*acc), ring.reduce(*v)));
-                    }
-                    stats = merge_stats(stats, s);
-                }
-                // The strided output is the top-left oh×ow block of the
-                // phase-summed sub-convolution output.
-                let mut out = vec![0i64; spec.m * oh * ow];
-                for oc in 0..spec.m {
-                    for p in 0..oh {
-                        for q in 0..ow {
-                            out[(oc * oh + p) * ow + q] =
-                                sum[(oc * sub.out_h() + p) * sub.out_w() + q];
-                        }
-                    }
-                }
-                Ok((out, stats))
-            }
-            s => panic!("unsupported stride {s}"),
-        }
+        let ring = self.ring();
+        let (xc, xs) = ring.share_vec(x, rng);
+        let ((yc, ys), stats) = self.run_layer_shared(sk, spec, &xc, &xs, weights, rng)?;
+        Ok((ring.reconstruct_vec(&yc, &ys), stats))
     }
 
     /// Runs one quantized conv layer on an *already secret-shared*
@@ -251,7 +194,7 @@ impl FlashHconv {
                     for (acc, v) in sum_s.iter_mut().zip(&shares.server) {
                         *acc = ring.add(*acc, *v);
                     }
-                    stats = merge_stats(stats, s);
+                    stats = stats.merge(s);
                 }
                 let mut out_c = vec![0u64; spec.m * oh * ow];
                 let mut out_s = vec![0u64; spec.m * oh * ow];
@@ -269,26 +212,6 @@ impl FlashHconv {
             }
             s => panic!("unsupported stride {s}"),
         }
-    }
-}
-
-fn merge_stats(a: ProtocolStats, b: ProtocolStats) -> ProtocolStats {
-    ProtocolStats {
-        upload_bytes: a.upload_bytes + b.upload_bytes,
-        download_bytes: a.download_bytes + b.download_bytes,
-        ciphertexts_up: a.ciphertexts_up + b.ciphertexts_up,
-        ciphertexts_down: a.ciphertexts_down + b.ciphertexts_down,
-        weight_transforms: a.weight_transforms + b.weight_transforms,
-        sparse_weight_transforms: a.sparse_weight_transforms + b.sparse_weight_transforms,
-        activation_transforms: a.activation_transforms + b.activation_transforms,
-        inverse_transforms: a.inverse_transforms + b.inverse_transforms,
-        pointwise_muls: a.pointwise_muls + b.pointwise_muls,
-        upload_wire_bytes: a.upload_wire_bytes + b.upload_wire_bytes,
-        download_wire_bytes: a.download_wire_bytes + b.download_wire_bytes,
-        faults_detected: a.faults_detected + b.faults_detected,
-        frames_retried: a.frames_retried + b.frames_retried,
-        ntt_fallbacks: a.ntt_fallbacks + b.ntt_fallbacks,
-        pow2_fallbacks: a.pow2_fallbacks + b.pow2_fallbacks,
     }
 }
 

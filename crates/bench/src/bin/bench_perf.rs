@@ -55,7 +55,7 @@
 //! the small matrix layer only, skips the speedup gate, and leaves the
 //! committed artifact untouched (the CI smoke).
 
-use flash_2pc::{conv_band_noise_bound, expected_conv_mod, ConvProtocol};
+use flash_2pc::{expected_conv_mod, ConvProtocol};
 use flash_accel::config::FlashConfig;
 use flash_accel::hconv::FlashHconv;
 use flash_accel::inference::run_network;
@@ -928,7 +928,7 @@ fn backend_matrix_row(
     let w: Vec<i64> = (0..shape.m * shape.kernel_len())
         .map(|_| rng.gen_range(-8..8))
         .collect();
-    let proto = ConvProtocol::new(params.clone(), shape, backend.clone());
+    let proto = ConvProtocol::new(params.clone(), shape, backend);
 
     let (shares, stats) = proto.run(&sk, &x, &w, &mut rng).expect("matrix run failed");
     let got = proto.reconstruct(&shares);
@@ -938,20 +938,16 @@ fn backend_matrix_row(
         "{backend_name}/{layer}: decrypted output diverged from the exact reference"
     );
 
-    // Worst-case composed bound over every (oc, band) job — exactly the
-    // expression the runtime noise guard evaluates (exact-pipeline bound
-    // plus the backend's analytical transform error).
+    // Worst-case composed bound over every (oc, band) job — the guard's
+    // own expression (exact-pipeline bound plus the backend's analytical
+    // transform error), asked of the pipeline the run just used.
     let enc = proto.encoder();
-    let bands = enc.bands();
     let mut worst = 0.0f64;
     for oc in 0..shape.m {
         let w_polys = enc.encode_weight(&w[oc * shape.kernel_len()..][..shape.kernel_len()], oc);
-        for b in 0..bands {
-            let (nb, w_sq) = conv_band_noise_bound(&params, &w_polys, b, None);
-            let err = backend
-                .error_model(&params)
-                .map_or(0.0, |m| m.phase_error_bound(&params, w_sq, w_polys.len()));
-            worst = worst.max(nb.bound() + err);
+        for b in 0..enc.bands() {
+            let (nb, err) = proto.server().band_noise(&w_polys, b);
+            worst = worst.max(nb.bound() + err.unwrap_or(0.0));
         }
     }
     let ceiling = params.noise_ceiling() as f64;

@@ -1,5 +1,5 @@
 //! Multi-session serving benchmark: aggregate throughput and latency of
-//! the batching core against the serial per-session baseline, written
+//! the batching core against the per-request protocol baseline, written
 //! to `BENCH_serve.json`.
 //!
 //! The fleet is simulated in-process: every client session carries its
@@ -7,14 +7,16 @@
 //! across sessions so the coalescing window always sees cross-session
 //! traffic, and the timed region covers dispatch through the last
 //! terminal outcome (client-local prepare/collect run untimed — that
-//! work belongs to the clients, not the server). Both sides run the
-//! same wave shape; only `BatchPolicy` differs, so the speedup isolates
-//! exactly what the serving layer adds: per-model amortization of
-//! weight spectra/noise bounds and full-width SoA batches coalesced
-//! across sessions. On a single-core host that is the whole win —
-//! there is no thread parallelism to hide behind.
+//! work belongs to the clients, not the server). The baseline answers
+//! the same number of requests against the same model one at a time
+//! with `ConvProtocol::run_shared`
+//! ([`flash_bench::serving::run_protocol_baseline`]): the same pipeline
+//! stages at width 1 with one-shot units, so the speedup is what the
+//! serving layer adds — weights and noise verdicts prepared once per
+//! model, and full-width SoA batches coalesced across sessions — plus
+//! the client crypto the protocol run carries and a wave does not time.
 //!
-//! The headline comparison runs at one worker — batching vs serial with
+//! The headline comparison runs at one worker and one runtime thread —
 //! no thread parallelism to hide behind. A separate worker sweep then
 //! re-runs the batched wave at 2 and `host_parallelism` workers (counts
 //! above the host's are skipped — they only measure scheduler noise) so
@@ -27,7 +29,7 @@
 
 use flash_bench::banner;
 use flash_bench::perf::{calibration_ms, git_revision, simd_json};
-use flash_bench::serving::{self, Wave};
+use flash_bench::serving::{self, Baseline, Wave};
 use flash_serve::BatchPolicy;
 
 const REQS_PER_CLIENT: u64 = 2;
@@ -59,7 +61,7 @@ fn main() {
     }
     clients = clients.max(1);
 
-    banner("Serving benchmark: cross-session batching vs serial per-session");
+    banner("Serving benchmark: cross-session batching vs per-request protocol runs");
     let host = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
@@ -72,13 +74,13 @@ fn main() {
 
     // Best-of-three batched waves paired with a calibration sample
     // (the regression gate normalizes by `calib_ms`), best-of-two
-    // serial waves. Contention only ever adds time, so the per-side
+    // baseline passes. Contention only ever adds time, so the per-side
     // minimum over spaced attempts estimates the quiet cost; every
     // wave is bit-deterministic in content, so "fastest" never means
     // "different".
     let mut calib = f64::INFINITY;
     let mut batched: Option<Wave> = None;
-    let mut serial: Option<Wave> = None;
+    let mut serial: Option<Baseline> = None;
     for attempt in 0..3 {
         calib = calib.min(calibration_ms());
         let w = serving::run_wave(
@@ -96,29 +98,27 @@ fn main() {
             batched = Some(w);
         }
         if attempt < 2 {
-            let w = serving::run_wave(
-                BatchPolicy::serial_baseline(),
-                WORKERS,
-                clients,
-                REQS_PER_CLIENT,
-                false,
-            );
-            assert_eq!(
-                w.answered, w.dispatched,
-                "clean serial wave answers everything"
-            );
-            if serial.as_ref().is_none_or(|s| w.elapsed_s < s.elapsed_s) {
-                serial = Some(w);
+            let b = serving::run_protocol_baseline(clients * REQS_PER_CLIENT);
+            if serial.as_ref().is_none_or(|s| b.elapsed_s < s.elapsed_s) {
+                serial = Some(b);
             }
         }
     }
     let batched = batched.expect("batched wave ran");
-    let serial = serial.expect("serial wave ran");
-    wave_line("serve_serial_baseline", &serial);
+    let serial = serial.expect("baseline ran");
+    println!(
+        "{:26} {:10} {:5} reqs  {:8.1} req/s  p50 {:7.2} ms  p99 {:7.2} ms  (ConvProtocol::run_shared per request)",
+        "serve_protocol_baseline",
+        "",
+        batched.dispatched,
+        batched.dispatched as f64 / serial.elapsed_s,
+        serial.p50_ms,
+        serial.p99_ms,
+    );
     wave_line("serve_batched", &batched);
     let speedup = serial.elapsed_s / batched.elapsed_s;
     println!(
-        "{:26} {speedup:5.2}x aggregate throughput ({} requests, identical bytes both modes)",
+        "{:26} {speedup:5.2}x aggregate throughput ({} requests each side)",
         "serve_speedup", batched.dispatched
     );
 
@@ -141,8 +141,8 @@ fn main() {
     // healthy links and an unexpired-deadline policy is a false
     // positive that would refuse real traffic in production. Checked
     // both per-wave (server accounting) and process-wide (telemetry).
-    for (name, w) in [("serial", &serial), ("batched", &batched)] {
-        let s = &w.stats;
+    {
+        let s = &batched.stats;
         for (counter, v) in [
             ("shed", s.shed),
             ("expired", s.expired),
@@ -152,7 +152,7 @@ fn main() {
             ("watchdog_kicks", s.watchdog_kicks),
             ("requests_refused", s.requests_refused),
         ] {
-            assert_eq!(v, 0, "clean {name} wave bumped serve.{counter} to {v}");
+            assert_eq!(v, 0, "clean batched wave bumped serve.{counter} to {v}");
         }
     }
     let snap = flash_telemetry::snapshot();
@@ -257,30 +257,32 @@ fn main() {
     json.push_str(&format!("  \"reqs_per_client\": {REQS_PER_CLIENT},\n"));
     json.push_str(&format!("  \"requests\": {},\n", batched.dispatched));
     json.push_str(&format!("  \"workers\": {WORKERS},\n"));
-    for (prefix, w) in [("serial", &serial), ("batched", &batched)] {
+    let requests = batched.dispatched as f64;
+    for (prefix, elapsed_s, p50, p99) in [
+        ("serial", serial.elapsed_s, serial.p50_ms, serial.p99_ms),
+        ("batched", batched.elapsed_s, batched.p50_ms, batched.p99_ms),
+    ] {
         json.push_str(&format!(
-            "  \"{prefix}_elapsed_ms\": {:.3},\n",
-            w.elapsed_s * 1e3
+            "  \"{prefix}_elapsed_ms\": {:.3},\n  \"{prefix}_ms_per_req\": {:.4},\n  \"{prefix}_throughput_rps\": {:.1},\n",
+            elapsed_s * 1e3,
+            elapsed_s * 1e3 / requests,
+            requests / elapsed_s
         ));
         json.push_str(&format!(
-            "  \"{prefix}_ms_per_req\": {:.4},\n",
-            w.ms_per_req()
-        ));
-        json.push_str(&format!(
-            "  \"{prefix}_throughput_rps\": {:.1},\n",
-            w.throughput_rps()
-        ));
-        json.push_str(&format!("  \"{prefix}_p50_ms\": {:.3},\n", w.p50_ms));
-        json.push_str(&format!("  \"{prefix}_p99_ms\": {:.3},\n", w.p99_ms));
-        json.push_str(&format!(
-            "  \"{prefix}_occupancy\": {:.4},\n",
-            w.stats.occupancy()
-        ));
-        json.push_str(&format!(
-            "  \"{prefix}_mean_batch\": {:.2},\n",
-            w.stats.mean_batch()
+            "  \"{prefix}_p50_ms\": {p50:.3},\n  \"{prefix}_p99_ms\": {p99:.3},\n"
         ));
     }
+    json.push_str(
+        "  \"serial_definition\": \"ConvProtocol::run_shared per request, 1 runtime thread\",\n",
+    );
+    json.push_str(&format!(
+        "  \"batched_occupancy\": {:.4},\n",
+        batched.stats.occupancy()
+    ));
+    json.push_str(&format!(
+        "  \"batched_mean_batch\": {:.2},\n",
+        batched.stats.mean_batch()
+    ));
     json.push_str(&format!("  \"speedup\": {speedup:.3},\n"));
     json.push_str("  \"worker_sweep\": [\n");
     for (i, (wk, w)) in sweep.iter().enumerate() {

@@ -6,21 +6,21 @@
 //! committed `BENCH_serve.json` baseline and the gate's fresh
 //! measurement are directly comparable.
 //!
-//! The model is sized so the per-request work the serial baseline
-//! cannot hoist dominates its pipeline: a 64×16×16 input packs 4
-//! channels per ring slot into 16 groups, so every serial request
+//! The model is sized so the per-request work a one-shot pipeline
+//! cannot hoist dominates it: a 64×16×16 input packs 4 channels per
+//! ring slot into 16 groups, so every [`run_protocol_baseline`] request
 //! re-derives 16 NTT-domain weight-residue groups per output channel
-//! (plus the per-unit noise bounds) before it can MAC, while the
-//! batched path reads the same residues from the registration-time
-//! plan. A full coalesced batch (16 tickets × 16 ciphertexts) runs the
-//! shared forward sweep and the lazy Shoup MACs over one
-//! structure-of-arrays buffer at full SIMD occupancy, then drains the
-//! accumulators ticket-by-ticket so the inverse stays L2-resident.
+//! (plus the per-unit noise bounds) before it can MAC, while the served
+//! path reads the same residues from the registration-time plan. A full
+//! coalesced batch (16 tickets × 16 ciphertexts) runs the shared forward
+//! sweep and the lazy Shoup MACs over one structure-of-arrays buffer at
+//! full SIMD occupancy, then drains the accumulators ticket-by-ticket so
+//! the inverse stays L2-resident.
 
 use flash_2pc::transport::{FaultConfig, FaultPlan, TransportConfig};
-use flash_2pc::{expected_conv_mod, ShareRing};
+use flash_2pc::{expected_conv_mod, ConvProtocol, ShareRing};
 use flash_he::encoding::ConvShape;
-use flash_he::{HeParams, PolyMulBackend};
+use flash_he::{HeParams, PolyMulBackend, SecretKey};
 use flash_serve::{BatchPolicy, Client, InferenceServer, ModelSpec, ServerStats};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -275,4 +275,59 @@ pub fn run_wave(
     };
     server.shutdown();
     wave
+}
+
+/// The un-hoisted baseline of the serving speedup.
+#[derive(Debug, Clone)]
+pub struct Baseline {
+    /// Seconds spent inside the protocol runs, summed.
+    pub elapsed_s: f64,
+    /// Per-request latency percentiles, ms.
+    pub p50_ms: f64,
+    /// 99th percentile, ms.
+    pub p99_ms: f64,
+}
+
+/// Answers `requests` requests against the fixture model one at a time
+/// with [`ConvProtocol::run_shared`] — the same pipeline stages the
+/// server runs, at width 1 with one-shot units, so every request
+/// re-prepares the model's weights — on one runtime thread, like the
+/// one-worker waves it is compared with. Unlike a wave's timed region,
+/// each run also contains the client's seal and unseal (the protocol is
+/// one in-process call), so the baseline is heavier than "a server
+/// without hoisting" by the client's share; `bench_serve` reports the
+/// speedup against it as defined, and DESIGN.md §5h spells the caveat
+/// out.
+pub fn run_protocol_baseline(requests: u64) -> Baseline {
+    let _one_thread = flash_runtime::ThreadOverrideGuard::set(1);
+    let p = params();
+    let s = spec();
+    let (d0, d1) = s.truncation.expect("fixture truncates");
+    let proto = ConvProtocol::new(p.clone(), shape(), s.backend).with_truncation(d0, d1);
+    let mut rng = StdRng::seed_from_u64(0x51E7);
+    let sk = SecretKey::generate(&p, &mut rng);
+    let mut lat_ms = Vec::with_capacity(requests as usize);
+    for r in 0..requests {
+        let x: Vec<i64> = (0..shape().input_len())
+            .map(|_| rng.gen_range(-8..8))
+            .collect();
+        let (xc, xs) = proto.ring().share_vec(&x, &mut rng);
+        let t = Instant::now();
+        let (shares, _) = proto
+            .run_shared(&sk, &xc, &xs, &s.weights, &mut rng)
+            .expect("clean baseline run");
+        lat_ms.push(t.elapsed().as_secs_f64() * 1e3);
+        if r == 0 {
+            let want = expected_conv_mod(&x, &s.weights, &shape(), proto.ring());
+            assert_eq!(proto.reconstruct(&shares), want, "baseline output");
+        }
+    }
+    let elapsed_s = lat_ms.iter().sum::<f64>() / 1e3;
+    lat_ms.sort_by(f64::total_cmp);
+    let pctl = |q: f64| lat_ms[((lat_ms.len() - 1) as f64 * q) as usize];
+    Baseline {
+        elapsed_s,
+        p50_ms: pctl(0.5),
+        p99_ms: pctl(0.99),
+    }
 }

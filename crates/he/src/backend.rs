@@ -29,16 +29,15 @@ use crate::params::HeParams;
 use crate::poly::Poly;
 use flash_fft::fixed_fft::FixedNegacyclicFft;
 use flash_fft::C64_SCRATCH;
-use flash_math::modular::{add_mod, center_lift, from_signed, Barrett, Shoup};
+use flash_math::modular::{add_mod, center_lift, from_signed, Barrett};
 use flash_math::C64;
 use flash_ntt::polymul::negacyclic_mul_ntt;
 use flash_ntt::transform::{
-    forward, forward_batch, inverse, inverse_batch, pointwise_mul_acc, pointwise_mul_acc_shoup,
+    forward, forward_batch, inverse, inverse_batch, pointwise_mul_acc,
     pointwise_mul_acc_shoup_lazy, pointwise_mul_assign,
 };
 use flash_ntt::NttTables;
 use flash_runtime::{F64_SCRATCH, U64_SCRATCH};
-use flash_sparse::SparsePlan;
 use std::sync::Arc;
 
 /// The negacyclic multiplier used for `ct ⊠ pt` products.
@@ -279,99 +278,6 @@ impl PolyMulBackend {
             }
         }
     }
-
-    /// Like [`PolyMulBackend::mul_ct_pt_acc`], but when a compiled
-    /// [`SparsePlan`] for the weight's sparsity pattern is supplied and
-    /// [`SparsePlan::worthwhile`] holds, the FFT-family backends run the
-    /// weight transform on the flat µop tape instead of the dense
-    /// butterfly network. Returns `true` when the sparse tape executed.
-    ///
-    /// With `plan == None`, an unprofitable plan, or the `Ntt` backend,
-    /// this is **bit-for-bit** the dense [`PolyMulBackend::mul_ct_pt_acc`]
-    /// (the same code runs). For `ApproxFft` the tape plays the role of
-    /// the wide sparse datapath: it evaluates the same transform in `f64`
-    /// (exact where the wide fixed-point datapath is exact), so swapping
-    /// it in preserves protocol outputs in the error-free regime.
-    ///
-    /// # Panics
-    ///
-    /// Panics on the same conditions as [`PolyMulBackend::mul_ct_pt_acc`],
-    /// or if the plan's ring degree disagrees with the operands.
-    #[allow(clippy::too_many_arguments)]
-    pub fn mul_ct_pt_acc_plan(
-        &self,
-        acc0: &mut Poly,
-        acc1: &mut Poly,
-        a0: &Poly,
-        a1: &Poly,
-        w_signed: &[i64],
-        params: &HeParams,
-        plan: Option<&SparsePlan>,
-    ) -> bool {
-        let sparse = match (self, plan) {
-            (PolyMulBackend::Ntt, _) | (_, None) => None,
-            (_, Some(p)) if !p.worthwhile() => None,
-            (_, Some(p)) => Some(p),
-        };
-        let Some(plan) = sparse else {
-            self.mul_ct_pt_acc(acc0, acc1, a0, a1, w_signed, params);
-            return false;
-        };
-        let fft = params.fft();
-        let q = a0.modulus();
-        let n = a0.len();
-        debug_assert_eq!(plan.degree(), n, "sparse plan degree mismatch");
-        debug_assert_eq!(a1.modulus(), q, "component modulus mismatch");
-        debug_assert_eq!(a1.len(), n, "component length mismatch");
-        for acc in [&*acc0, &*acc1] {
-            debug_assert_eq!(acc.modulus(), q, "accumulator modulus mismatch");
-            debug_assert_eq!(acc.len(), n, "accumulator length mismatch");
-        }
-        debug_assert_eq!(n, w_signed.len(), "operand lengths must match");
-        let mut fw = C64_SCRATCH.take(n / 2);
-        {
-            let _t = flash_telemetry::span!("hconv.weight_transform");
-            plan.execute_into(w_signed, &mut fw);
-        }
-        accumulate_pair_fft(acc0, acc1, a0, a1, &fw, fft, q);
-        true
-    }
-
-    /// Accumulates `acc += a ⊠ w` for a ciphertext pair given the weight
-    /// already in the spectral domain (`fw`, as produced by the dense
-    /// forward transform or a [`SparsePlan`] tape). This is the batched
-    /// hot path: the caller transforms a whole layer's weights with
-    /// [`SparsePlan::execute_batch_into`] and feeds the spectra here.
-    ///
-    /// # Panics
-    ///
-    /// Panics for the `Ntt` backend (spectra are FFT-domain values), or
-    /// on mismatched lengths/moduli.
-    #[allow(clippy::too_many_arguments)]
-    pub fn mul_ct_pt_acc_spectrum(
-        &self,
-        acc0: &mut Poly,
-        acc1: &mut Poly,
-        a0: &Poly,
-        a1: &Poly,
-        fw: &[C64],
-        fft: &flash_fft::NegacyclicFft,
-    ) {
-        assert!(
-            !matches!(self, PolyMulBackend::Ntt),
-            "spectrum accumulation requires an FFT-family backend"
-        );
-        let q = a0.modulus();
-        let n = a0.len();
-        debug_assert_eq!(a1.modulus(), q, "component modulus mismatch");
-        debug_assert_eq!(a1.len(), n, "component length mismatch");
-        for acc in [&*acc0, &*acc1] {
-            debug_assert_eq!(acc.modulus(), q, "accumulator modulus mismatch");
-            debug_assert_eq!(acc.len(), n, "accumulator length mismatch");
-        }
-        debug_assert_eq!(fw.len(), n / 2, "spectrum length must be n/2");
-        accumulate_pair_fft(acc0, acc1, a0, a1, fw, fft, q);
-    }
 }
 
 /// Spectral form of every uploaded (share-folded) ciphertext, computed
@@ -389,16 +295,14 @@ pub enum ActivationSpectra {
     Ntt(Vec<u64>),
 }
 
-/// One `(oc, band)` response being accumulated in the spectral domain,
-/// both ciphertext components side by side, so a whole channel's worth of
-/// responses can close through one lane-parallel inverse batch.
+/// One `(oc, band)` response being accumulated in the FFT spectral
+/// domain, both ciphertext components side by side (`[s0 | s1]`, each
+/// `N/2` slots), so a whole batch of responses can close through one
+/// lane-parallel inverse ([`BandAccumulator::finish_bands`]). NTT-domain
+/// responses accumulate in raw `2·N` slices of one contiguous buffer
+/// instead ([`BandAccumulator::finish_ntt_bands_in_place`]).
 #[derive(Debug, Clone)]
-pub enum BandAccumulator {
-    /// `[s0 | s1]`, each `N/2` spectrum slots.
-    Fft(Vec<C64>),
-    /// `[r0 | r1]`, each `N` residues.
-    Ntt(Vec<u64>),
-}
+pub struct BandAccumulator(Vec<C64>);
 
 impl PolyMulBackend {
     /// Forward-transforms both components of every ciphertext, `2·cts`
@@ -516,12 +420,17 @@ pub fn weight_residues_into(ws: &[&[i64]], out: &mut [u64], ntt: &NttTables) {
 }
 
 impl ActivationSpectra {
-    /// A zeroed accumulator matching this spectra's domain.
+    /// A zeroed accumulator for [`ActivationSpectra::mac_fft`].
+    ///
+    /// # Panics
+    ///
+    /// Panics when `self` is NTT-domain (those MACs take raw slices).
     pub fn accumulator(&self, n: usize) -> BandAccumulator {
-        match self {
-            ActivationSpectra::Fft(_) => BandAccumulator::Fft(vec![C64::ZERO; n]),
-            ActivationSpectra::Ntt(_) => BandAccumulator::Ntt(vec![0u64; 2 * n]),
-        }
+        assert!(
+            matches!(self, ActivationSpectra::Fft(_)),
+            "NTT-domain responses accumulate in raw slices"
+        );
+        BandAccumulator(vec![C64::ZERO; n])
     }
 
     /// `acc ⊞= ct[idx] ⊙ fw` over both components in the FFT spectral
@@ -529,12 +438,12 @@ impl ActivationSpectra {
     ///
     /// # Panics
     ///
-    /// Panics when `self` or `acc` is not FFT-domain, or on length
-    /// mismatches.
+    /// Panics when `self` is not FFT-domain, or on length mismatches.
     pub fn mac_fft(&self, idx: usize, fw: &[C64], acc: &mut BandAccumulator) {
-        let (ActivationSpectra::Fft(sp), BandAccumulator::Fft(a)) = (self, acc) else {
+        let ActivationSpectra::Fft(sp) = self else {
             panic!("FFT MAC requires FFT-domain spectra");
         };
+        let a = &mut acc.0;
         let half = fw.len();
         assert_eq!(a.len(), 2 * half, "accumulator length mismatch");
         let ct = &sp[idx * 2 * half..][..2 * half];
@@ -548,50 +457,23 @@ impl ActivationSpectra {
         }
     }
 
-    /// `acc ⊞= ct[idx] ⊙ fw` over both components in the NTT domain.
+    /// `acc ⊞= ct[idx] ⊙ fw` over both components in the NTT domain, into
+    /// a raw `2·N` accumulator slice (`[r0 | r1]`, kept reduced).
     ///
     /// # Panics
     ///
-    /// Panics when `self` or `acc` is not NTT-domain, or on length
-    /// mismatches.
-    pub fn mac_ntt(&self, idx: usize, fw: &[u64], tables: &NttTables, acc: &mut BandAccumulator) {
-        let (ActivationSpectra::Ntt(sp), BandAccumulator::Ntt(a)) = (self, acc) else {
+    /// Panics when `self` is not NTT-domain or on length mismatches.
+    pub fn mac_ntt(&self, idx: usize, fw: &[u64], tables: &NttTables, acc: &mut [u64]) {
+        let ActivationSpectra::Ntt(sp) = self else {
             panic!("NTT MAC requires NTT-domain residues");
         };
         let n = fw.len();
-        assert_eq!(a.len(), 2 * n, "accumulator length mismatch");
+        assert_eq!(acc.len(), 2 * n, "accumulator length mismatch");
         let ct = &sp[idx * 2 * n..][..2 * n];
         let _t = flash_telemetry::span!("hconv.pointwise_acc");
-        pointwise_mul_acc(&mut a[..n], &ct[..n], fw, tables);
-        pointwise_mul_acc(&mut a[n..], &ct[n..], fw, tables);
-    }
-
-    /// [`ActivationSpectra::mac_ntt`] against Shoup-precomputed weight
-    /// residues (see [`weight_residue_shoups`]): two multiplies per
-    /// coefficient instead of a widening remainder, bit-identical
-    /// output. This is the serving MAC — a registered model pays the
-    /// constant build once and every coalesced request reuses it.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `self` or `acc` is not NTT-domain, or on length
-    /// mismatches.
-    pub fn mac_ntt_shoup(
-        &self,
-        idx: usize,
-        fw: &[Shoup],
-        tables: &NttTables,
-        acc: &mut BandAccumulator,
-    ) {
-        let (ActivationSpectra::Ntt(sp), BandAccumulator::Ntt(a)) = (self, acc) else {
-            panic!("NTT MAC requires NTT-domain residues");
-        };
-        let n = fw.len();
-        assert_eq!(a.len(), 2 * n, "accumulator length mismatch");
-        let ct = &sp[idx * 2 * n..][..2 * n];
-        let _t = flash_telemetry::span!("hconv.pointwise_acc");
-        pointwise_mul_acc_shoup(&mut a[..n], &ct[..n], fw, tables);
-        pointwise_mul_acc_shoup(&mut a[n..], &ct[n..], fw, tables);
+        let (a0, a1) = acc.split_at_mut(n);
+        pointwise_mul_acc(a0, &ct[..n], fw, tables);
+        pointwise_mul_acc(a1, &ct[n..], fw, tables);
     }
 
     /// Lazy MAC into a raw `2·N` accumulator slice against one group's
@@ -605,7 +487,7 @@ impl ActivationSpectra {
     /// ever needed. The caller owns the lazy-overflow budget: at most
     /// `⌊(2^64 − 1)/2q⌋` MACs per accumulator between reductions (see
     /// [`flash_ntt::transform::pointwise_mul_acc_shoup_lazy`]); the
-    /// model planner enforces this when it elects the NTT unit layout.
+    /// unit planner enforces this when it elects the reused NTT layout.
     ///
     /// # Panics
     ///
@@ -647,9 +529,9 @@ pub struct WeightShoups {
 /// constant build — the registration-time precompute that makes
 /// [`ActivationSpectra::mac_ntt_shoup_lazy_into`] division-free on the
 /// request path. One division per coefficient here buys two-multiply
-/// MACs for every request served afterwards; a per-request pipeline
-/// gains nothing from it, which is exactly the asymmetry a serving
-/// layer amortizes.
+/// MACs for every request served afterwards; a one-shot unit gains
+/// nothing from it and takes [`weight_residues_into`] +
+/// [`ActivationSpectra::mac_ntt`] instead.
 pub fn weight_residue_shoups(ws: &[&[i64]], ntt: &NttTables) -> WeightShoups {
     let q = ntt.modulus();
     let mut w = vec![0u64; ws.len() * ntt.degree()];
@@ -662,80 +544,42 @@ pub fn weight_residue_shoups(ws: &[&[i64]], ntt: &NttTables) -> WeightShoups {
 }
 
 impl BandAccumulator {
-    /// Closes one accumulation: a 2-lane inverse batch over the component
-    /// pair, rounded/reduced into a fresh ciphertext.
-    pub fn finish(self, params: &HeParams) -> Ciphertext {
-        BandAccumulator::finish_bands(vec![self], params)
-            .pop()
-            .expect("one accumulator in, one ciphertext out")
-    }
-
     /// Closes many accumulators at once: every component of every band
-    /// goes through **one** batched inverse call (`2·k` lanes) — the
-    /// widest legal batch a protocol worker can form per output channel.
-    ///
-    /// For the exact NTT domain the result is bit-identical to per-group
-    /// inverse-then-add (the transform is linear over `Z_q`); for the FFT
-    /// family the accumulated spectrum rounds once instead of per group,
-    /// which is exact in the protocol's error-free operating regime.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the accumulators mix domains.
+    /// goes through **one** batched inverse call (`2·k` lanes). The
+    /// accumulated spectrum rounds once instead of per group, which is
+    /// exact in the protocol's error-free operating regime.
     pub fn finish_bands(accs: Vec<BandAccumulator>, params: &HeParams) -> Vec<Ciphertext> {
         let n = params.n;
         let q = params.q;
-        let Some(first) = accs.first() else {
-            return Vec::new();
-        };
-        match first {
-            BandAccumulator::Fft(_) => {
-                let mut spec = C64_SCRATCH.take(accs.len() * n);
-                for (chunk, acc) in spec.chunks_exact_mut(n).zip(&accs) {
-                    let BandAccumulator::Fft(s) = acc else {
-                        panic!("mixed accumulator domains");
-                    };
-                    chunk.copy_from_slice(s);
-                }
-                let mut prod = F64_SCRATCH.take(accs.len() * 2 * n);
-                {
-                    let _t = flash_telemetry::span!("hconv.inverse_fft");
-                    params.fft().inverse_batch_into(&spec, &mut prod);
-                }
-                // One division-free reducer for every coefficient of the
-                // batch: the naive `rem_euclid` here is an i128 libcall
-                // that used to dominate the whole inverse-transform cost.
-                // (On a power-of-two ring the reducer degenerates to a
-                // truncating cast and a mask.)
-                let red = Reducer::new(q);
-                let to_poly = |xs: &[f64]| {
-                    Poly::from_coeffs(xs.iter().map(|&x| red.reduce_f64(x)).collect(), q)
-                };
-                prod.chunks_exact(2 * n)
-                    .map(|pair| Ciphertext::new(to_poly(&pair[..n]), to_poly(&pair[n..])))
-                    .collect()
-            }
-            BandAccumulator::Ntt(_) => {
-                let mut res = U64_SCRATCH.take(accs.len() * 2 * n);
-                for (chunk, acc) in res.chunks_exact_mut(2 * n).zip(&accs) {
-                    let BandAccumulator::Ntt(r) = acc else {
-                        panic!("mixed accumulator domains");
-                    };
-                    chunk.copy_from_slice(r);
-                }
-                BandAccumulator::finish_ntt_bands_in_place(&mut res, params)
-            }
+        let mut spec = C64_SCRATCH.take(accs.len() * n);
+        for (chunk, acc) in spec.chunks_exact_mut(n).zip(&accs) {
+            chunk.copy_from_slice(&acc.0);
         }
+        let mut prod = F64_SCRATCH.take(accs.len() * 2 * n);
+        {
+            let _t = flash_telemetry::span!("hconv.inverse_fft");
+            params.fft().inverse_batch_into(&spec, &mut prod);
+        }
+        // One division-free reducer for every coefficient of the batch:
+        // the naive `rem_euclid` here is an i128 libcall that used to
+        // dominate the whole inverse-transform cost. (On a power-of-two
+        // ring the reducer degenerates to a truncating cast and a mask.)
+        let red = Reducer::new(q);
+        let to_poly =
+            |xs: &[f64]| Poly::from_coeffs(xs.iter().map(|&x| red.reduce_f64(x)).collect(), q);
+        prod.chunks_exact(2 * n)
+            .map(|pair| Ciphertext::new(to_poly(&pair[..n]), to_poly(&pair[n..])))
+            .collect()
     }
 
-    /// [`BandAccumulator::finish_bands`] for NTT accumulators already
-    /// laid out contiguously (`k · 2N` residues, filled through
-    /// [`ActivationSpectra::mac_ntt_shoup_lazy_into`]): one Barrett
-    /// reduction pass drains the lazy sums, then the batched inverse
-    /// runs directly on `buf` with no staging copy. Bit-identical to
-    /// eagerly-reduced accumulators through the accumulator-vector form
-    /// (reducing an already-reduced residue is the identity, so both
-    /// kinds of caller may use this).
+    /// The NTT-domain counterpart of [`BandAccumulator::finish_bands`],
+    /// for accumulators laid out contiguously (`k · 2N` residues, filled
+    /// through [`ActivationSpectra::mac_ntt_shoup_lazy_into`] or
+    /// [`ActivationSpectra::mac_ntt`]): one Barrett reduction pass drains
+    /// any lazy sums (the identity on already-reduced residues), then the
+    /// batched inverse runs directly on `buf` with no staging copy.
+    /// Bit-identical to per-group inverse-then-add (the transform is
+    /// linear over `Z_q`).
     ///
     /// # Panics
     ///
@@ -882,43 +726,6 @@ mod tests {
     }
 
     #[test]
-    fn plan_path_matches_ntt_and_dense_fallback_is_bit_identical() {
-        use flash_sparse::SparsityPattern;
-        let p = HeParams::test_256();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
-        let a0 = Poly::uniform(p.n, p.q, &mut rng);
-        let a1 = Poly::uniform(p.n, p.q, &mut rng);
-        let w = small_weights(p.n, 9, &mut rng);
-        let pattern = SparsityPattern::fold_from_poly(&w);
-        let plan = SparsePlan::compile(&pattern);
-        assert!(plan.worthwhile(), "9 nonzeros of 256 must be worthwhile");
-
-        let run = |b: &PolyMulBackend, plan: Option<&SparsePlan>| {
-            let mut c0 = Poly::zero(p.n, p.q);
-            let mut c1 = Poly::zero(p.n, p.q);
-            let used = b.mul_ct_pt_acc_plan(&mut c0, &mut c1, &a0, &a1, &w, &p, plan);
-            (c0, c1, used)
-        };
-
-        let (e0, e1, used_ntt) = run(&PolyMulBackend::Ntt, Some(&plan));
-        assert!(!used_ntt, "Ntt backend must ignore the plan");
-        let (s0, s1, used) = run(&PolyMulBackend::FftF64, Some(&plan));
-        assert!(used, "FFT backend must take the sparse tape");
-        assert_eq!((&e0, &e1), (&s0, &s1), "sparse path diverged from NTT");
-        let (d0, d1, used_dense) = run(&PolyMulBackend::FftF64, None);
-        assert!(!used_dense);
-        assert_eq!((&s0, &s1), (&d0, &d1), "fallback not bit-identical");
-
-        // Spectrum entry point: same result from a precomputed spectrum.
-        let mut fw = vec![flash_math::C64::ZERO; p.n / 2];
-        plan.execute_into(&w, &mut fw);
-        let mut c0 = Poly::zero(p.n, p.q);
-        let mut c1 = Poly::zero(p.n, p.q);
-        PolyMulBackend::FftF64.mul_ct_pt_acc_spectrum(&mut c0, &mut c1, &a0, &a1, &fw, p.fft());
-        assert_eq!((&c0, &c1), (&s0, &s1), "spectrum path diverged");
-    }
-
-    #[test]
     fn error_model_exists_only_for_the_approximate_backends() {
         let p = HeParams::test_256();
         assert!(PolyMulBackend::Ntt.error_model(&p).is_none());
@@ -964,82 +771,6 @@ mod tests {
             "err {err} must stay below the model bound {bound}"
         );
         assert!(bound < p.noise_ceiling() as f64 / 4.0);
-    }
-
-    #[test]
-    fn pow2_sparse_tape_and_spectrum_paths_stay_within_the_model() {
-        // The tape reorders the weight transform's float additions, so at
-        // 2^61 activation magnitudes its rounded output may differ from
-        // the dense path by a few low bits — both must stay inside the
-        // same error model vs the exact wrapping schoolbook (the property
-        // the noise guard relies on). The spectrum entry point shares the
-        // tape's weight spectrum and accumulate code, so it *is*
-        // bit-identical to the tape path.
-        use flash_math::pow2::negacyclic_mul_wrapping;
-        use flash_sparse::SparsityPattern;
-        let p = HeParams::pow2_test_256();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(23);
-        let a0 = Poly::uniform(p.n, p.q, &mut rng);
-        let a1 = Poly::uniform(p.n, p.q, &mut rng);
-        let w = small_weights(p.n, 9, &mut rng);
-        let pattern = SparsityPattern::fold_from_poly(&w);
-        let plan = SparsePlan::compile(&pattern);
-        assert!(plan.worthwhile());
-
-        let mut d0 = Poly::zero(p.n, p.q);
-        let mut d1 = Poly::zero(p.n, p.q);
-        let used_dense =
-            PolyMulBackend::Pow2.mul_ct_pt_acc_plan(&mut d0, &mut d1, &a0, &a1, &w, &p, None);
-        assert!(!used_dense);
-
-        let mut s0 = Poly::zero(p.n, p.q);
-        let mut s1 = Poly::zero(p.n, p.q);
-        let used = PolyMulBackend::Pow2.mul_ct_pt_acc_plan(
-            &mut s0,
-            &mut s1,
-            &a0,
-            &a1,
-            &w,
-            &p,
-            Some(&plan),
-        );
-        assert!(used, "Pow2 must compose with the sparse tape");
-
-        let sq: f64 = w.iter().map(|&x| (x * x) as f64).sum();
-        let bound = PolyMulBackend::Pow2
-            .error_model(&p)
-            .unwrap()
-            .phase_error_bound(&p, sq, 1);
-        let w_res: Vec<u64> = w
-            .iter()
-            .map(|&x| flash_math::modular::from_signed(x, p.q))
-            .collect();
-        for (a, got, path) in [
-            (&a0, &d0, "dense c0"),
-            (&a1, &d1, "dense c1"),
-            (&a0, &s0, "tape c0"),
-            (&a1, &s1, "tape c1"),
-        ] {
-            let want = negacyclic_mul_wrapping(a.coeffs(), &w_res, p.q);
-            let err = got
-                .coeffs()
-                .iter()
-                .zip(&want)
-                .map(|(&g, &e)| center_lift(g.wrapping_sub(e) & (p.q - 1), p.q).unsigned_abs())
-                .max()
-                .unwrap();
-            assert!(
-                (err as f64) < bound,
-                "{path}: err {err} above bound {bound}"
-            );
-        }
-
-        let mut fw = vec![flash_math::C64::ZERO; p.n / 2];
-        plan.execute_into(&w, &mut fw);
-        let mut c0 = Poly::zero(p.n, p.q);
-        let mut c1 = Poly::zero(p.n, p.q);
-        PolyMulBackend::Pow2.mul_ct_pt_acc_spectrum(&mut c0, &mut c1, &a0, &a1, &fw, p.fft());
-        assert_eq!((&c0, &c1), (&s0, &s1), "spectrum path diverged from tape");
     }
 
     #[test]

@@ -217,50 +217,6 @@ impl Ciphertext {
             );
         }
     }
-
-    /// Like [`Ciphertext::mul_plain_signed_acc`], but routes the weight
-    /// transform through a compiled [`flash_sparse::SparsePlan`] when one
-    /// is supplied, the backend is FFT-family, and the plan is
-    /// worthwhile; the dense path runs bit-for-bit otherwise. Returns
-    /// `true` when the sparse tape executed.
-    pub fn mul_plain_signed_acc_plan(
-        &self,
-        w_signed: &[i64],
-        params: &HeParams,
-        backend: &PolyMulBackend,
-        plan: Option<&flash_sparse::SparsePlan>,
-        acc: &mut Ciphertext,
-    ) -> bool {
-        backend.mul_ct_pt_acc_plan(
-            &mut acc.c0,
-            &mut acc.c1,
-            &self.c0,
-            &self.c1,
-            w_signed,
-            params,
-            plan,
-        )
-    }
-
-    /// Fused `acc ⊞= self ⊠ w` with the weight already in the spectral
-    /// domain (e.g. from [`flash_sparse::SparsePlan::execute_batch_into`]
-    /// over a whole layer). FFT-family backends only.
-    pub fn mul_plain_spectrum_acc(
-        &self,
-        fw: &[flash_math::C64],
-        params: &HeParams,
-        backend: &PolyMulBackend,
-        acc: &mut Ciphertext,
-    ) {
-        backend.mul_ct_pt_acc_spectrum(
-            &mut acc.c0,
-            &mut acc.c1,
-            &self.c0,
-            &self.c1,
-            fw,
-            params.fft(),
-        );
-    }
 }
 
 #[cfg(test)]

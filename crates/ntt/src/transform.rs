@@ -455,65 +455,7 @@ pub fn pointwise_mul_acc(acc: &mut [u64], a: &[u64], b: &[u64], tables: &NttTabl
     }
 }
 
-/// [`pointwise_mul_acc`] with Shoup-precomputed right-hand residues:
-/// `acc += a ⊙ b` where `b` carries one [`Shoup`] constant per
-/// coefficient, so each product costs two multiplies instead of a
-/// widening remainder. Bit-identical to the plain form.
-///
-/// Precomputing the constants costs one division per coefficient — the
-/// win comes from reusing a *fixed* residue vector (a registered model's
-/// weights) across many activations.
-///
-/// # Panics
-///
-/// Panics on length mismatch with the tables.
-pub fn pointwise_mul_acc_shoup(acc: &mut [u64], a: &[u64], b: &[Shoup], tables: &NttTables) {
-    let n = tables.degree();
-    assert_eq!(acc.len(), n);
-    assert_eq!(a.len(), n);
-    assert_eq!(b.len(), n);
-    let q = tables.modulus();
-    match simd::level() {
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx512 => unsafe { acc_shoup_avx512(acc, a, b, q) },
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2 => unsafe { acc_shoup_avx2(acc, a, b, q) },
-        _ => acc_shoup_scalar(acc, a, b, q),
-    }
-}
-
-/// The branchless Shoup MAC loop all [`pointwise_mul_acc_shoup`]
-/// dispatch targets share: compare-subtract selects instead of branches
-/// so the auto-vectorizer can turn the whole body into lane-parallel
-/// multiply/select chains.
-#[inline(always)]
-fn acc_shoup_scalar(acc: &mut [u64], a: &[u64], b: &[Shoup], q: u64) {
-    for i in 0..acc.len() {
-        let r = b[i].mul(a[i], q);
-        let s = acc[i] + r; // both < q < 2^63: no overflow
-        acc[i] = if s >= q { s - q } else { s };
-    }
-}
-
-/// # Safety
-///
-/// The CPU must support AVX2 (guaranteed by the dispatch).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn acc_shoup_avx2(acc: &mut [u64], a: &[u64], b: &[Shoup], q: u64) {
-    acc_shoup_scalar(acc, a, b, q);
-}
-
-/// # Safety
-///
-/// The CPU must support AVX-512F/DQ (guaranteed by the dispatch).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx512dq")]
-unsafe fn acc_shoup_avx512(acc: &mut [u64], a: &[u64], b: &[Shoup], q: u64) {
-    acc_shoup_scalar(acc, a, b, q);
-}
-
-/// Lazy structure-of-arrays variant of [`pointwise_mul_acc_shoup`]:
+/// Lazy structure-of-arrays Shoup form of [`pointwise_mul_acc`]:
 /// `acc[i] += a[i] · w[i]` with the Shoup constants split into plain
 /// (`w`) and precomputed (`w_shoup`) streams and **no reductions at
 /// all** — each call grows every accumulator entry by less than `2q`
@@ -689,25 +631,6 @@ mod tests {
     }
 
     #[test]
-    fn pointwise_shoup_matches_plain() {
-        let t = tables(64, 30);
-        let q = t.modulus();
-        let mut x = 1u64;
-        let mut next = move || {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-            x % q
-        };
-        let a: Vec<u64> = (0..64).map(|_| next()).collect();
-        let b: Vec<u64> = (0..64).map(|_| next()).collect();
-        let bs: Vec<Shoup> = b.iter().map(|&w| Shoup::new(w, q)).collect();
-        let mut acc_plain: Vec<u64> = (0..64).map(|_| next()).collect();
-        let mut acc_shoup = acc_plain.clone();
-        pointwise_mul_acc(&mut acc_plain, &a, &b, &t);
-        pointwise_mul_acc_shoup(&mut acc_shoup, &a, &bs, &t);
-        assert_eq!(acc_plain, acc_shoup);
-    }
-
-    #[test]
     fn lazy_shoup_macs_match_eager_after_reduction() {
         // Several stacked lazy MACs, reduced once at the end, must equal
         // the eager per-call-reduced chain bit for bit.
@@ -724,13 +647,12 @@ mod tests {
         for _ in 0..rounds {
             let a: Vec<u64> = (0..64).map(|_| next()).collect();
             let w: Vec<u64> = (0..64).map(|_| next()).collect();
-            let ws: Vec<Shoup> = w.iter().map(|&v| Shoup::new(v, q)).collect();
             // The raw precomputed constants, via Shoup::new's formula.
             let w_shoup: Vec<u64> = w
                 .iter()
                 .map(|&v| (((v as u128) << 64) / q as u128) as u64)
                 .collect();
-            pointwise_mul_acc_shoup(&mut acc_eager, &a, &ws, &t);
+            pointwise_mul_acc(&mut acc_eager, &a, &w, &t);
             pointwise_mul_acc_shoup_lazy(&mut acc_lazy, &a, &w, &w_shoup, &t);
         }
         let br = flash_math::modular::Barrett::new(q);

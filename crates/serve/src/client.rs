@@ -3,21 +3,19 @@
 //! A [`Client`] owns the session's secret key and the two
 //! [`SharedTransport`] links. Request submission is split so callers
 //! control what sits on the hot path: [`Client::prepare`] does the
-//! client-local work (share split, encode, encrypt, serialize),
+//! client-local work (share split, then the pipeline's **seal**),
 //! [`Client::dispatch`] puts the bytes on the wire and drives the
 //! server's admission, and [`Client::collect`] drains one response
-//! (decrypt + decode into the client's output share).
+//! (the pipeline's **unseal** into the client's output share).
 
 use crate::server::InferenceServer;
 use crate::{wire, ServeError};
 use flash_2pc::transport::TransportConfig;
-use flash_2pc::{ShareRing, SharedTransport, Transport};
-use flash_he::encoding::{ConvEncoder, ConvShape};
-use flash_he::keys::KEY_BATCH;
-use flash_he::truncate::TruncatedCiphertext;
-use flash_he::{serialize, Ciphertext, HeParams, Poly, SecretKey};
-use flash_runtime::U64_SCRATCH;
+use flash_2pc::{HconvLayer, ShareRing, SharedTransport, Transport};
+use flash_he::encoding::ConvShape;
+use flash_he::{HeParams, SecretKey};
 use rand::Rng;
+use std::convert::Infallible;
 use std::time::Duration;
 
 /// One encoded-and-encrypted request, ready to dispatch.
@@ -45,10 +43,7 @@ pub struct PreparedRequest {
 pub struct Client {
     session_id: u32,
     sk: SecretKey,
-    params: HeParams,
-    encoder: ConvEncoder,
-    ring: ShareRing,
-    truncation: Option<(u32, u32)>,
+    layer: HconvLayer,
     uplink: SharedTransport,
     downlink: SharedTransport,
 }
@@ -80,17 +75,18 @@ impl Client {
         let uplink = SharedTransport::with_timeout(cfg_up, recv_timeout);
         let downlink = SharedTransport::with_timeout(cfg_down, recv_timeout);
         let sk = SecretKey::generate(&params, rng);
-        let encoder = ConvEncoder::new(shape, params.n);
-        let l = params.t.trailing_zeros();
-        assert!(params.t.is_power_of_two() && l >= 2, "t must be 2^l");
+        // The truncation pair is the server's to announce; the rest of
+        // the layer context is derived locally and checked against it.
+        let layer = HconvLayer::new(params, shape, None);
 
         uplink
             .clone()
             .send(&wire::encode_hello(model_id, client_tag))?;
         server.accept(uplink.clone(), downlink.clone())?;
         let ack = wire::decode_ack(&downlink.clone().recv()?)?;
-        if ack.n as usize != params.n
-            || ack.t != params.t
+        let (p, encoder) = (layer.params(), layer.encoder());
+        if ack.n as usize != p.n
+            || ack.t != p.t
             || ack.c_polys as usize != encoder.activation_polys()
             || ack.m as usize != shape.m
             || ack.bands as usize != encoder.bands()
@@ -100,10 +96,7 @@ impl Client {
         Ok(Client {
             session_id: ack.session_id,
             sk,
-            params,
-            encoder,
-            ring: ShareRing::new(l),
-            truncation: ack.truncation,
+            layer: HconvLayer::new(p.clone(), shape, ack.truncation),
             uplink,
             downlink,
         })
@@ -116,7 +109,7 @@ impl Client {
 
     /// The share ring `Z_{2^l}`.
     pub fn ring(&self) -> ShareRing {
-        self.ring
+        self.layer.ring()
     }
 
     /// Client-local request construction: splits the cleartext
@@ -125,21 +118,16 @@ impl Client {
     pub fn prepare<R: Rng>(&self, req_id: u64, x: &[i64], rng: &mut R) -> PreparedRequest {
         assert_eq!(
             x.len(),
-            self.encoder.shape().input_len(),
+            self.layer.encoder().shape().input_len(),
             "activation size mismatch"
         );
-        let (x_client, x_server) = self.ring.share_vec(x, rng);
-        let xc_signed: Vec<i64> = x_client.iter().map(|&v| v as i64).collect();
-        let tiles = self.encoder.encode_activation(&xc_signed);
-        let mut blobs: Vec<Vec<u8>> = Vec::with_capacity(tiles.len());
-        for tiles in tiles.chunks(KEY_BATCH) {
-            let ms: Vec<Poly> = tiles
-                .iter()
-                .map(|tile| Poly::from_signed(tile, self.params.t))
-                .collect();
-            let cts = self.sk.encrypt_batch(&ms, rng);
-            blobs.extend(cts.iter().map(serialize::ciphertext_to_bytes));
-        }
+        let (x_client, x_server) = self.ring().share_vec(x, rng);
+        let mut blobs: Vec<Vec<u8>> = Vec::new();
+        let sealed = self.layer.seal(&self.sk, &x_client, rng, |blob| {
+            blobs.push(blob);
+            Ok::<(), Infallible>(())
+        });
+        let Ok(()) = sealed;
         PreparedRequest {
             req_id,
             upload: wire::encode_request(req_id, &blobs),
@@ -197,27 +185,10 @@ impl Client {
                 return Err(ServeError::Refused { req_id, reason })
             }
         };
-        let p = &self.params;
-        let shape = *self.encoder.shape();
-        let bands = self.encoder.bands();
-        if blobs.len() != shape.m * bands {
+        if blobs.len() != self.layer.encoder().result_polys() {
             return Err(ServeError::Malformed("response ciphertext count"));
         }
-        let mut y_client = vec![0u64; shape.output_len()];
-        let mut plain = U64_SCRATCH.take(KEY_BATCH.min(blobs.len()) * p.n);
-        for (chunk, blobs) in blobs.chunks(KEY_BATCH).enumerate() {
-            let cts = blobs
-                .iter()
-                .map(|bytes| TruncatedCiphertext::response_from_bytes(bytes, self.truncation, p))
-                .collect::<Result<Vec<Ciphertext>, _>>()?;
-            let plain = &mut plain[..cts.len() * p.n];
-            self.sk.decrypt_batch_into(&cts, plain)?;
-            for (k, m) in plain.chunks_exact(p.n).enumerate() {
-                let u = chunk * KEY_BATCH + k;
-                self.encoder
-                    .decode_band(m, u % bands, u / bands, &mut y_client);
-            }
-        }
+        let y_client = self.layer.unseal(&self.sk, &blobs)?;
         Ok((req_id, y_client))
     }
 }

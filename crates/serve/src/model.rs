@@ -1,30 +1,20 @@
-//! Registered models and their amortized per-model plans.
+//! Registered models and their per-model plans.
 //!
 //! A [`ModelSpec`] is what an operator registers: parameters, layer
 //! shape, backend, plaintext weights, and the protocol knobs of
 //! [`flash_2pc::ConvProtocol`]. Registration compiles it into a
-//! [`ModelPlan`] — everything the per-request server path of the 2PC
-//! protocol derives from the *weights only* is hoisted here and shared
-//! by every session and request against the model:
-//!
-//! * the tiling plan ([`ConvEncoder`]) and encoded weight polynomials,
-//! * the per-`(oc, band)` noise-guard verdict
-//!   ([`flash_2pc::conv_band_noise_bound`]): models whose exact-path
-//!   bound overflows the decryption ceiling are refused at registration,
-//!   and approximate-backend units too close to the ceiling are marked
-//!   for the exact fallback once instead of re-deciding per request,
-//! * the forward weight transforms themselves — each unit's per-group
-//!   spectra (via the interned sparse tape when worthwhile, the dense
-//!   batched kernels otherwise), computed once and MAC-ed against every
-//!   request's activation spectra thereafter.
+//! [`ModelPlan`]: [`HconvServer::prepare_units`] — the weight-only half of
+//! the pipeline's **respond** stage (encode, the noise-guard verdict, the
+//! forward weight transforms) — runs once for every output channel, and
+//! the units are shared by every session and request against the model.
+//! A model whose exact-path bound overflows the decryption ceiling is
+//! refused here, before any session can name it.
 
 use crate::ServeError;
+use flash_2pc::hconv::{HconvLayer, HconvServer, UnitWeights};
 use flash_2pc::shares::ShareRing;
-use flash_2pc::{conv_band_noise_bound, conv_band_plan};
-use flash_he::backend::{weight_residue_shoups, WeightShoups};
 use flash_he::encoding::{ConvEncoder, ConvShape};
 use flash_he::{HeParams, PolyMulBackend};
-use flash_math::C64;
 
 /// A model as registered by the operator.
 #[derive(Debug, Clone)]
@@ -90,41 +80,20 @@ impl ModelSpec {
     }
 }
 
-/// One `(oc, band)` unit's precomputed weight transform.
-#[derive(Debug, Clone)]
-pub(crate) enum UnitWeights {
-    /// FFT-family spectra, `groups × N/2` concatenated.
-    Fft(Vec<C64>),
-    /// Exact-NTT residues, `groups × N` concatenated, with the Shoup
-    /// constant of every coefficient precomputed at registration in
-    /// split residue/constant streams — the request-path MAC then costs
-    /// two multiplies per coefficient instead of a widening remainder,
-    /// and the split layout feeds the vectorizer contiguous full-width
-    /// loads.
-    Ntt(WeightShoups),
-    /// Noise guard demands the exact coefficient-domain fallback; the
-    /// request path multiplies against the stored weight polynomials.
-    Fallback,
-}
-
 /// A registered model compiled for serving.
 #[derive(Debug)]
 pub struct ModelPlan {
-    pub(crate) spec: ModelSpec,
-    pub(crate) encoder: ConvEncoder,
-    pub(crate) ring: ShareRing,
-    /// Per-unit transforms, `m × bands` in unit order `oc·bands + b`.
+    id: u64,
+    pub(crate) server: HconvServer,
+    /// Prepared units, `m × bands` in unit order `oc·bands + b`.
     pub(crate) units: Vec<UnitWeights>,
-    /// Encoded weight polynomials per output channel
-    /// (`m × groups × bands × N`) — the fallback units' inputs.
-    pub(crate) w_polys: Vec<Vec<Vec<Vec<i64>>>>,
     sparse_units: usize,
     fallback_units: usize,
 }
 
 impl ModelPlan {
-    /// Compiles a registered model: encodes the weights, runs the noise
-    /// guard per unit, and precomputes every unit's weight transform.
+    /// Compiles a registered model: prepares every output channel's units
+    /// once, for reuse by every request.
     ///
     /// # Errors
     ///
@@ -135,144 +104,66 @@ impl ModelPlan {
     ///
     /// # Panics
     ///
-    /// Panics if `t` is not `2^l` with `l ≥ 2`, or on weight-size
-    /// mismatches with the shape (operator-side contract violations).
+    /// Panics if `t` is not `2^l` with `l ≥ 2`, if the backend and the
+    /// ring family disagree, or on weight-size mismatches with the shape
+    /// (operator-side contract violations).
     pub fn build(spec: ModelSpec) -> Result<ModelPlan, ServeError> {
-        let p = &spec.params;
-        let l = p.t.trailing_zeros();
-        assert!(p.t.is_power_of_two() && l >= 2, "t must be 2^l");
-        match spec.backend {
-            PolyMulBackend::Pow2 => assert!(
-                p.is_pow2(),
-                "Pow2 backend requires a power-of-two ciphertext modulus"
-            ),
-            PolyMulBackend::Ntt => assert!(
-                !p.is_pow2(),
-                "exact NTT backend requires a prime ciphertext modulus"
-            ),
-            _ => {}
-        }
-        let shape = spec.shape;
-        assert_eq!(
-            spec.weights.len(),
-            shape.m * shape.kernel_len(),
-            "weight size mismatch"
+        let server = HconvServer::new(
+            HconvLayer::new(spec.params, spec.shape, spec.truncation),
+            spec.backend,
+            spec.sparse_weights,
+            spec.noise_margin,
+            true,
         );
-        let encoder = ConvEncoder::new(shape, p.n);
-        let bands = encoder.bands();
-        let m_half = p.n / 2;
-        let is_ntt = matches!(spec.backend, PolyMulBackend::Ntt);
-
-        // Band plans are structural — every output channel of a band
-        // shares one interned tape.
-        let band_plans: Vec<_> = (0..bands)
-            .map(|b| {
-                if !spec.sparse_weights || is_ntt {
-                    return None;
-                }
-                let plan = conv_band_plan(&encoder, p.n, b);
-                plan.worthwhile().then_some(plan)
-            })
-            .collect();
-
-        let mut units = Vec::with_capacity(shape.m * bands);
-        let mut w_polys = Vec::with_capacity(shape.m);
-        let mut sparse_units = 0;
-        let mut fallback_units = 0;
-        for oc in 0..shape.m {
-            let oc_polys = encoder.encode_weight(
-                &spec.weights[oc * shape.kernel_len()..][..shape.kernel_len()],
-                oc,
-            );
-            let groups = oc_polys.len();
-            for b in 0..bands {
-                let (noise, w_sq) = conv_band_noise_bound(p, &oc_polys, b, spec.truncation);
-                noise.check()?;
-                let fallback = match spec.backend.error_model(p) {
-                    Some(model) => {
-                        let err = model.phase_error_bound(p, w_sq, groups);
-                        noise.bound() + err >= spec.noise_margin * noise.ceiling()
-                    }
-                    None => false,
-                };
-                if fallback {
-                    fallback_units += 1;
-                    units.push(UnitWeights::Fallback);
-                    continue;
-                }
-                let ws: Vec<&[i64]> = oc_polys.iter().map(|wp| wp[b].as_slice()).collect();
-                if is_ntt {
-                    // The batched request path accumulates one lazy
-                    // (unreduced, < 2q) Shoup product per group before
-                    // its single Barrett drain, so the group count must
-                    // fit the u64 headroom ⌊(2^64−1)/2q⌋. Unreachable
-                    // for any practical q, but a violation would be a
-                    // silent-wraparound correctness bug, so such a unit
-                    // is pinned to the exact coefficient fallback.
-                    if groups as u128 * 2 * p.q as u128 > u64::MAX as u128 {
-                        fallback_units += 1;
-                        units.push(UnitWeights::Fallback);
-                        continue;
-                    }
-                    units.push(UnitWeights::Ntt(weight_residue_shoups(&ws, p.ntt())));
-                } else {
-                    let mut fw = vec![C64::ZERO; groups * m_half];
-                    match &band_plans[b] {
-                        Some(plan) => {
-                            plan.execute_batch_into(ws.iter().copied(), &mut fw);
-                            sparse_units += 1;
-                        }
-                        None => spec.backend.weight_spectra_into(&ws, &mut fw, p.fft()),
-                    }
-                    units.push(UnitWeights::Fft(fw));
-                }
-            }
-            w_polys.push(oc_polys);
+        let mut plan = ModelPlan {
+            id: spec.id,
+            units: Vec::with_capacity(server.layer().encoder().result_polys()),
+            server,
+            sparse_units: 0,
+            fallback_units: 0,
+        };
+        for oc in 0..spec.shape.m {
+            let (units, counts) = plan.server.prepare_units(&spec.weights, oc)?;
+            plan.units.extend(units);
+            plan.sparse_units += counts.sparse;
+            plan.fallback_units += counts.fallback;
         }
-        Ok(ModelPlan {
-            encoder,
-            ring: ShareRing::new(l),
-            units,
-            w_polys,
-            sparse_units,
-            fallback_units,
-            spec,
-        })
+        Ok(plan)
     }
 
     /// The registered identifier.
     pub fn id(&self) -> u64 {
-        self.spec.id
+        self.id
     }
 
     /// The BFV parameters.
     pub fn params(&self) -> &HeParams {
-        &self.spec.params
+        self.server.layer().params()
     }
 
     /// The layer shape.
     pub fn shape(&self) -> &ConvShape {
-        &self.spec.shape
+        self.encoder().shape()
     }
 
     /// The tiling plan.
     pub fn encoder(&self) -> &ConvEncoder {
-        &self.encoder
+        self.server.layer().encoder()
     }
 
     /// The share ring `Z_{2^l}`.
     pub fn ring(&self) -> ShareRing {
-        self.ring
+        self.server.layer().ring()
     }
 
     /// The agreed response truncation.
     pub fn truncation(&self) -> Option<(u32, u32)> {
-        self.spec.truncation
+        self.server.layer().truncation()
     }
 
     /// Ciphertexts per request upload (`groups × bands`).
     pub fn c_polys(&self) -> usize {
-        self.encoder.activation_polys()
+        self.encoder().activation_polys()
     }
 
     /// Result ciphertexts per request (`m × bands`).
@@ -289,49 +180,6 @@ impl ModelPlan {
     pub fn fallback_units(&self) -> usize {
         self.fallback_units
     }
-}
-
-/// `splitmix64` finalizer: a full-avalanche 64-bit mixer.
-fn mix64(mut x: u64) -> u64 {
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
-/// The output-mask seed of one `(session, request, unit)` triple.
-///
-/// [`ConvProtocol`](flash_2pc::ConvProtocol) draws its mask seeds from
-/// the run's RNG stream; a server multiplexing many sessions cannot — the
-/// draw order would depend on batch composition and worker scheduling.
-/// Deriving each seed from the coordinates instead makes every mask
-/// independent of ordering, so batched and serial execution produce
-/// bit-identical shares for any worker count.
-pub fn mask_seed(server_seed: u64, session_id: u32, req_id: u64, unit: usize) -> u64 {
-    let mut h = mix64(server_seed ^ 0x464C_4153_4856_3031); // "FLASHV01"
-    h = mix64(h ^ u64::from(session_id));
-    h = mix64(h ^ req_id);
-    mix64(h ^ unit as u64)
-}
-
-/// Expands one mask seed into `n` output-share coefficients mod `t`.
-///
-/// A splitmix64 counter stream mapped into `[0, t)` with Lemire's
-/// multiply-shift: two multiplies per coefficient, versus keying a full
-/// `StdRng` per unit — which showed up as a measurable slice of every
-/// response in the serving profile. Like [`mask_seed`], the expansion is
-/// a pure function of its inputs, so batched and serial datapaths (and
-/// any worker count) draw bit-identical masks. The multiply-shift range
-/// map has bias ≤ `t / 2^64` — below `2^-47` for every supported
-/// plaintext modulus, immaterial for the share-hiding role the masks
-/// play in this reproduction.
-pub(crate) fn mask_coeffs(seed: u64, n: usize, t: u64) -> Vec<u64> {
-    const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
-    (1..=n as u64)
-        .map(|i| {
-            let z = mix64(seed.wrapping_add(i.wrapping_mul(GOLDEN)));
-            ((z as u128 * t as u128) >> 64) as u64
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -443,32 +291,5 @@ mod tests {
                 flash_he::HeError::NoiseOverflow { .. }
             ))
         ));
-    }
-
-    #[test]
-    fn mask_expansion_is_deterministic_and_in_range() {
-        for t in [2u64, 1 << 13, 1 << 16, (1 << 36) - 5] {
-            let a = mask_coeffs(0xDEAD_BEEF, 257, t);
-            assert_eq!(a, mask_coeffs(0xDEAD_BEEF, 257, t));
-            assert!(a.iter().all(|&v| v < t), "mask out of range for t={t}");
-            assert_ne!(a, mask_coeffs(0xDEAD_BEF0, 257, t), "seed separation");
-        }
-        // Masks should look like draws, not a constant: over 257 draws
-        // from [0, 2^13) a repeated value is plausible, a single value
-        // for all coefficients is not.
-        let a = mask_coeffs(7, 257, 1 << 13);
-        assert!(a.windows(2).any(|w| w[0] != w[1]));
-    }
-
-    #[test]
-    fn mask_seeds_are_coordinate_separated() {
-        let a = mask_seed(1, 2, 3, 4);
-        assert_eq!(a, mask_seed(1, 2, 3, 4));
-        assert_ne!(a, mask_seed(2, 2, 3, 4));
-        assert_ne!(a, mask_seed(1, 3, 3, 4));
-        assert_ne!(a, mask_seed(1, 2, 4, 4));
-        assert_ne!(a, mask_seed(1, 2, 3, 5));
-        // swapping coordinates must not collide
-        assert_ne!(mask_seed(1, 2, 3, 4), mask_seed(1, 3, 2, 4));
     }
 }

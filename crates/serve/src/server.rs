@@ -2,28 +2,33 @@
 //!
 //! Requests from all sessions funnel into one bounded [`WorkQueue`];
 //! worker threads drain it in batches ([`WorkQueue::pop_batch`]) and
-//! coalesce compatible tickets — same registered model — into one
-//! spectral pass:
+//! coalesce compatible tickets — same registered model — into one call of
+//! the HConv pipeline's **respond** stage ([`flash_2pc::hconv`]) at width
+//! `W = tickets`. This file keeps only what is serving: admission (the
+//! pipeline's **open** behind the wire checks), queueing, coalescing, the
+//! fault policy, and delivery.
 //!
-//! 1. every coalesced ticket's ciphertexts forward-transform in **one**
-//!    SoA sweep ([`PolyMulBackend::activation_spectra_multi`]),
-//! 2. each `(ticket, oc, band)` unit MACs the model's precomputed
-//!    weight spectra against its slice of the shared batch,
-//! 3. every spectral unit of the whole group closes through **one**
-//!    batched inverse ([`BandAccumulator::finish_bands`]).
+//! * every coalesced ticket's ciphertexts forward-transform in **one**
+//!   SoA sweep ([`HconvServer::spectra`]),
+//! * each `(ticket, oc, band)` unit MACs the model's prepared weights
+//!   ([`ModelPlan`], built once at registration) against its slice of the
+//!   shared batch,
+//! * every spectral unit closes through a batched inverse.
 //!
-//! On a serial per-session baseline the same transforms run per request
-//! at width `2·c_polys` (activations) and `2·bands` (inverses); the
-//! coalesced pass runs them at up to `2·Σ c_polys` and `2·Σ units`, so
-//! the lane-parallel kernels fill all `W` SIMD lanes — that, plus the
-//! per-model amortization of [`ModelPlan`], is where the aggregate
-//! throughput comes from on a single-core host.
+//! At `W = 1` the same transforms run at width `2·c_polys` (activations)
+//! and `2·units` (inverses); a coalesced pass runs them at up to
+//! `2·Σ c_polys`, so the lane-parallel kernels fill all SIMD lanes — that,
+//! plus preparing weights once per model instead of once per request, is
+//! where the aggregate throughput comes from on a single-core host.
 //!
 //! Masks come from [`mask_seed`] — a pure function of
-//! `(server seed, session, request, unit)` — so outputs are bit-equal
-//! for any batch composition and worker count; `BatchPolicy::
-//! serial_baseline()` reuses the same seeds, which is what lets the
-//! determinism tests compare the two modes byte for byte.
+//! `(server seed, session, request, unit)` — and the pipeline's kernels
+//! are width-invariant, so outputs are bit-equal for any batch
+//! composition and worker count; `BatchPolicy::serial_baseline()` is the
+//! same path with coalescing off (`max_batch: 1`), which is what lets the
+//! determinism tests pin width-invariance byte for byte.
+//!
+//! [`HconvServer::spectra`]: flash_2pc::HconvServer::spectra
 //!
 //! # Resilience
 //!
@@ -55,15 +60,14 @@
 //!   counts stall alarms, so even an uncontained worker death degrades
 //!   capacity instead of wedging the queue.
 
-use crate::model::{mask_coeffs, mask_seed, ModelPlan, ModelSpec, UnitWeights};
+use crate::model::{ModelPlan, ModelSpec};
 use crate::session::{Priority, SessionHealth, SessionSnapshot, SessionState};
 use crate::wire::RefusalReason;
 use crate::{wire, ServeError};
 use flash_2pc::error::FlashError;
-use flash_2pc::{conv_band_noise_bound, conv_band_plan, SharedTransport, Transport};
-use flash_he::backend::{weight_residues_into, BandAccumulator};
-use flash_he::truncate::TruncatedCiphertext;
-use flash_he::{serialize, Ciphertext, Poly, PolyMulBackend};
+use flash_2pc::hconv::{mask_seed, Response};
+use flash_2pc::{SharedTransport, Transport};
+use flash_he::Ciphertext;
 use flash_runtime::{CacheStats, Interner, WorkQueue};
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -146,36 +150,29 @@ pub struct BatchPolicy {
     /// Per-session in-flight window; a session's submissions block when
     /// it alone has this many requests pending.
     pub per_session_inflight: usize,
-    /// Amortize per-model work across requests (the serving datapath).
-    /// With `false` every ticket re-derives the full per-request server
-    /// pipeline of [`flash_2pc::ConvProtocol`] — the per-session serial
-    /// baseline the speedup is measured against.
-    pub amortize: bool,
     /// The fault policy wrapped around the core.
     pub resilience: ResiliencePolicy,
 }
 
 impl BatchPolicy {
     /// The serving configuration: coalesce up to 16 tickets — wide
-    /// enough to amortize the shared forward sweep, small enough that
-    /// one batch's activation and accumulator buffers stay inside L2.
+    /// enough to fill the lanes of the shared forward sweep, small enough
+    /// that one batch's activation and accumulator buffers stay inside L2.
     pub fn batched() -> Self {
         BatchPolicy {
             max_batch: 16,
             queue_depth: 256,
             per_session_inflight: 8,
-            amortize: true,
             resilience: ResiliencePolicy::default(),
         }
     }
 
-    /// The per-session baseline: no coalescing, no amortization.
+    /// The no-coalescing policy: every ticket is its own width-1 batch.
     pub fn serial_baseline() -> Self {
         BatchPolicy {
             max_batch: 1,
             queue_depth: 256,
             per_session_inflight: 8,
-            amortize: false,
             resilience: ResiliencePolicy::default(),
         }
     }
@@ -646,7 +643,6 @@ impl InferenceServer {
         let submitted = Instant::now();
         let _t = flash_telemetry::span!("serve.admit");
         let model = &session.model;
-        let p = model.params();
         if server_share.len() != model.shape().input_len() {
             return Err(ServeError::Malformed("server share length"));
         }
@@ -668,17 +664,8 @@ impl InferenceServer {
         if blobs.len() != model.c_polys() {
             return Err(ServeError::Malformed("upload ciphertext count"));
         }
-        let tiles = model.encoder().encode_activation(server_share);
-        let cts = blobs
-            .iter()
-            .zip(&tiles)
-            .map(|(bytes, tile)| {
-                let mut ct = serialize::ciphertext_from_bytes(bytes, p.n, p.q)?;
-                ct.validate_for(p)?;
-                ct.add_plain_assign(&Poly::from_signed(tile, p.t), p);
-                Ok(ct)
-            })
-            .collect::<Result<Vec<_>, ServeError>>()?;
+        let layer = model.server.layer();
+        let cts = layer.open(server_share, blobs.iter().map(Ok::<_, ServeError>))?;
         Ok(Ticket {
             session: Arc::clone(session),
             req_id,
@@ -924,13 +911,7 @@ fn worker_loop(core: &Arc<ServerCore>, slot: usize) {
         }
         let chaos = core.chaos_hook();
         for (_, tickets) in groups {
-            if core.policy.amortize {
-                run_group(core, tickets, chaos.as_ref());
-            } else {
-                for ticket in tickets {
-                    run_serial(core, ticket, chaos.as_ref());
-                }
-            }
+            run_group(core, tickets, chaos.as_ref());
         }
         hb.busy_since_us.store(0, Ordering::Relaxed);
     }
@@ -963,9 +944,9 @@ fn run_group(core: &Arc<ServerCore>, mut tickets: Vec<Ticket>, chaos: Option<&Ch
     let model = Arc::clone(&tickets[0].session.model);
     if !core.policy.resilience.contain_panics {
         apply_chaos(chaos, &tickets);
-        let resolved = compute_group(core, &model, &tickets);
-        for (ticket, unit_cts) in tickets.into_iter().zip(resolved) {
-            finalize_ticket(core, &model, ticket, unit_cts);
+        let responses = compute_group(core, &model, &tickets);
+        for (ticket, response) in tickets.into_iter().zip(responses) {
+            finalize_ticket(core, ticket, response);
         }
         return;
     }
@@ -974,9 +955,9 @@ fn run_group(core: &Arc<ServerCore>, mut tickets: Vec<Ticket>, chaos: Option<&Ch
         compute_group(core, &model, &tickets)
     }));
     match outcome {
-        Ok(resolved) => {
-            for (ticket, unit_cts) in tickets.into_iter().zip(resolved) {
-                finalize_ticket(core, &model, ticket, unit_cts);
+        Ok(responses) => {
+            for (ticket, response) in tickets.into_iter().zip(responses) {
+                finalize_ticket(core, ticket, response);
             }
         }
         Err(_) if tickets.len() == 1 => {
@@ -992,282 +973,36 @@ fn run_group(core: &Arc<ServerCore>, mut tickets: Vec<Ticket>, chaos: Option<&Ch
     }
 }
 
-/// The serial-baseline ticket path under the same containment contract.
-fn run_serial(core: &Arc<ServerCore>, ticket: Ticket, chaos: Option<&ChaosHook>) {
-    let model = Arc::clone(&ticket.session.model);
-    if !core.policy.resilience.contain_panics {
-        apply_chaos(chaos, std::slice::from_ref(&ticket));
-        process_ticket_serial(core, ticket);
-        return;
+/// The coalesced datapath: the pipeline's **respond** stage over the
+/// group's tickets and all of the model's units. Borrows the tickets —
+/// the caller finalizes (or, on a contained panic, retries in smaller
+/// groups).
+fn compute_group(core: &Arc<ServerCore>, model: &ModelPlan, tickets: &[Ticket]) -> Vec<Response> {
+    let _t = flash_telemetry::span!("serve.respond");
+    let requests: Vec<&[Ciphertext]> = tickets.iter().map(|t| t.cts.as_slice()).collect();
+    let act = model.server.spectra(&requests);
+    // Occupancy accounting mirrors the pipeline's batched kernel calls:
+    // the forward sweep, and the inverse over the group's spectral units
+    // (one domain per model — the backend's).
+    core.record_kernel(2 * requests.iter().map(|r| r.len()).sum::<usize>());
+    let spectral_units = model.units.len() - model.fallback_units();
+    if spectral_units > 0 {
+        core.record_kernel(2 * tickets.len() * spectral_units);
     }
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        apply_chaos(chaos, std::slice::from_ref(&ticket));
-        serial_units(core, &model, &ticket)
-    }));
-    match outcome {
-        Ok(Ok(unit_cts)) => finalize_ticket(core, &model, ticket, unit_cts),
-        Ok(Err(e)) => {
-            ticket.session.record_outcome(false);
-            refuse_ticket(core, ticket, RefusalReason::Invalid(e.to_string()));
-        }
-        Err(_) => {
-            ticket.session.record_outcome(false);
-            refuse_ticket(core, ticket, RefusalReason::Poisoned);
-        }
-    }
-}
-
-/// The coalesced datapath: one SoA forward sweep over every ticket's
-/// ciphertexts, per-unit MACs against the model's precomputed spectra,
-/// one group-wide batched inverse. Borrows the tickets — the caller
-/// finalizes (or, on a contained panic, retries in smaller groups).
-fn compute_group(
-    core: &Arc<ServerCore>,
-    model: &Arc<ModelPlan>,
-    tickets: &[Ticket],
-) -> Vec<Vec<Option<Ciphertext>>> {
-    let p = model.params();
-    let n = p.n;
-    let bands = model.encoder().bands();
-    let m = model.shape().m;
-    let units = model.units.len();
-
-    let spans: Vec<&[Ciphertext]> = tickets.iter().map(|t| t.cts.as_slice()).collect();
-    let total_cts: usize = spans.iter().map(|s| s.len()).sum();
-    let act = {
-        let _t = flash_telemetry::span!("serve.forward_fft");
-        model.spec.backend.activation_spectra_multi(&spans, p)
-    };
-    core.record_kernel(2 * total_cts);
-
-    let mac_span = flash_telemetry::span!("serve.mac");
-    let mut resolved: Vec<Vec<Option<Ciphertext>>> =
-        tickets.iter().map(|_| vec![None; units]).collect();
-    // Unit kinds are uniform across tickets (one model per group).
-    let ntt_units: Vec<usize> = (0..units)
-        .filter(|&u| matches!(model.units[u], UnitWeights::Ntt(_)))
-        .collect();
-    let fft_units: Vec<usize> = (0..units)
-        .filter(|&u| matches!(model.units[u], UnitWeights::Fft(_)))
-        .collect();
-    // NTT accumulators live in one contiguous buffer, ticket-major —
-    // MACs write straight into the slice the batched inverse will
-    // consume in place, with no per-accumulator staging copy.
-    let two_n = 2 * n;
-    let mut ntt_buf = vec![0u64; tickets.len() * ntt_units.len() * two_n];
-    let mut fft_accs: Vec<BandAccumulator> = Vec::new();
-    let mut fft_tags: Vec<(usize, usize)> = Vec::new();
-    let mut offset = 0usize;
-    for (ti, ticket) in tickets.iter().enumerate() {
-        let groups = ticket.cts.len() / bands;
-        for oc in 0..m {
-            for b in 0..bands {
-                let u = oc * bands + b;
-                if let UnitWeights::Fallback = &model.units[u] {
-                    // Exact coefficient-domain path (ring-dispatched);
-                    // consumes the ticket's own ciphertexts, not the
-                    // hoisted spectra.
-                    let mut acc = Ciphertext::zero(n, p.q);
-                    for (g, wp) in model.w_polys[oc].iter().enumerate() {
-                        ticket.cts[g * bands + b].mul_plain_signed_acc_exact(&wp[b], p, &mut acc);
-                    }
-                    resolved[ti][u] = Some(acc);
-                }
-            }
-        }
-        // Spectral units accumulate group-by-group with the unit loop
-        // *innermost*: one ciphertext slice of the shared SoA stays
-        // cache-hot while every unit MACs against it, instead of the
-        // whole activation span being re-streamed once per unit. Each
-        // accumulator still sees its groups in increasing order, so the
-        // result is bit-identical to the unit-major order for both
-        // domains.
-        let tbuf = &mut ntt_buf[ti * ntt_units.len() * two_n..][..ntt_units.len() * two_n];
-        for g in 0..groups {
-            for (slot, &u) in ntt_units.iter().enumerate() {
-                let UnitWeights::Ntt(residues) = &model.units[u] else {
-                    unreachable!("ntt_units holds only NTT units");
-                };
-                let b = u % bands;
-                act.mac_ntt_shoup_lazy_into(
-                    offset + g * bands + b,
-                    &residues.w[g * n..][..n],
-                    &residues.shoup[g * n..][..n],
-                    p.ntt(),
-                    &mut tbuf[slot * two_n..][..two_n],
-                );
-            }
-        }
-        for &u in &fft_units {
-            let UnitWeights::Fft(spectra) = &model.units[u] else {
-                unreachable!("fft_units holds only FFT units");
-            };
-            let b = u % bands;
-            let mut acc = act.accumulator(n);
-            for (g, fwg) in spectra.chunks_exact(n / 2).enumerate() {
-                act.mac_fft(offset + g * bands + b, fwg, &mut acc);
-            }
-            fft_accs.push(acc);
-            fft_tags.push((ti, u));
-        }
-        offset += ticket.cts.len();
-    }
-    drop(mac_span);
-    if !ntt_units.is_empty() {
-        let _t = flash_telemetry::span!("serve.inverse_fft");
-        core.record_kernel(ntt_buf.len() / n);
-        // One ticket's accumulators (`units · 2N` words) fit L2; the
-        // whole batch does not. Draining ticket-by-ticket keeps the
-        // reduce + inverse sweeps cache-resident without changing a
-        // single output bit (each accumulator is still reduced and
-        // inverted exactly once).
-        for (ti, tchunk) in ntt_buf.chunks_mut(ntt_units.len() * two_n).enumerate() {
-            let closed = BandAccumulator::finish_ntt_bands_in_place(tchunk, p);
-            for (slot, ct) in closed.into_iter().enumerate() {
-                resolved[ti][ntt_units[slot]] = Some(ct);
-            }
-        }
-    }
-    if !fft_accs.is_empty() {
-        let _t = flash_telemetry::span!("serve.inverse_fft");
-        core.record_kernel(2 * fft_accs.len());
-        let closed = BandAccumulator::finish_bands(fft_accs, p);
-        for ((ti, u), ct) in fft_tags.into_iter().zip(closed) {
-            resolved[ti][u] = Some(ct);
-        }
-    }
-    resolved
-}
-
-/// The per-session baseline: the full per-request server pipeline of
-/// [`flash_2pc::ConvProtocol`] — weight re-encoding, per-request noise
-/// guard, per-request weight transforms, narrow activation batch, and
-/// per-channel inverses — with the serving layer's mask seeds, so its
-/// outputs are bit-identical to the coalesced path.
-fn process_ticket_serial(core: &Arc<ServerCore>, ticket: Ticket) {
-    let model = Arc::clone(&ticket.session.model);
-    match serial_units(core, &model, &ticket) {
-        Ok(unit_cts) => finalize_ticket(core, &model, ticket, unit_cts),
-        Err(e) => {
-            ticket.session.record_outcome(false);
-            refuse_ticket(core, ticket, RefusalReason::Invalid(e.to_string()));
-        }
-    }
-}
-
-fn serial_units(
-    core: &Arc<ServerCore>,
-    model: &ModelPlan,
-    ticket: &Ticket,
-) -> Result<Vec<Option<Ciphertext>>, ServeError> {
-    let _t = flash_telemetry::span!("serve.serial_units");
-    let spec = &model.spec;
-    let p = model.params();
-    let enc = model.encoder();
-    let shape = *model.shape();
-    let bands = enc.bands();
-    let m_half = p.n / 2;
-    let is_ntt = matches!(spec.backend, PolyMulBackend::Ntt);
-
-    let act = spec.backend.activation_spectra(&ticket.cts, p);
-    core.record_kernel(2 * ticket.cts.len());
-
-    let band_plans: Vec<_> = (0..bands)
-        .map(|b| {
-            if !spec.sparse_weights || is_ntt {
-                return None;
-            }
-            let plan = conv_band_plan(enc, p.n, b);
-            plan.worthwhile().then_some(plan)
+    model
+        .server
+        .respond(&act, &requests, 0, &model.units, |ri, u| {
+            mask_seed(core.seed, tickets[ri].session.id, tickets[ri].req_id, u)
         })
-        .collect();
-
-    let mut unit_cts: Vec<Option<Ciphertext>> = vec![None; shape.m * bands];
-    for oc in 0..shape.m {
-        let w_polys = enc.encode_weight(
-            &spec.weights[oc * shape.kernel_len()..][..shape.kernel_len()],
-            oc,
-        );
-        let groups = w_polys.len();
-        let mut accs: Vec<BandAccumulator> = Vec::new();
-        let mut idxs: Vec<usize> = Vec::new();
-        for b in 0..bands {
-            let (noise, w_sq) = conv_band_noise_bound(p, &w_polys, b, spec.truncation);
-            noise.check()?;
-            let fallback = match spec.backend.error_model(p) {
-                Some(em) => {
-                    let err = em.phase_error_bound(p, w_sq, groups);
-                    noise.bound() + err >= spec.noise_margin * noise.ceiling()
-                }
-                None => false,
-            };
-            if fallback {
-                let mut acc = Ciphertext::zero(p.n, p.q);
-                for (g, wp) in w_polys.iter().enumerate() {
-                    ticket.cts[g * bands + b].mul_plain_signed_acc_exact(&wp[b], p, &mut acc);
-                }
-                unit_cts[oc * bands + b] = Some(acc);
-                continue;
-            }
-            let ws: Vec<&[i64]> = w_polys.iter().map(|wp| wp[b].as_slice()).collect();
-            let mut acc = act.accumulator(p.n);
-            if is_ntt {
-                let mut fw = vec![0u64; groups * p.n];
-                weight_residues_into(&ws, &mut fw, p.ntt());
-                for (g, fwg) in fw.chunks_exact(p.n).enumerate() {
-                    act.mac_ntt(g * bands + b, fwg, p.ntt(), &mut acc);
-                }
-            } else {
-                let mut fw = vec![flash_math::C64::ZERO; groups * m_half];
-                match &band_plans[b] {
-                    Some(plan) => plan.execute_batch_into(ws.iter().copied(), &mut fw),
-                    None => spec.backend.weight_spectra_into(&ws, &mut fw, p.fft()),
-                }
-                for (g, fwg) in fw.chunks_exact(m_half).enumerate() {
-                    act.mac_fft(g * bands + b, fwg, &mut acc);
-                }
-            }
-            accs.push(acc);
-            idxs.push(b);
-        }
-        if !accs.is_empty() {
-            core.record_kernel(2 * accs.len());
-            let closed = BandAccumulator::finish_bands(accs, p);
-            for (b, ct) in idxs.into_iter().zip(closed) {
-                unit_cts[oc * bands + b] = Some(ct);
-            }
-        }
-    }
-    Ok(unit_cts)
 }
 
-/// Masks, decodes the server share, serializes and sends one ticket's
-/// response; shared by both datapaths so the bytes cannot diverge.
-fn finalize_ticket(
-    core: &Arc<ServerCore>,
-    model: &ModelPlan,
-    ticket: Ticket,
-    unit_cts: Vec<Option<Ciphertext>>,
-) {
+/// Sends one ticket's response and records its terminal outcome.
+fn finalize_ticket(core: &Arc<ServerCore>, ticket: Ticket, response: Response) {
     let _t = flash_telemetry::span!("serve.finalize");
-    let p = model.params();
-    let enc = model.encoder();
-    let bands = enc.bands();
-    let mut y_server = vec![0u64; model.shape().output_len()];
-    let mut blobs = Vec::with_capacity(unit_cts.len());
-    for (u, ct) in unit_cts.into_iter().enumerate() {
-        let mut ct = ct.expect("every unit resolved before finalize");
-        let (oc, b) = (u / bands, u % bands);
-        let seed = mask_seed(core.seed, ticket.session.id, ticket.req_id, u);
-        let mask_vals = mask_coeffs(seed, p.n, p.t);
-        let mask = Poly::from_coeffs(mask_vals, p.t);
-        ct.sub_plain_assign(&mask, p);
-        enc.decode_band(mask.coeffs(), b, oc, &mut y_server);
-        blobs.push(match model.truncation() {
-            None => serialize::ciphertext_to_bytes(&ct),
-            Some((d0, d1)) => TruncatedCiphertext::truncate(&ct, d0, d1, p).to_bytes(p),
-        });
-    }
+    let Response {
+        blobs,
+        server_share: y_server,
+    } = response;
     let response = wire::encode_response(ticket.req_id, &blobs);
     let sent = ticket.session.downlink.clone().send(&response);
     core.results

@@ -1,0 +1,799 @@
+//! The one HConv request pipeline: four stages, each written once, run
+//! at any batch width.
+//!
+//! ```text
+//! client                         server
+//! ──────                         ──────
+//! seal ── blobs ───────────────► open            (per request)
+//!                                prepare_units   (per output channel:
+//!                                                 weight-only, offline
+//!                                                 when units are reused)
+//!                                spectra ─┐
+//!                                respond ◄┘      (W requests × a slice
+//!                                                 of units)
+//! unseal ◄───────────── blobs ── respond
+//! ```
+//!
+//! * **seal** — share tiles → `Poly::from_signed` → one batched
+//!   encryption per [`KEY_BATCH`] chunk → serialized blobs, handed to the
+//!   caller's sink so only a chunk of ciphertexts is alive at a time.
+//! * **open** — deserialize, validate, fold the server's share tile in.
+//! * **respond** — splits where the Flash CPU protocol splits:
+//!   [`HconvServer::prepare_units`] does everything that depends on the
+//!   *weights only* for one output channel (encode, the noise-guard
+//!   verdict, the forward weight transforms); [`HconvServer::respond`]
+//!   does the per-request work against a slice of prepared units at
+//!   width `W = requests.len()` — MAC against the activation spectra of
+//!   one [`HconvServer::spectra`] sweep, one batched inverse, mask,
+//!   server-share rows, truncate + serialize.
+//! * **unseal** — deserialize (undoing the agreed truncation), one
+//!   batched decryption per chunk, decode straight into the output share.
+//!
+//! [`crate::ConvProtocol`] pairs the stages in process at `W = 1`,
+//! preparing units per output channel inside its fan-out and dropping
+//! them after the MAC; `flash-serve` prepares every channel once at
+//! registration and responds to coalesced tickets at `W ≥ 1`. Whether
+//! units are reused is the one thing the two callers tell the pipeline
+//! differently ([`HconvServer::new`]): a reused exact-NTT unit carries
+//! Shoup constants (one division per coefficient, bought back by every
+//! later request), a one-shot unit does not.
+//!
+//! # Noise guard
+//!
+//! [`HconvServer::prepare_units`] composes, per `(oc, band)` unit, the
+//! worst-case decryption-noise bound of the exact pipeline
+//! ([`conv_band_noise_bound`]) and, on an approximate backend, adds the
+//! analytical error bound of the transform
+//! ([`flash_he::backend::ApproxErrorModel`]). A unit whose total crosses
+//! `margin × q/(2t)` becomes [`UnitWeights::Fallback`] and is answered on
+//! the exact coefficient-domain path of its ring family; if even the
+//! exact bound overflows the ceiling, preparation fails with
+//! [`HeError::NoiseOverflow`] instead of decrypting garbage.
+
+use crate::error::FlashError;
+use crate::shares::ShareRing;
+use flash_he::backend::{
+    weight_residue_shoups, weight_residues_into, ActivationSpectra, BandAccumulator, WeightShoups,
+};
+use flash_he::encoding::{ConvEncoder, ConvShape};
+use flash_he::keys::KEY_BATCH;
+use flash_he::noise::NoiseBound;
+use flash_he::truncate::TruncatedCiphertext;
+use flash_he::{serialize, Ciphertext, HeError, HeParams, Poly, PolyMulBackend, SecretKey};
+use flash_math::C64;
+use flash_runtime::U64_SCRATCH;
+use flash_sparse::{SparsePlan, SparsityPattern};
+use rand::Rng;
+use std::ops::Range;
+use std::sync::{Arc, Mutex};
+
+/// Client **seal** over pre-encoded tiles: encrypts `tiles` chunk by
+/// chunk (one batched key product per [`KEY_BATCH`] chunk) and hands each
+/// serialized ciphertext to `sink` in tile order.
+///
+/// # Errors
+///
+/// Whatever `sink` returns.
+pub fn seal<R: Rng, E>(
+    sk: &SecretKey,
+    tiles: &[Vec<i64>],
+    rng: &mut R,
+    mut sink: impl FnMut(Vec<u8>) -> Result<(), E>,
+) -> Result<(), E> {
+    let t = sk.params().t;
+    for chunk in tiles.chunks(KEY_BATCH) {
+        let cts = {
+            let _t = flash_telemetry::span!("hconv.encode");
+            let ms: Vec<Poly> = chunk
+                .iter()
+                .map(|tile| Poly::from_signed(tile, t))
+                .collect();
+            sk.encrypt_batch(&ms, rng)
+        };
+        let _t = flash_telemetry::span!("hconv.wire_serialize");
+        for ct in &cts {
+            sink(serialize::ciphertext_to_bytes(ct))?;
+        }
+    }
+    Ok(())
+}
+
+/// Server **open**: deserializes and validates one upload blob per tile
+/// and folds the server's share tile into it.
+///
+/// # Errors
+///
+/// The first error `blobs` yields, or the [`FlashError`] of a blob that
+/// fails deserialization or scheme-level validation.
+///
+/// # Panics
+///
+/// Panics if `blobs` yields fewer items than there are tiles (the caller
+/// checks the count of a wire message before opening it).
+pub fn open<B: AsRef<[u8]>, E: From<FlashError>>(
+    p: &HeParams,
+    tiles: &[Vec<i64>],
+    blobs: impl IntoIterator<Item = Result<B, E>>,
+) -> Result<Vec<Ciphertext>, E> {
+    let cts = tiles
+        .iter()
+        .zip(blobs)
+        .map(|(tile, bytes)| {
+            let mut ct = serialize::ciphertext_from_bytes(bytes?.as_ref(), p.n, p.q)
+                .map_err(FlashError::from)?;
+            ct.validate_for(p).map_err(FlashError::from)?;
+            ct.add_plain_assign(&Poly::from_signed(tile, p.t), p);
+            Ok(ct)
+        })
+        .collect::<Result<Vec<_>, E>>()?;
+    assert_eq!(cts.len(), tiles.len(), "one upload blob per tile");
+    Ok(cts)
+}
+
+/// Client **unseal**: deserializes the response blobs (undoing the agreed
+/// truncation), decrypts them one [`KEY_BATCH`] chunk per batched key
+/// product, and decodes plaintext `k` with `decode(k, plain, rows)` into
+/// `out[range_of(k)]`. Ranges must be increasing and disjoint in `k`;
+/// chunks then own disjoint windows of `out` and run in parallel.
+///
+/// # Errors
+///
+/// [`FlashError`] when a blob fails deserialization or decryption
+/// validation.
+pub fn unseal<B: AsRef<[u8]> + Sync>(
+    sk: &SecretKey,
+    truncation: Option<(u32, u32)>,
+    blobs: &[B],
+    out: &mut [u64],
+    range_of: impl Fn(usize) -> Range<usize> + Sync,
+    decode: impl Fn(usize, &[u64], &mut [u64]) + Sync,
+) -> Result<(), FlashError> {
+    let p = sk.params();
+    // One window of `out` per chunk, behind an (uncontended) mutex so the
+    // parallel closure can borrow it mutably.
+    let mut windows = Vec::with_capacity(blobs.len().div_ceil(KEY_BATCH));
+    let (mut rest, mut at) = (out, 0);
+    for k0 in (0..blobs.len()).step_by(KEY_BATCH) {
+        let k1 = (k0 + KEY_BATCH).min(blobs.len());
+        let (start, end) = (range_of(k0).start, range_of(k1 - 1).end);
+        let (rows, tail) = rest[start - at..].split_at_mut(end - start);
+        windows.push(Mutex::new((k0..k1, start, rows)));
+        (rest, at) = (tail, end);
+    }
+    flash_runtime::parallel_map(&windows, |window| {
+        let _t = flash_telemetry::span!("hconv.decrypt");
+        let mut window = window.lock().expect("each window is locked once");
+        let (ks, start, rows) = &mut *window;
+        let cts = blobs[ks.clone()]
+            .iter()
+            .map(|bytes| TruncatedCiphertext::response_from_bytes(bytes.as_ref(), truncation, p))
+            .collect::<Result<Vec<Ciphertext>, _>>()?;
+        let mut plain = U64_SCRATCH.take(cts.len() * p.n);
+        sk.decrypt_batch_into(&cts, &mut plain)?;
+        for (k, m) in ks.clone().zip(plain.chunks_exact(p.n)) {
+            let r = range_of(k);
+            decode(k, m, &mut rows[r.start - *start..r.end - *start]);
+        }
+        Ok(())
+    })
+    .into_iter()
+    .collect()
+}
+
+/// What both parties of one convolution layer agree on: parameters,
+/// tiling, share ring and response truncation — the client half of the
+/// pipeline and the server's **open** need nothing else.
+#[derive(Debug, Clone)]
+pub struct HconvLayer {
+    params: HeParams,
+    encoder: ConvEncoder,
+    ring: ShareRing,
+    pub(crate) truncation: Option<(u32, u32)>,
+}
+
+impl HconvLayer {
+    /// Plans a (pre-padded, stride-1) convolution; `truncation` is the
+    /// agreed `(d0, d1)` response compression, if any.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `t` is not a power of two ≥ 4 (share/plaintext rings must
+    /// coincide).
+    pub fn new(params: HeParams, shape: ConvShape, truncation: Option<(u32, u32)>) -> Self {
+        let l = params.t.trailing_zeros();
+        assert!(params.t.is_power_of_two() && l >= 2, "t must be 2^l");
+        HconvLayer {
+            encoder: ConvEncoder::new(shape, params.n),
+            ring: ShareRing::new(l),
+            params,
+            truncation,
+        }
+    }
+
+    /// The BFV parameters.
+    pub fn params(&self) -> &HeParams {
+        &self.params
+    }
+
+    /// The tiling plan.
+    pub fn encoder(&self) -> &ConvEncoder {
+        &self.encoder
+    }
+
+    /// The share ring `Z_{2^l}`.
+    pub fn ring(&self) -> ShareRing {
+        self.ring
+    }
+
+    /// The agreed response truncation.
+    pub fn truncation(&self) -> Option<(u32, u32)> {
+        self.truncation
+    }
+
+    /// Client **seal** of one activation share: [`seal`] over the layer's
+    /// [`ConvEncoder::activation_polys`] tiles.
+    ///
+    /// # Errors
+    ///
+    /// Whatever `sink` returns.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `share.len()` differs from the layer's input size.
+    pub fn seal<R: Rng, E>(
+        &self,
+        sk: &SecretKey,
+        share: &[u64],
+        rng: &mut R,
+        sink: impl FnMut(Vec<u8>) -> Result<(), E>,
+    ) -> Result<(), E> {
+        let tiles = {
+            let _t = flash_telemetry::span!("hconv.encode");
+            let signed: Vec<i64> = share.iter().map(|&v| v as i64).collect();
+            self.encoder.encode_activation(&signed)
+        };
+        seal(sk, &tiles, rng, sink)
+    }
+
+    /// Server **open** of one upload ([`open`] over the tiles of the
+    /// server's activation share).
+    ///
+    /// # Errors
+    ///
+    /// Same contract as [`open`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `server_share.len()` differs from the layer's input size
+    /// or `blobs` is shorter than [`ConvEncoder::activation_polys`].
+    pub fn open<B: AsRef<[u8]>, E: From<FlashError>>(
+        &self,
+        server_share: &[i64],
+        blobs: impl IntoIterator<Item = Result<B, E>>,
+    ) -> Result<Vec<Ciphertext>, E> {
+        open(
+            &self.params,
+            &self.encoder.encode_activation(server_share),
+            blobs,
+        )
+    }
+
+    /// Client **unseal** of one response ([`unseal`] with unit
+    /// `u = oc·bands + b` decoded into its own rows of the output share).
+    ///
+    /// # Errors
+    ///
+    /// Same contract as [`unseal`].
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `blobs` holds one blob per `(oc, band)` unit.
+    pub fn unseal<B: AsRef<[u8]> + Sync>(
+        &self,
+        sk: &SecretKey,
+        blobs: &[B],
+    ) -> Result<Vec<u64>, FlashError> {
+        let enc = &self.encoder;
+        let bands = enc.bands();
+        assert_eq!(blobs.len(), enc.result_polys(), "one blob per unit");
+        let mut y = vec![0u64; enc.shape().output_len()];
+        unseal(
+            sk,
+            self.truncation,
+            blobs,
+            &mut y,
+            |u| enc.band_output_range(u % bands, u / bands),
+            |u, m, rows| enc.decode_band_rows(m, u % bands, rows),
+        )?;
+        Ok(y)
+    }
+}
+
+/// One `(oc, band)` unit's prepared weights: everything **respond** needs
+/// from the weight side, in the domain its MAC runs in.
+#[derive(Debug, Clone)]
+pub enum UnitWeights {
+    /// FFT-family spectra, `groups × N/2` concatenated.
+    Fft(Vec<C64>),
+    /// Exact-NTT residues of a *reused* unit, `groups × N`, with the
+    /// Shoup constant of every coefficient in a split stream — the
+    /// request-path MAC costs two multiplies per coefficient and defers
+    /// all reductions to one Barrett drain.
+    Ntt(WeightShoups),
+    /// Exact-NTT residues of a *one-shot* unit, `groups × N`: no Shoup
+    /// constants (a division per coefficient that a single MAC never
+    /// earns back), eagerly reduced MAC.
+    NttOnce(Vec<u64>),
+    /// The noise guard demands the exact coefficient-domain path; holds
+    /// the band's weight polynomial of every channel group.
+    Fallback(Vec<Vec<i64>>),
+}
+
+/// How one channel's units were prepared, in units (multiply by
+/// [`ConvEncoder::groups`] for transform counts).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct UnitCounts {
+    /// Units whose weight transforms ran on a sparse µop tape.
+    pub sparse: usize,
+    /// Units pinned to the exact fallback.
+    pub fallback: usize,
+}
+
+/// One request's answer to a slice of units.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Response {
+    /// One serialized (optionally truncated) ciphertext per unit.
+    pub blobs: Vec<Vec<u8>>,
+    /// The server's output share over the slice's (contiguous) rows.
+    pub server_share: Vec<u64>,
+}
+
+/// The server half of the pipeline for one layer: the shared
+/// [`HconvLayer`] plus what only the weight holder decides.
+#[derive(Debug, Clone)]
+pub struct HconvServer {
+    pub(crate) layer: HconvLayer,
+    backend: PolyMulBackend,
+    /// Per band, the compiled sparse tape its weight transforms take
+    /// (FLASH's sparse dataflow), or `None` for the dense kernels. Plans
+    /// are structural, so every output channel shares them.
+    band_plans: Vec<Option<Arc<SparsePlan>>>,
+    /// Noise-guard threshold as a fraction of the decryption ceiling.
+    pub(crate) noise_margin: f64,
+    reuse_units: bool,
+}
+
+impl HconvServer {
+    /// Binds a backend and the guard/tape settings to a layer.
+    /// `reuse_units` says whether prepared units answer more than one
+    /// request (a registered model) or exactly one (an in-process run).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the backend and the ring family disagree (the `Pow2`
+    /// backend needs a power-of-two ciphertext modulus; the exact NTT
+    /// backend needs a prime one).
+    pub fn new(
+        layer: HconvLayer,
+        backend: PolyMulBackend,
+        sparse_weights: bool,
+        noise_margin: f64,
+        reuse_units: bool,
+    ) -> Self {
+        match backend {
+            PolyMulBackend::Pow2 => assert!(
+                layer.params.is_pow2(),
+                "Pow2 backend requires a power-of-two ciphertext modulus"
+            ),
+            PolyMulBackend::Ntt => assert!(
+                !layer.params.is_pow2(),
+                "exact NTT backend requires a prime ciphertext modulus"
+            ),
+            _ => {}
+        }
+        let mut server = HconvServer {
+            layer,
+            backend,
+            band_plans: Vec::new(),
+            noise_margin,
+            reuse_units,
+        };
+        server.set_sparse_weights(sparse_weights);
+        server
+    }
+
+    /// Resolves each band's weight-transform route: the interned tape
+    /// when the sparse path is `enabled`, the backend is FFT-family
+    /// (modular spectra have no tape) and the pattern is sparse enough to
+    /// win ([`SparsePlan::worthwhile`]); the dense kernels otherwise.
+    pub(crate) fn set_sparse_weights(&mut self, enabled: bool) {
+        let enc = &self.layer.encoder;
+        let taped = enabled && !matches!(self.backend, PolyMulBackend::Ntt);
+        self.band_plans = (0..enc.bands())
+            .map(|b| {
+                taped
+                    .then(|| conv_band_plan(enc, self.layer.params.n, b))
+                    .filter(|plan| plan.worthwhile())
+            })
+            .collect();
+    }
+
+    /// The shared layer context.
+    pub fn layer(&self) -> &HconvLayer {
+        &self.layer
+    }
+
+    /// The composed noise of unit `(oc, b)`: the exact-pipeline bound and,
+    /// on an approximate backend, the transform's phase-error bound on top
+    /// (`None` for the backends that are exact in the protocol's regime).
+    /// `w_polys` is the channel's [`ConvEncoder::encode_weight`].
+    pub fn band_noise(&self, w_polys: &[Vec<Vec<i64>>], b: usize) -> (NoiseBound, Option<f64>) {
+        let p = &self.layer.params;
+        let (noise, w_sq) = conv_band_noise_bound(p, w_polys, b, self.layer.truncation);
+        let err = self
+            .backend
+            .error_model(p)
+            .map(|model| model.phase_error_bound(p, w_sq, w_polys.len()));
+        (noise, err)
+    }
+
+    /// All weight-only work of output channel `oc`: encodes its kernel
+    /// (`weights` is the full `m×c×k×k` tensor), runs the noise guard per
+    /// band, and transforms each band's group polynomials — through the
+    /// band's interned sparse tape when [`SparsePlan::worthwhile`], the
+    /// dense batched kernels otherwise. Returns the channel's units in
+    /// band order.
+    ///
+    /// # Errors
+    ///
+    /// [`HeError::NoiseOverflow`] when a band's exact-path bound overflows
+    /// the decryption ceiling.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a weight-size mismatch with the planned shape.
+    pub fn prepare_units(
+        &self,
+        weights: &[i64],
+        oc: usize,
+    ) -> Result<(Vec<UnitWeights>, UnitCounts), HeError> {
+        let p = &self.layer.params;
+        let enc = &self.layer.encoder;
+        let klen = enc.shape().kernel_len();
+        assert_eq!(weights.len(), enc.shape().m * klen, "weight size mismatch");
+        let mut w_polys = enc.encode_weight(&weights[oc * klen..][..klen], oc);
+        let groups = w_polys.len();
+        let is_ntt = matches!(self.backend, PolyMulBackend::Ntt);
+        let mut counts = UnitCounts::default();
+        let mut units = Vec::with_capacity(enc.bands());
+        for b in 0..enc.bands() {
+            let (noise, err) = self.band_noise(&w_polys, b);
+            noise.check()?;
+            // A reused NTT unit accumulates one lazy (unreduced, < 2q)
+            // Shoup product per group before its single Barrett drain, so
+            // the group count must fit the u64 headroom ⌊(2^64−1)/2q⌋.
+            // Unreachable for any practical q, but a violation would wrap
+            // silently, so such a unit takes the exact fallback too.
+            let fallback = err
+                .is_some_and(|e| noise.bound() + e >= self.noise_margin * noise.ceiling())
+                || (is_ntt
+                    && self.reuse_units
+                    && groups as u128 * 2 * p.q as u128 > u64::MAX as u128);
+            if fallback {
+                counts.fallback += 1;
+                let polys = w_polys.iter_mut().map(|wp| std::mem::take(&mut wp[b]));
+                units.push(UnitWeights::Fallback(polys.collect()));
+                continue;
+            }
+            let ws: Vec<&[i64]> = w_polys.iter().map(|wp| wp[b].as_slice()).collect();
+            let _t = flash_telemetry::span!("hconv.weight_transform");
+            units.push(if is_ntt {
+                if self.reuse_units {
+                    UnitWeights::Ntt(weight_residue_shoups(&ws, p.ntt()))
+                } else {
+                    let mut fw = vec![0u64; groups * p.n];
+                    weight_residues_into(&ws, &mut fw, p.ntt());
+                    UnitWeights::NttOnce(fw)
+                }
+            } else {
+                let mut fw = vec![C64::ZERO; groups * (p.n / 2)];
+                match &self.band_plans[b] {
+                    Some(plan) => {
+                        plan.execute_batch_into(ws.iter().copied(), &mut fw);
+                        counts.sparse += 1;
+                    }
+                    None => self.backend.weight_spectra_into(&ws, &mut fw, p.fft()),
+                }
+                UnitWeights::Fft(fw)
+            });
+        }
+        Ok((units, counts))
+    }
+
+    /// Forward-transforms both components of every request's ciphertexts
+    /// in one batched sweep; the spectra are shared by every
+    /// [`HconvServer::respond`] call over the same `requests`.
+    pub fn spectra(&self, requests: &[&[Ciphertext]]) -> ActivationSpectra {
+        self.backend
+            .activation_spectra_multi(requests, &self.layer.params)
+    }
+
+    /// Server **respond**: answers every request of the batch for the
+    /// consecutive units `first_unit .. first_unit + units.len()` (unit
+    /// `u = oc·bands + b`). `act` is [`HconvServer::spectra`] of the same
+    /// `requests`; `seed_of(request, unit)` names the output-mask seed.
+    ///
+    /// Spectral units accumulate request → group → unit-innermost: one
+    /// ciphertext slice of the shared batch stays cache-hot while every
+    /// unit MACs against it, and each accumulator still sees its groups in
+    /// increasing order, so the result does not depend on how units are
+    /// sliced or requests batched. NTT accumulators live in one contiguous
+    /// buffer that the batched inverse consumes in place, request by
+    /// request (one request's accumulators fit L2; a whole batch's do
+    /// not); FFT accumulators of the whole batch close through one
+    /// inverse call.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a request's ciphertext count is not
+    /// [`ConvEncoder::activation_polys`] or `act` is of another domain
+    /// than the units.
+    pub fn respond(
+        &self,
+        act: &ActivationSpectra,
+        requests: &[&[Ciphertext]],
+        first_unit: usize,
+        units: &[UnitWeights],
+        seed_of: impl Fn(usize, usize) -> u64,
+    ) -> Vec<Response> {
+        let p = &self.layer.params;
+        let enc = &self.layer.encoder;
+        let (n, bands, groups) = (p.n, enc.bands(), enc.groups());
+        let two_n = 2 * n;
+        let band_of = |slot: usize| (first_unit + slot) % bands;
+
+        let ntt_slots: Vec<usize> = (0..units.len())
+            .filter(|&s| matches!(units[s], UnitWeights::Ntt(_) | UnitWeights::NttOnce(_)))
+            .collect();
+        let fft_slots: Vec<usize> = (0..units.len())
+            .filter(|&s| matches!(units[s], UnitWeights::Fft(_)))
+            .collect();
+        let mut resolved: Vec<Vec<Option<Ciphertext>>> =
+            requests.iter().map(|_| vec![None; units.len()]).collect();
+        let mut ntt_buf = vec![0u64; requests.len() * ntt_slots.len() * two_n];
+        let mut fft_accs: Vec<BandAccumulator> = Vec::new();
+        let mut offset = 0usize;
+        for (ri, cts) in requests.iter().enumerate() {
+            assert_eq!(cts.len(), groups * bands, "request ciphertext count");
+            for (slot, unit) in units.iter().enumerate() {
+                if let UnitWeights::Fallback(polys) = unit {
+                    // Exact coefficient-domain path (ring-dispatched);
+                    // consumes the request's own ciphertexts, not the
+                    // hoisted spectra.
+                    let mut acc = Ciphertext::zero(n, p.q);
+                    for (g, w) in polys.iter().enumerate() {
+                        cts[g * bands + band_of(slot)].mul_plain_signed_acc_exact(w, p, &mut acc);
+                    }
+                    resolved[ri][slot] = Some(acc);
+                }
+            }
+            let rbuf = &mut ntt_buf[ri * ntt_slots.len() * two_n..][..ntt_slots.len() * two_n];
+            for g in 0..groups {
+                for (k, &slot) in ntt_slots.iter().enumerate() {
+                    let idx = offset + g * bands + band_of(slot);
+                    let acc = &mut rbuf[k * two_n..][..two_n];
+                    match &units[slot] {
+                        UnitWeights::Ntt(r) => act.mac_ntt_shoup_lazy_into(
+                            idx,
+                            &r.w[g * n..][..n],
+                            &r.shoup[g * n..][..n],
+                            p.ntt(),
+                            acc,
+                        ),
+                        UnitWeights::NttOnce(w) => act.mac_ntt(idx, &w[g * n..][..n], p.ntt(), acc),
+                        _ => unreachable!("ntt_slots holds only NTT units"),
+                    }
+                }
+            }
+            for &slot in &fft_slots {
+                let UnitWeights::Fft(spectra) = &units[slot] else {
+                    unreachable!("fft_slots holds only FFT units");
+                };
+                let mut acc = act.accumulator(n);
+                for (g, fw) in spectra.chunks_exact(n / 2).enumerate() {
+                    act.mac_fft(offset + g * bands + band_of(slot), fw, &mut acc);
+                }
+                fft_accs.push(acc);
+            }
+            offset += cts.len();
+        }
+        if !ntt_slots.is_empty() {
+            for (ri, rbuf) in ntt_buf.chunks_mut(ntt_slots.len() * two_n).enumerate() {
+                let closed = BandAccumulator::finish_ntt_bands_in_place(rbuf, p);
+                for (&slot, ct) in ntt_slots.iter().zip(closed) {
+                    resolved[ri][slot] = Some(ct);
+                }
+            }
+        }
+        let closed = BandAccumulator::finish_bands(fft_accs, p);
+        for (i, ct) in closed.into_iter().enumerate() {
+            resolved[i / fft_slots.len()][fft_slots[i % fft_slots.len()]] = Some(ct);
+        }
+
+        // Mask, keep the server's share rows, serialize.
+        let unit_range =
+            |slot: usize| enc.band_output_range(band_of(slot), (first_unit + slot) / bands);
+        let rows = match units.len() {
+            0 => 0..0,
+            len => unit_range(0).start..unit_range(len - 1).end,
+        };
+        resolved
+            .into_iter()
+            .enumerate()
+            .map(|(ri, unit_cts)| {
+                let mut server_share = vec![0u64; rows.len()];
+                let blobs = unit_cts
+                    .into_iter()
+                    .enumerate()
+                    .map(|(slot, ct)| {
+                        let mut ct = ct.expect("every unit resolved above");
+                        let seed = seed_of(ri, first_unit + slot);
+                        let mask = Poly::from_coeffs(mask_coeffs(seed, n, p.t), p.t);
+                        ct.sub_plain_assign(&mask, p);
+                        let r = unit_range(slot);
+                        enc.decode_band_rows(
+                            mask.coeffs(),
+                            band_of(slot),
+                            &mut server_share[r.start - rows.start..r.end - rows.start],
+                        );
+                        let _t = flash_telemetry::span!("hconv.truncate_serialize");
+                        match self.layer.truncation {
+                            None => serialize::ciphertext_to_bytes(&ct),
+                            Some((d0, d1)) => {
+                                TruncatedCiphertext::truncate(&ct, d0, d1, p).to_bytes(p)
+                            }
+                        }
+                    })
+                    .collect();
+                Response {
+                    blobs,
+                    server_share,
+                }
+            })
+            .collect()
+    }
+}
+
+/// The worst-case decryption-noise bound of one `(oc, band)` response on
+/// the exact pipeline — fresh encryption, server share fold, one weight
+/// multiply per channel group accumulated into the response, the output
+/// mask, and the agreed truncation — plus the total `Σw²` of the band's
+/// weights (the input to [`flash_he::backend::ApproxErrorModel`]).
+///
+/// `w_polys` is one output channel's encoding
+/// ([`ConvEncoder::encode_weight`]): `w_polys[group][band]` is a length-`N`
+/// polynomial. The bound depends only on the weights, which is why the
+/// guard sits in [`HconvServer::prepare_units`].
+pub fn conv_band_noise_bound(
+    params: &HeParams,
+    w_polys: &[Vec<Vec<i64>>],
+    b: usize,
+    truncation: Option<(u32, u32)>,
+) -> (NoiseBound, f64) {
+    let base = NoiseBound::fresh(params).after_plain_add();
+    let mut acc: Option<NoiseBound> = None;
+    let mut w_sq = 0.0;
+    for w_poly in w_polys {
+        let band = &w_poly[b];
+        let l1: f64 = band.iter().map(|&v| (v as f64).abs()).sum();
+        w_sq += band.iter().map(|&v| (v as f64) * (v as f64)).sum::<f64>();
+        let nb = base.after_plain_mul(l1);
+        acc = Some(match acc {
+            None => nb,
+            Some(a) => a.after_ct_add(&nb),
+        });
+    }
+    let mut nb = acc.unwrap_or(base).after_plain_add();
+    if let Some((d0, d1)) = truncation {
+        let pow = |d: u32| {
+            if d == 0 {
+                0.0
+            } else {
+                (2.0f64).powi(d as i32 - 1)
+            }
+        };
+        nb = nb.after_computation_error(pow(d0) + pow(d1) * params.n as f64);
+    }
+    (nb, w_sq)
+}
+
+/// The interned sparse weight-transform plan of band `b`.
+///
+/// The pattern comes from [`ConvEncoder::weight_indices`] — purely
+/// structural, shared by every output channel and kernel placement of the
+/// layer — folded into the `n/2`-slot negacyclic FFT domain, so all
+/// `(oc, group)` jobs of a band share one interned tape. Callers decide
+/// between the tape and the dense path via [`SparsePlan::worthwhile`].
+pub fn conv_band_plan(encoder: &ConvEncoder, n: usize, b: usize) -> Arc<SparsePlan> {
+    let half = n / 2;
+    let mut mask = vec![false; half];
+    for idx in encoder.weight_indices(b) {
+        mask[idx % half] = true;
+    }
+    SparsePlan::shared(&SparsityPattern::from_mask(mask))
+}
+
+/// `splitmix64` finalizer: a full-avalanche 64-bit mixer.
+fn mix64(mut x: u64) -> u64 {
+    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^ (x >> 31)
+}
+
+/// The output-mask seed of one `(session, request, unit)` triple, for
+/// callers that multiplex sessions.
+///
+/// [`crate::ConvProtocol`] draws its mask seeds from the run's RNG
+/// stream; a server multiplexing many sessions cannot — the draw order
+/// would depend on batch composition and worker scheduling. Deriving each
+/// seed from the coordinates instead makes every mask independent of
+/// ordering, so any batch width and worker count produce bit-identical
+/// shares.
+pub fn mask_seed(server_seed: u64, session_id: u32, req_id: u64, unit: usize) -> u64 {
+    let mut h = mix64(server_seed ^ 0x464C_4153_4856_3031); // "FLASHV01"
+    h = mix64(h ^ u64::from(session_id));
+    h = mix64(h ^ req_id);
+    mix64(h ^ unit as u64)
+}
+
+/// Expands one mask seed into `n` output-share coefficients mod `t`.
+///
+/// A splitmix64 counter stream mapped into `[0, t)` with Lemire's
+/// multiply-shift: two multiplies per coefficient, versus keying a full
+/// `StdRng` per unit and paying a `u128 %` per draw. The expansion is a
+/// pure function of its inputs, so every batch width and worker count
+/// draws bit-identical masks. The multiply-shift range map has bias
+/// ≤ `t / 2^64` — below `2^-47` for every supported plaintext modulus,
+/// immaterial for the share-hiding role the masks play in this
+/// reproduction.
+pub fn mask_coeffs(seed: u64, n: usize, t: u64) -> Vec<u64> {
+    const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
+    (1..=n as u64)
+        .map(|i| {
+            let z = mix64(seed.wrapping_add(i.wrapping_mul(GOLDEN)));
+            ((z as u128 * t as u128) >> 64) as u64
+        })
+        .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn mask_expansion_is_deterministic_and_in_range() {
+        for t in [2u64, 1 << 13, 1 << 16, (1 << 36) - 5] {
+            let a = mask_coeffs(0xDEAD_BEEF, 257, t);
+            assert_eq!(a, mask_coeffs(0xDEAD_BEEF, 257, t));
+            assert!(a.iter().all(|&v| v < t), "mask out of range for t={t}");
+            assert_ne!(a, mask_coeffs(0xDEAD_BEF0, 257, t), "seed separation");
+        }
+        // Masks should look like draws, not a constant: over 257 draws
+        // from [0, 2^13) a repeated value is plausible, a single value
+        // for all coefficients is not.
+        let a = mask_coeffs(7, 257, 1 << 13);
+        assert!(a.windows(2).any(|w| w[0] != w[1]));
+    }
+
+    #[test]
+    fn mask_seeds_are_coordinate_separated() {
+        let a = mask_seed(1, 2, 3, 4);
+        assert_eq!(a, mask_seed(1, 2, 3, 4));
+        assert_ne!(a, mask_seed(2, 2, 3, 4));
+        assert_ne!(a, mask_seed(1, 3, 3, 4));
+        assert_ne!(a, mask_seed(1, 2, 4, 4));
+        assert_ne!(a, mask_seed(1, 2, 3, 5));
+        // swapping coordinates must not collide
+        assert_ne!(mask_seed(1, 2, 3, 4), mask_seed(1, 3, 2, 4));
+    }
+}

@@ -10,10 +10,13 @@
 //! non-linear layer.
 //!
 //! * [`shares`] — the additive share ring `Z_{2^l}`.
-//! * [`protocol`] — client/server simulation of homomorphic convolution,
-//!   including tiling, group accumulation and communication accounting.
+//! * [`hconv`] — the one HConv request pipeline (seal / open / respond /
+//!   unseal), run at any batch width by every caller.
+//! * [`protocol`] — the in-process pairing of those stages over a real
+//!   wire, with communication accounting.
 
 pub mod error;
+pub mod hconv;
 pub mod matvec;
 pub mod nonlinear;
 pub mod protocol;
@@ -22,12 +25,11 @@ pub mod shares;
 pub mod transport;
 
 pub use error::{FlashError, ProtocolError};
+pub use hconv::{conv_band_plan, HconvLayer, HconvServer};
 pub use matvec::MatVecProtocol;
 pub use nonlinear::exec::{maxpool_reference, NonlinearSession, NonlinearStats};
 pub use nonlinear::NonlinearModel;
-pub use protocol::{
-    conv_band_noise_bound, conv_band_plan, expected_conv_mod, ConvProtocol, ProtocolStats,
-};
+pub use protocol::{expected_conv_mod, ConvProtocol, ProtocolStats};
 pub use shares::ShareRing;
 pub use transport::{
     BackoffConfig, FaultConfig, FaultOp, FaultPlan, InMemoryTransport, SharedTransport, Transport,

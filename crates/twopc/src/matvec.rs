@@ -10,13 +10,12 @@
 //! run.)
 
 use crate::error::FlashError;
+use crate::hconv;
 use crate::protocol::ProtocolStats;
 use crate::shares::ShareRing;
 use crate::transport::{InMemoryTransport, Transport, TransportConfig};
-use flash_he::keys::KEY_BATCH;
 use flash_he::matvec::MatVecEncoder;
 use flash_he::{serialize, Ciphertext, HeParams, Poly, PolyMulBackend, SecretKey};
-use flash_runtime::U64_SCRATCH;
 use rand::Rng;
 
 /// `(client share, server share)` of the FC output vector.
@@ -103,32 +102,14 @@ impl MatVecProtocol {
         let xc: Vec<i64> = x_client.iter().map(|&v| v as i64).collect();
         let xs: Vec<i64> = x_server.iter().map(|&v| v as i64).collect();
 
-        // Client: encrypt its share per column chunk (one batched key
-        // product per `KEY_BATCH` chunks) and upload the serialized
-        // ciphertexts.
+        // Client: seal its share, one ciphertext per column chunk.
         let chunks = enc.encode_vector(&xc);
         stats.ciphertexts_up = chunks.len();
-        for polys in chunks.chunks(KEY_BATCH) {
-            let ms: Vec<Poly> = polys
-                .iter()
-                .map(|poly| Poly::from_signed(poly, p.t))
-                .collect();
-            for ct in sk.encrypt_batch(&ms, rng) {
-                up.send(&serialize::ciphertext_to_bytes(&ct))?;
-            }
-        }
+        hconv::seal(sk, &chunks, rng, |blob| up.send(&blob))?;
 
-        // Server: receive, validate, fold in its share.
-        let cts_sum: Vec<Ciphertext> = enc
-            .encode_vector(&xs)
-            .iter()
-            .map(|tile| {
-                let bytes = up.recv()?;
-                let ct = serialize::ciphertext_from_bytes(&bytes, p.n, p.q)?;
-                ct.validate_for(p)?;
-                Ok(ct.add_plain(&Poly::from_signed(tile, p.t), p))
-            })
-            .collect::<Result<_, FlashError>>()?;
+        // Server: open the upload against its own share.
+        let uploads = (0..chunks.len()).map(|_| up.recv().map_err(FlashError::from));
+        let cts_sum = hconv::open(p, &enc.encode_vector(&xs), uploads)?;
         stats.upload_bytes = up.stats().payload_bytes as usize;
         stats.activation_transforms = 2 * cts_sum.len();
 
@@ -157,19 +138,24 @@ impl MatVecProtocol {
             down.send(&serialize::ciphertext_to_bytes(&masked))?;
         }
 
-        // Client: receive, validate, decrypt (batched) and decode each
-        // response into its own rows of the output share.
-        for rb0 in (0..enc.row_blocks()).step_by(KEY_BATCH) {
-            let width = KEY_BATCH.min(enc.row_blocks() - rb0);
-            let cts = (0..width)
-                .map(|_| Ok(serialize::ciphertext_from_bytes(&down.recv()?, p.n, p.q)?))
-                .collect::<Result<Vec<Ciphertext>, FlashError>>()?;
-            let mut plain = U64_SCRATCH.take(width * p.n);
-            sk.decrypt_batch_into(&cts, &mut plain)?;
-            for (k, m) in plain.chunks_exact(p.n).enumerate() {
-                enc.decode_block(m, rb0 + k, &mut y_client);
-            }
-        }
+        // Client: drain the downlink, then unseal each response into its
+        // own rows of the output share.
+        let received = (0..enc.row_blocks())
+            .map(|_| down.recv())
+            .collect::<Result<Vec<_>, _>>()?;
+        let rows = enc.rows_per_block();
+        hconv::unseal(
+            sk,
+            None,
+            &received,
+            &mut y_client,
+            |rb| rb * rows..no.min((rb + 1) * rows),
+            |_, m, out| {
+                for (i, y) in out.iter_mut().enumerate() {
+                    *y = m[enc.output_index(i)];
+                }
+            },
+        )?;
         stats.download_bytes = down.stats().payload_bytes as usize;
         let wire = up.stats().merge(down.stats());
         stats.upload_wire_bytes = up.stats().wire_bytes as usize;

@@ -1,48 +1,33 @@
-//! Client/server simulation of one homomorphic convolution.
+//! Client/server simulation of one homomorphic convolution: the thin
+//! in-process pairing of the [`crate::hconv`] pipeline stages.
 //!
 //! Both roles run in-process, but every ciphertext crosses a real
-//! [`Transport`]: the client serializes with [`flash_he::serialize`],
-//! frames go over an in-memory wire (optionally through a fault
-//! injector), and the server deserializes and validates before touching
-//! the payload — so [`ProtocolStats`] counts bytes that were actually
-//! sent, and every input that crossed the wire is handled with typed
-//! errors instead of panics. The plaintext modulus `t = 2^l` of the BFV
-//! parameters doubles as the secret-share ring, so homomorphic sums over
-//! `Z_t` are exactly the share arithmetic of the 2PC layers around the
-//! convolution.
+//! [`Transport`]: **seal** → uplink → **open** → **respond** at width 1 →
+//! downlink → **unseal**. Frames go over an in-memory wire (optionally
+//! through a fault injector), and the server deserializes and validates
+//! before touching the payload — so [`ProtocolStats`] counts bytes that
+//! were actually sent, and every input that crossed the wire is handled
+//! with typed errors instead of panics. The plaintext modulus `t = 2^l`
+//! of the BFV parameters doubles as the secret-share ring, so homomorphic
+//! sums over `Z_t` are exactly the share arithmetic of the 2PC layers
+//! around the convolution.
 //!
-//! # Noise guard
+//! Units are one-shot here: each output channel prepares its weights
+//! inside the fan-out ([`HconvServer::prepare_units`]), answers the one
+//! request, and drops them — a whole layer's spectra never exist at once.
+//! The noise guard (fallback to the exact path of the ring family, or
+//! [`HeError::NoiseOverflow`]) is part of that preparation; see
+//! [`crate::hconv`].
 //!
-//! Before computing each `(oc, band)` response the server composes the
-//! worst-case decryption-noise bound of the exact pipeline (fresh
-//! encryption → share fold → per-group weight multiply → mask →
-//! truncation) and, on the approximate-FFT backend, adds the analytical
-//! error bound of the transform ([`ApproxErrorModel`]). If the total
-//! exceeds `margin × q/(2t)` the band transparently falls back to an
-//! exact path dispatched on the ring family — the NTT backend on a prime
-//! modulus ([`ProtocolStats::ntt_fallbacks`]), the wrapping schoolbook on
-//! a power-of-two modulus ([`ProtocolStats::pow2_fallbacks`]); if even
-//! the exact-path bound overflows the ceiling the run fails with
-//! [`HeError::NoiseOverflow`] instead of decrypting garbage.
-//!
-//! [`ApproxErrorModel`]: flash_he::backend::ApproxErrorModel
 //! [`HeError::NoiseOverflow`]: flash_he::HeError
 
 use crate::error::FlashError;
+use crate::hconv::{HconvLayer, HconvServer};
 use crate::shares::ShareRing;
 use crate::transport::{FaultPlan, InMemoryTransport, Transport, TransportConfig};
-use flash_fft::C64_SCRATCH;
-use flash_he::backend::{weight_residues_into, BandAccumulator};
 use flash_he::encoding::{ConvEncoder, ConvShape};
-use flash_he::keys::KEY_BATCH;
-use flash_he::noise::NoiseBound;
-use flash_he::truncate::TruncatedCiphertext;
-use flash_he::{serialize, Ciphertext, HeParams, Poly, PolyMulBackend, SecretKey};
-use flash_runtime::U64_SCRATCH;
-use flash_sparse::{SparsePlan, SparsityPattern};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use std::sync::Arc;
+use flash_he::{HeParams, PolyMulBackend, SecretKey};
+use rand::Rng;
 
 /// Seed salts decorrelating the two directions of one random fault plan.
 const UP_LINK_SALT: u64 = 0x7570_6c69_6e6b; // "uplink"
@@ -89,6 +74,31 @@ pub struct ProtocolStats {
     pub pow2_fallbacks: usize,
 }
 
+impl ProtocolStats {
+    /// Sums two runs' accounting (the phases of a decomposed layer, the
+    /// layers of a network).
+    pub fn merge(self, other: ProtocolStats) -> ProtocolStats {
+        ProtocolStats {
+            upload_bytes: self.upload_bytes + other.upload_bytes,
+            download_bytes: self.download_bytes + other.download_bytes,
+            ciphertexts_up: self.ciphertexts_up + other.ciphertexts_up,
+            ciphertexts_down: self.ciphertexts_down + other.ciphertexts_down,
+            weight_transforms: self.weight_transforms + other.weight_transforms,
+            sparse_weight_transforms: self.sparse_weight_transforms
+                + other.sparse_weight_transforms,
+            activation_transforms: self.activation_transforms + other.activation_transforms,
+            inverse_transforms: self.inverse_transforms + other.inverse_transforms,
+            pointwise_muls: self.pointwise_muls + other.pointwise_muls,
+            upload_wire_bytes: self.upload_wire_bytes + other.upload_wire_bytes,
+            download_wire_bytes: self.download_wire_bytes + other.download_wire_bytes,
+            faults_detected: self.faults_detected + other.faults_detected,
+            frames_retried: self.frames_retried + other.frames_retried,
+            ntt_fallbacks: self.ntt_fallbacks + other.ntt_fallbacks,
+            pow2_fallbacks: self.pow2_fallbacks + other.pow2_fallbacks,
+        }
+    }
+}
+
 /// The secret-shared output of one convolution.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConvOutputShares {
@@ -101,23 +111,10 @@ pub struct ConvOutputShares {
 /// One convolution layer's protocol instance.
 #[derive(Debug, Clone)]
 pub struct ConvProtocol {
-    params: HeParams,
-    encoder: ConvEncoder,
-    backend: PolyMulBackend,
-    ring: ShareRing,
-    /// Response truncation `(d0, d1)` bits, if enabled (Cheetah's
-    /// download compression).
-    truncation: Option<(u32, u32)>,
-    /// Route weight transforms through compiled sparse plans when the
-    /// encoding's pattern makes it worthwhile (FLASH's sparse dataflow).
-    sparse_weights: bool,
+    server: HconvServer,
     /// Wire configuration applied to both directions (fault plans get
     /// per-direction seed salts).
     transport: TransportConfig,
-    /// Noise-guard threshold as a fraction of the decryption ceiling
-    /// `q/(2t)`; bands whose composed bound crosses it fall back to the
-    /// exact NTT backend.
-    noise_margin: f64,
 }
 
 impl ConvProtocol {
@@ -130,29 +127,15 @@ impl ConvProtocol {
     /// `Pow2` backend needs a power-of-two ciphertext modulus; the exact
     /// NTT backend needs a prime one).
     pub fn new(params: HeParams, shape: ConvShape, backend: PolyMulBackend) -> Self {
-        let l = params.t.trailing_zeros();
-        assert!(params.t.is_power_of_two() && l >= 2, "t must be 2^l");
-        match backend {
-            PolyMulBackend::Pow2 => assert!(
-                params.is_pow2(),
-                "Pow2 backend requires a power-of-two ciphertext modulus"
-            ),
-            PolyMulBackend::Ntt => assert!(
-                !params.is_pow2(),
-                "exact NTT backend requires a prime ciphertext modulus"
-            ),
-            _ => {}
-        }
-        let encoder = ConvEncoder::new(shape, params.n);
         Self {
-            ring: ShareRing::new(l),
-            params,
-            encoder,
-            backend,
-            truncation: None,
-            sparse_weights: true,
+            server: HconvServer::new(
+                HconvLayer::new(params, shape, None),
+                backend,
+                true,
+                flash_runtime::noise_margin(),
+                false,
+            ),
             transport: TransportConfig::default(),
-            noise_margin: flash_runtime::noise_margin(),
         }
     }
 
@@ -161,7 +144,7 @@ impl ConvProtocol {
     /// responsible for choosing a noise-safe pair (see
     /// [`flash_he::truncate::safe_truncation`]).
     pub fn with_truncation(mut self, d0: u32, d1: u32) -> Self {
-        self.truncation = Some((d0, d1));
+        self.server.layer.truncation = Some((d0, d1));
         self
     }
 
@@ -170,7 +153,7 @@ impl ConvProtocol {
     /// outputs are identical either way — the switch exists for A/B
     /// benchmarking and regression bisection.
     pub fn with_sparse_weights(mut self, enabled: bool) -> Self {
-        self.sparse_weights = enabled;
+        self.server.set_sparse_weights(enabled);
         self
     }
 
@@ -185,10 +168,10 @@ impl ConvProtocol {
 
     /// Overrides the noise-guard margin (default:
     /// [`flash_runtime::noise_margin`], i.e. `FLASH_NOISE_MARGIN` or
-    /// 1.0). A margin of `0.0` forces the exact-NTT fallback for every
-    /// band of an approximate backend — a deterministic test hook.
+    /// 1.0). A margin of `0.0` forces the exact fallback for every band
+    /// of an approximate backend — a deterministic test hook.
     pub fn with_noise_margin(mut self, margin: f64) -> Self {
-        self.noise_margin = margin;
+        self.server.noise_margin = margin;
         self
     }
 
@@ -203,36 +186,20 @@ impl ConvProtocol {
         cfg
     }
 
-    /// Composes the worst-case decryption-noise bound of one `(oc, band)`
-    /// job on the *exact* pipeline — fresh encryption, server share fold,
-    /// one weight multiply per channel group accumulated into the
-    /// response, the output mask, and the agreed truncation — plus the
-    /// total `Σw²` of the band's weights (the input to the approximate
-    /// backend's error model).
-    fn band_noise_bound(&self, w_polys: &[Vec<Vec<i64>>], b: usize) -> (NoiseBound, f64) {
-        conv_band_noise_bound(&self.params, w_polys, b, self.truncation)
-    }
-
-    /// Resolves the compiled weight-transform plan for band `b`, or
-    /// `None` when the dense path should run: sparse path disabled, NTT
-    /// backend (modular spectra, not FFT), or a pattern too dense to win
-    /// ([`SparsePlan::worthwhile`]).
-    fn band_plan(&self, b: usize) -> Option<Arc<SparsePlan>> {
-        if !self.sparse_weights || matches!(self.backend, PolyMulBackend::Ntt) {
-            return None;
-        }
-        let plan = conv_band_plan(&self.encoder, self.params.n, b);
-        plan.worthwhile().then_some(plan)
-    }
-
     /// The share ring `Z_{2^l}`.
     pub fn ring(&self) -> ShareRing {
-        self.ring
+        self.server.layer.ring()
     }
 
     /// The tiling plan.
     pub fn encoder(&self) -> &ConvEncoder {
-        &self.encoder
+        self.server.layer.encoder()
+    }
+
+    /// The server half of the pipeline this protocol pairs with its
+    /// client (one-shot units).
+    pub fn server(&self) -> &HconvServer {
+        &self.server
     }
 
     /// Runs the protocol on a secret-shared activation.
@@ -261,11 +228,11 @@ impl ConvProtocol {
     ) -> Result<(ConvOutputShares, ProtocolStats), FlashError> {
         assert_eq!(
             x.len(),
-            self.encoder.shape().input_len(),
+            self.encoder().shape().input_len(),
             "activation size mismatch"
         );
         // --- Secret-share the activation (normally pre-existing state).
-        let (x_client, x_server) = self.ring.share_vec(x, rng);
+        let (x_client, x_server) = self.ring().share_vec(x, rng);
         self.run_shared(sk, &x_client, &x_server, weights, rng)
     }
 
@@ -290,283 +257,78 @@ impl ConvProtocol {
         weights: &[i64],
         rng: &mut R,
     ) -> Result<(ConvOutputShares, ProtocolStats), FlashError> {
-        let shape = *self.encoder.shape();
+        let server = &self.server;
+        let layer = server.layer();
+        let enc = layer.encoder();
+        let shape = *enc.shape();
         assert_eq!(x_client.len(), shape.input_len(), "share size mismatch");
         assert_eq!(x_client.len(), x_server.len(), "share length mismatch");
-        assert_eq!(
-            weights.len(),
-            shape.m * shape.kernel_len(),
-            "weight size mismatch"
-        );
-        let p = &self.params;
         let mut stats = ProtocolStats::default();
         let mut up = InMemoryTransport::new(self.direction_config(UP_LINK_SALT));
         let mut down = InMemoryTransport::new(self.direction_config(DOWN_LINK_SALT));
 
-        let xc_signed: Vec<i64> = x_client.iter().map(|&v| v as i64).collect();
+        // --- Client: seal its share onto the uplink, a chunk at a time.
+        layer.seal(sk, x_client, rng, |blob| up.send(&blob))?;
+        stats.ciphertexts_up = enc.activation_polys();
+
+        // --- Server: open the upload against its own share.
         let xs_signed: Vec<i64> = x_server.iter().map(|&v| v as i64).collect();
-
-        // --- Client: encode its share per tile, then encrypt and upload
-        // chunk by chunk — one batched key product per chunk, and only a
-        // chunk of ciphertexts alive at a time.
-        let enc = &self.encoder;
-        let client_tiles = {
-            let _t = flash_telemetry::span!("hconv.encode");
-            enc.encode_activation(&xc_signed)
-        };
-        stats.ciphertexts_up = client_tiles.len();
-        for tiles in client_tiles.chunks(KEY_BATCH) {
-            let cts = {
-                let _t = flash_telemetry::span!("hconv.encode");
-                let ms: Vec<Poly> = tiles
-                    .iter()
-                    .map(|tile| Poly::from_signed(tile, p.t))
-                    .collect();
-                sk.encrypt_batch(&ms, rng)
-            };
-            let _t = flash_telemetry::span!("hconv.wire_serialize");
-            for ct in &cts {
-                up.send(&serialize::ciphertext_to_bytes(ct))?;
-            }
-        }
-        drop(client_tiles);
-
-        // --- Server: receive and validate the upload, fold in its share.
-        let server_tiles = enc.encode_activation(&xs_signed);
-        let cts_sum: Vec<Ciphertext> = server_tiles
-            .iter()
-            .map(|tile| {
-                let bytes = up.recv()?;
-                let ct = serialize::ciphertext_from_bytes(&bytes, p.n, p.q)?;
-                ct.validate_for(p)?;
-                Ok(ct.add_plain(&Poly::from_signed(tile, p.t), p))
-            })
-            .collect::<Result<_, FlashError>>()?;
+        let uploads = (0..stats.ciphertexts_up).map(|_| up.recv().map_err(FlashError::from));
+        let cts = layer.open(&xs_signed, uploads)?;
         stats.upload_bytes = up.stats().payload_bytes as usize;
-        stats.activation_transforms = 2 * cts_sum.len();
+        stats.activation_transforms = 2 * cts.len();
 
-        let bands = enc.bands();
-        let out_len = shape.output_len();
-        let mut y_client = vec![0u64; out_len];
-        let mut y_server = vec![0u64; out_len];
-        let half_spectrum = (p.n / 2) as u64;
-
-        // One mask seed per (oc, band) job, drawn sequentially up front,
+        // One mask seed per (oc, band) unit, drawn sequentially up front,
         // so the parallel fan-out below produces the same masks for any
         // worker count.
+        let (bands, groups) = (enc.bands(), enc.groups());
         let mask_seeds: Vec<u64> = (0..shape.m * bands).map(|_| rng.next_u64()).collect();
 
-        // Compiled weight-transform plans, one per band (plans are
-        // structural, so every output channel shares them). Resolved
-        // before the fan-out: plan compilation is deterministic and the
-        // interner serves all workers the same `Arc`.
-        let band_plans: Vec<Option<Arc<SparsePlan>>> =
-            (0..bands).map(|b| self.band_plan(b)).collect();
-
-        // Activation hoist: both components of every upload transform
-        // exactly once, in one lane-parallel batched sweep, shared by all
-        // `(oc, band)` jobs below. (`stats.activation_transforms` has
-        // always modeled this accounting — two per ciphertext — and the
-        // batched datapath now executes exactly that.)
-        let act_spectra = self.backend.activation_spectra(&cts_sum, p);
-
-        // --- Server fan-out: each output channel transforms its weights
-        // and runs the per-band guard/MAC/mask/serialize independently.
-        // Per band the response accumulates in the spectral domain (one
-        // weight transform per channel group, no per-group inverses); the
-        // channel's responses then close through one batched inverse.
+        // --- Server: one activation sweep shared by every channel, then
+        // each output channel prepares its units, responds at width 1 and
+        // drops them.
+        let requests = [cts.as_slice()];
+        let act = server.spectra(&requests);
         let per_oc = flash_runtime::parallel_gen(shape.m, |oc| {
-            let w_polys = enc.encode_weight(
-                &weights[oc * shape.kernel_len()..][..shape.kernel_len()],
-                oc,
-            );
-            let groups = w_polys.len();
-            let m_half = p.n / 2;
-            // Phase 1: noise guard + spectral multiply-accumulate.
-            // `None` marks a band whose ciphertext is still pending in
-            // `spectral`; guard fallbacks resolve immediately on the
-            // legacy exact path (which needs the coefficient-domain
-            // ciphertexts, not the hoisted spectra).
-            let mut resolved: Vec<(Option<Ciphertext>, ProtocolStats)> = Vec::with_capacity(bands);
-            let mut spectral: Vec<(usize, BandAccumulator)> = Vec::with_capacity(bands);
-            for b in 0..bands {
-                let mut band_stats = ProtocolStats::default();
-                // Noise guard: refuse (exact overflow) or fall back
-                // (approximate error too close to the ceiling) before
-                // any spectra are consumed.
-                let (noise, w_sq) = self.band_noise_bound(&w_polys, b);
-                noise.check()?;
-                let fallback = match self.backend.error_model(p) {
-                    Some(model) => {
-                        let err = model.phase_error_bound(p, w_sq, groups);
-                        noise.bound() + err >= self.noise_margin * noise.ceiling()
-                    }
-                    None => false,
-                };
-                band_stats.inverse_transforms += 2;
-                if fallback {
-                    if p.is_pow2() {
-                        band_stats.pow2_fallbacks += 1;
-                    } else {
-                        band_stats.ntt_fallbacks += 1;
-                    }
-                    let mut acc = Ciphertext::zero(p.n, p.q);
-                    for (g, w_poly) in w_polys.iter().enumerate() {
-                        cts_sum[g * bands + b].mul_plain_signed_acc_exact(&w_poly[b], p, &mut acc);
-                        band_stats.weight_transforms += 1;
-                        band_stats.pointwise_muls += 2 * half_spectrum;
-                    }
-                    resolved.push((Some(acc), band_stats));
-                    continue;
-                }
-                let mut acc = act_spectra.accumulator(p.n);
-                match &band_plans[b] {
-                    // Sparse fast path: one µop tape transforms every
-                    // group's weight polynomial for this band in one
-                    // lane-parallel sweep, then the spectra MAC against
-                    // the hoisted activation spectra.
-                    Some(plan) => {
-                        let mut spectra = C64_SCRATCH.take(groups * m_half);
-                        {
-                            let _t = flash_telemetry::span!("hconv.weight_transform");
-                            plan.execute_batch_into(
-                                w_polys.iter().map(|w_poly| w_poly[b].as_slice()),
-                                &mut spectra,
-                            );
-                        }
-                        for (g, fw) in spectra.chunks_exact(m_half).enumerate() {
-                            act_spectra.mac_fft(g * bands + b, fw, &mut acc);
-                            band_stats.weight_transforms += 1;
-                            band_stats.sparse_weight_transforms += 1;
-                            band_stats.pointwise_muls += 2 * half_spectrum;
-                        }
-                    }
-                    // Dense weights: one batched forward per band (all
-                    // groups share the butterfly cascade W lanes wide).
-                    None => {
-                        let ws: Vec<&[i64]> =
-                            w_polys.iter().map(|w_poly| w_poly[b].as_slice()).collect();
-                        if matches!(self.backend, PolyMulBackend::Ntt) {
-                            let mut fw = U64_SCRATCH.take(groups * p.n);
-                            {
-                                let _t = flash_telemetry::span!("hconv.weight_transform");
-                                weight_residues_into(&ws, &mut fw, p.ntt());
-                            }
-                            for (g, fwg) in fw.chunks_exact(p.n).enumerate() {
-                                act_spectra.mac_ntt(g * bands + b, fwg, p.ntt(), &mut acc);
-                                band_stats.weight_transforms += 1;
-                                band_stats.pointwise_muls += 2 * half_spectrum;
-                            }
-                        } else {
-                            let mut fw = C64_SCRATCH.take(groups * m_half);
-                            {
-                                let _t = flash_telemetry::span!("hconv.weight_transform");
-                                self.backend.weight_spectra_into(&ws, &mut fw, p.fft());
-                            }
-                            for (g, fwg) in fw.chunks_exact(m_half).enumerate() {
-                                act_spectra.mac_fft(g * bands + b, fwg, &mut acc);
-                                band_stats.weight_transforms += 1;
-                                band_stats.pointwise_muls += 2 * half_spectrum;
-                            }
-                        }
-                    }
-                }
-                spectral.push((b, acc));
-                resolved.push((None, band_stats));
-            }
-            // Phase 2: one batched inverse for the channel's spectral
-            // bands — `2·k` polynomials through one lane-parallel call.
-            let (idxs, accs): (Vec<usize>, Vec<BandAccumulator>) = spectral.into_iter().unzip();
-            for (b, ct) in idxs.into_iter().zip(BandAccumulator::finish_bands(accs, p)) {
-                resolved[b].0 = Some(ct);
-            }
-            // Phase 3: mask and serialize per band, in band order.
-            resolved
-                .into_iter()
-                .enumerate()
-                .map(|(b, (acc, mut band_stats))| {
-                    let acc = acc.expect("every band resolved by phase 2");
-                    // Fresh random mask: the server's output share.
-                    let mut mask_rng = StdRng::seed_from_u64(mask_seeds[oc * bands + b]);
-                    let mask_vals: Vec<u64> =
-                        (0..p.n).map(|_| mask_rng.gen_range(0..p.t)).collect();
-                    let mask = Poly::from_coeffs(mask_vals, p.t);
-                    let masked = acc.sub_plain(&mask, p);
-                    // Server keeps its share from the mask coefficients at
-                    // the output positions: just the band's own rows.
-                    let mut server_share = vec![0u64; enc.band_output_range(b, oc).len()];
-                    enc.decode_band_rows(mask.coeffs(), b, &mut server_share);
-                    // Serialize the response for the downlink — optionally
-                    // truncated (Cheetah's download compression; the
-                    // `(d0, d1)` pair travels in the session context).
-                    let response = match self.truncation {
-                        None => serialize::ciphertext_to_bytes(&masked),
-                        Some((d0, d1)) => {
-                            let _t = flash_telemetry::span!("hconv.truncate_serialize");
-                            TruncatedCiphertext::truncate(&masked, d0, d1, p).to_bytes(p)
-                        }
-                    };
-                    band_stats.download_bytes += response.len();
-                    Ok((b, server_share, response, band_stats))
-                })
-                .collect::<Result<Vec<_>, FlashError>>()
+            let (units, counts) = server.prepare_units(weights, oc)?;
+            let response = server
+                .respond(&act, &requests, oc * bands, &units, |_, u| mask_seeds[u])
+                .pop()
+                .expect("one request in, one response out");
+            Ok::<_, FlashError>((response, counts))
         });
+
         // Send the responses over the downlink in deterministic
         // `(oc, band)` order (the fan-out only prepared the bytes).
-        let mut order = Vec::with_capacity(bands * shape.m);
-        for (oc, oc_results) in per_oc.into_iter().enumerate() {
-            for (b, server_share, response, band_stats) in oc_results? {
-                stats.weight_transforms += band_stats.weight_transforms;
-                stats.sparse_weight_transforms += band_stats.sparse_weight_transforms;
-                stats.pointwise_muls += band_stats.pointwise_muls;
-                stats.inverse_transforms += band_stats.inverse_transforms;
-                stats.download_bytes += band_stats.download_bytes;
-                stats.ntt_fallbacks += band_stats.ntt_fallbacks;
-                stats.pow2_fallbacks += band_stats.pow2_fallbacks;
-                y_server[enc.band_output_range(b, oc)].copy_from_slice(&server_share);
-                down.send(&response)?;
-                order.push((b, oc));
+        let mut y_server = vec![0u64; shape.output_len()];
+        let mut fallbacks = 0;
+        for (oc, oc_result) in per_oc.into_iter().enumerate() {
+            let (response, counts) = oc_result?;
+            stats.sparse_weight_transforms += counts.sparse * groups;
+            fallbacks += counts.fallback;
+            let at = enc.band_output_range(0, oc).start;
+            y_server[at..at + response.server_share.len()].copy_from_slice(&response.server_share);
+            for blob in &response.blobs {
+                down.send(blob)?;
             }
         }
-        stats.ciphertexts_down = order.len();
+        stats.ciphertexts_down = shape.m * bands;
+        stats.weight_transforms = stats.ciphertexts_down * groups;
+        stats.pointwise_muls = (stats.weight_transforms * layer.params().n) as u64;
+        stats.inverse_transforms = 2 * stats.ciphertexts_down;
+        if layer.params().is_pow2() {
+            stats.pow2_fallbacks = fallbacks;
+        } else {
+            stats.ntt_fallbacks = fallbacks;
+        }
 
         // --- Client: drain the downlink (sequential — the transport owns
-        // delivery order and recovery), then deserialize, validate,
-        // decrypt and decode chunk by chunk in parallel: one batched key
-        // product per chunk, each band decoded into its own rows only.
-        let mut received = Vec::with_capacity(order.len());
-        for (b, oc) in order {
-            received.push((b, oc, down.recv()?));
-        }
-        let chunks: Vec<&[(usize, usize, Vec<u8>)]> = received.chunks(KEY_BATCH).collect();
-        let decoded = flash_runtime::parallel_map(&chunks, |chunk| {
-            let _t = flash_telemetry::span!("hconv.decrypt");
-            let cts = chunk
-                .iter()
-                .map(|(_, _, bytes)| {
-                    TruncatedCiphertext::response_from_bytes(bytes, self.truncation, p)
-                })
-                .collect::<Result<Vec<Ciphertext>, _>>()?;
-            let mut plain = U64_SCRATCH.take(cts.len() * p.n);
-            sk.decrypt_batch_into(&cts, &mut plain)?;
-            let mut rows = Vec::new();
-            for ((b, oc, _), m) in chunk.iter().zip(plain.chunks_exact(p.n)) {
-                let at = rows.len();
-                rows.resize(at + enc.band_output_range(*b, *oc).len(), 0u64);
-                enc.decode_band_rows(m, *b, &mut rows[at..]);
-            }
-            Ok::<_, FlashError>(rows)
-        });
-        for (chunk, rows) in chunks.iter().zip(decoded) {
-            let rows = rows?;
-            let mut at = 0;
-            for (b, oc, _) in chunk.iter() {
-                let range = enc.band_output_range(*b, *oc);
-                let len = range.len();
-                y_client[range].copy_from_slice(&rows[at..at + len]);
-                at += len;
-            }
-        }
+        // delivery order and recovery), then unseal.
+        let received = (0..stats.ciphertexts_down)
+            .map(|_| down.recv())
+            .collect::<Result<Vec<_>, _>>()?;
+        let y_client = layer.unseal(sk, &received)?;
+        stats.download_bytes = down.stats().payload_bytes as usize;
 
         let wire = up.stats().merge(down.stats());
         stats.upload_wire_bytes = up.stats().wire_bytes as usize;
@@ -607,68 +369,8 @@ impl ConvProtocol {
 
     /// Reconstructs the signed output from the two shares.
     pub fn reconstruct(&self, shares: &ConvOutputShares) -> Vec<i64> {
-        self.ring.reconstruct_vec(&shares.client, &shares.server)
+        self.ring().reconstruct_vec(&shares.client, &shares.server)
     }
-}
-
-/// The worst-case decryption-noise bound of one `(oc, band)` response on
-/// the exact pipeline — fresh encryption, server share fold, one weight
-/// multiply per channel group accumulated into the response, the output
-/// mask, and the agreed truncation — plus the total `Σw²` of the band's
-/// weights (the input to [`flash_he::backend::ApproxErrorModel`]).
-///
-/// `w_polys` is one output channel's encoding
-/// ([`ConvEncoder::encode_weight`]): `w_polys[group][band]` is a length-`N`
-/// polynomial. Shared by [`ConvProtocol`] (per run) and the serving layer
-/// (once per registered model — the bound depends only on the weights, so
-/// a server can hoist it out of the per-request path).
-pub fn conv_band_noise_bound(
-    params: &HeParams,
-    w_polys: &[Vec<Vec<i64>>],
-    b: usize,
-    truncation: Option<(u32, u32)>,
-) -> (NoiseBound, f64) {
-    let base = NoiseBound::fresh(params).after_plain_add();
-    let mut acc: Option<NoiseBound> = None;
-    let mut w_sq = 0.0;
-    for w_poly in w_polys {
-        let band = &w_poly[b];
-        let l1: f64 = band.iter().map(|&v| (v as f64).abs()).sum();
-        w_sq += band.iter().map(|&v| (v as f64) * (v as f64)).sum::<f64>();
-        let nb = base.after_plain_mul(l1);
-        acc = Some(match acc {
-            None => nb,
-            Some(a) => a.after_ct_add(&nb),
-        });
-    }
-    let mut nb = acc.unwrap_or(base).after_plain_add();
-    if let Some((d0, d1)) = truncation {
-        let pow = |d: u32| {
-            if d == 0 {
-                0.0
-            } else {
-                (2.0f64).powi(d as i32 - 1)
-            }
-        };
-        nb = nb.after_computation_error(pow(d0) + pow(d1) * params.n as f64);
-    }
-    (nb, w_sq)
-}
-
-/// The interned sparse weight-transform plan of band `b`.
-///
-/// The pattern comes from [`ConvEncoder::weight_indices`] — purely
-/// structural, shared by every output channel and kernel placement of the
-/// layer — folded into the `n/2`-slot negacyclic FFT domain, so all
-/// `(oc, group)` jobs of a band share one interned tape. Callers decide
-/// between the tape and the dense path via [`SparsePlan::worthwhile`].
-pub fn conv_band_plan(encoder: &ConvEncoder, n: usize, b: usize) -> Arc<SparsePlan> {
-    let half = n / 2;
-    let mut mask = vec![false; half];
-    for idx in encoder.weight_indices(b) {
-        mask[idx % half] = true;
-    }
-    SparsePlan::shared(&SparsityPattern::from_mask(mask))
 }
 
 /// Signed reference convolution reduced into `Z_{2^l}` (what the protocol

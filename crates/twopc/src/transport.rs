@@ -382,9 +382,10 @@ pub trait Transport {
 
 /// In-memory simplex link with loss/corruption recovery.
 ///
-/// The sender retains every payload in an outbox (the real-protocol
-/// analogue of a retransmission buffer); the receiver delivers messages
-/// strictly in order, stashing valid early arrivals, discarding
+/// The sender retains every undelivered payload in an outbox (the
+/// real-protocol analogue of a retransmission buffer, released as the
+/// receiver's cumulative acknowledgement advances); the receiver delivers
+/// messages strictly in order, stashing valid early arrivals, discarding
 /// duplicates, and re-requesting the expected frame when it is missing
 /// or corrupt.
 #[derive(Debug)]
@@ -394,8 +395,12 @@ pub struct InMemoryTransport {
     /// Jitter RNG of the backoff schedule — its own stream, so retry
     /// pacing perturbs neither the fault injector nor the protocol.
     backoff_rng: Box<StdRng>,
-    /// Clean payloads by sequence number (retransmission source).
-    outbox: Vec<Vec<u8>>,
+    /// Clean payloads not yet delivered (retransmission source); the
+    /// front entry has sequence number `next_recv`.
+    outbox: VecDeque<Vec<u8>>,
+    /// Messages accepted from the sender so far: the next sequence number
+    /// to assign, and the bound no genuine frame's `seq` can reach.
+    sent: u32,
     /// Frames in flight.
     wire: VecDeque<Vec<u8>>,
     /// Valid frames that arrived ahead of the expected sequence number.
@@ -414,7 +419,8 @@ impl InMemoryTransport {
             cfg,
             injector,
             backoff_rng,
-            outbox: Vec::new(),
+            outbox: VecDeque::new(),
+            sent: 0,
             wire: VecDeque::new(),
             stash: BTreeMap::new(),
             next_recv: 0,
@@ -451,13 +457,22 @@ impl InMemoryTransport {
     /// Whether a message the receiver has not yet consumed has been
     /// queued (delivered, in flight, or recoverable from the outbox).
     pub fn has_pending(&self) -> bool {
-        (self.next_recv as usize) < self.outbox.len()
+        self.next_recv < self.sent
     }
 
-    /// Frames (or re-frames) `outbox[seq]` and puts it on the wire,
-    /// applying the injector's next fault op.
+    /// Delivers `payload` as message `next_recv` and releases the outbox
+    /// entry that backed its retransmissions — `recv` only ever
+    /// re-requests `next_recv`, so nothing below it is needed again.
+    fn deliver(&mut self, payload: Vec<u8>) -> Vec<u8> {
+        self.next_recv += 1;
+        self.outbox.pop_front();
+        payload
+    }
+
+    /// Frames (or re-frames) the retained payload `seq` and puts it on
+    /// the wire, applying the injector's next fault op.
     fn transmit(&mut self, seq: u32) {
-        let frame = encode_frame(seq, &self.outbox[seq as usize]);
+        let frame = encode_frame(seq, &self.outbox[(seq - self.next_recv) as usize]);
         let op = match self.injector.as_mut() {
             Some(inj) => inj.next_op(frame.len()),
             None => FaultOp::None,
@@ -492,22 +507,22 @@ impl Transport for InMemoryTransport {
     fn send(&mut self, payload: &[u8]) -> Result<(), ProtocolError> {
         self.stats.messages += 1;
         self.stats.payload_bytes += payload.len() as u64;
-        self.outbox.push(payload.to_vec());
-        self.transmit((self.outbox.len() - 1) as u32);
+        self.outbox.push_back(payload.to_vec());
+        self.sent += 1;
+        self.transmit(self.sent - 1);
         Ok(())
     }
 
     fn recv(&mut self) -> Result<Vec<u8>, ProtocolError> {
         let want = self.next_recv;
-        if want as usize >= self.outbox.len() {
+        if want >= self.sent {
             return Err(ProtocolError::UnknownFrame { seq: want });
         }
         let mut attempts = 0u32;
         let mut spent_us = 0u64;
         loop {
             if let Some(p) = self.stash.remove(&want) {
-                self.next_recv += 1;
-                return Ok(p);
+                return Ok(self.deliver(p));
             }
             let Some(frame) = self.wire.pop_front() else {
                 // The expected frame is gone (dropped, or consumed as a
@@ -537,14 +552,13 @@ impl Transport for InMemoryTransport {
             match decode_frame(&frame, self.cfg.verify_checksums) {
                 Err(_) => self.stats.faults_detected += 1,
                 Ok((seq, payload)) => {
-                    if seq as usize >= self.outbox.len() {
+                    if seq >= self.sent {
                         // With checksums off, a flipped sequence field can
                         // forge an out-of-schedule id; treat as corruption.
                         self.stats.faults_detected += 1;
                     } else if seq == want {
                         let payload = payload.to_vec();
-                        self.next_recv += 1;
-                        return Ok(payload);
+                        return Ok(self.deliver(payload));
                     } else if seq > want {
                         match self.stash.entry(seq) {
                             std::collections::btree_map::Entry::Vacant(e) => {
@@ -927,5 +941,48 @@ mod tests {
         // different seeds produce different fault accounting eventually
         let differs = (0..16).any(|s| run(s).1 != run(s + 100).1);
         assert!(differs, "fault schedules should vary with the seed");
+    }
+
+    #[test]
+    fn a_long_lived_link_retains_only_the_in_flight_window() {
+        // `recv` only ever re-requests `next_recv`, so every delivered
+        // payload must leave the outbox: 10 000 send/recv pairs keep one
+        // message in flight, on a clean link and on one faulting 5 % of
+        // its frames (stale duplicates wait on the wire for the next
+        // receive at most).
+        let lossy = FaultConfig {
+            seed: 0x0B0C,
+            flip: 0.01,
+            truncate: 0.01,
+            drop: 0.01,
+            duplicate: 0.01,
+            reorder: 0.01,
+        };
+        for cfg in [
+            TransportConfig::default(),
+            TransportConfig::faulty(FaultPlan::Random(lossy)),
+        ] {
+            let faulty = cfg.faults.is_some();
+            let mut t = InMemoryTransport::new(cfg);
+            for i in 0..10_000u32 {
+                let payload = i.to_le_bytes().repeat(16);
+                t.send(&payload).unwrap();
+                assert_eq!(t.outbox.len(), 1, "message {i}");
+                assert_eq!(t.recv().unwrap(), payload, "message {i}");
+                assert!(t.outbox.is_empty() && t.stash.is_empty(), "message {i}");
+                assert!(
+                    t.wire.len() <= 2,
+                    "message {i}: {} on the wire",
+                    t.wire.len()
+                );
+                assert!(!t.has_pending());
+            }
+            assert_eq!(
+                t.recv(),
+                Err(ProtocolError::UnknownFrame { seq: 10_000 }),
+                "the schedule bound survives the release"
+            );
+            assert_eq!(faulty, t.stats().faults_detected > 0);
+        }
     }
 }
