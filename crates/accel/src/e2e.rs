@@ -677,6 +677,44 @@ mod tests {
     }
 
     #[test]
+    fn resnet18_private_counts_are_the_encoded_shape_plans() {
+        // The benchmark's network: every conv, stride 2 included, is one
+        // round trip whose ciphertext counts are the plan of its
+        // `encoded_shape` — the shape the workload model counts too.
+        let cfg = e2e_config();
+        let mut rng = StdRng::seed_from_u64(24);
+        let net = QuantResnet::reduced_resnet18(8, 32, 10, &mut rng);
+        let engine = FlashHconv::with_backend(cfg.clone(), PolyMulBackend::Pow2);
+        let ring = engine.ring();
+        let sk = SecretKey::generate(&cfg.he, &mut rng);
+        let (mut up, mut down, mut fallbacks) = (0, 0, 0);
+        for unit in net.units_in_order() {
+            let spec = &unit.spec;
+            let x = spec.sample_input(Quantizer::a4(), &mut rng);
+            let (xc, xs) = ring.share_vec(&x, &mut rng);
+            let ((yc, ys), stats) = engine
+                .run_layer_shared(&sk, spec, &xc, &xs, &unit.weights, &mut rng)
+                .expect("conv layer");
+            let want: Vec<i64> = flash_nn::layers::conv_reference(&x, &unit.weights, spec)
+                .iter()
+                .map(|&v| ring.to_signed(ring.reduce(v)))
+                .collect();
+            assert_eq!(ring.reconstruct_vec(&yc, &ys), want, "{}", spec.name);
+            let enc = flash_he::encoding::ConvEncoder::new(spec.encoded_shape(), cfg.he.n);
+            assert_eq!(
+                (stats.ciphertexts_up, stats.ciphertexts_down),
+                (enc.activation_polys(), enc.result_polys()),
+                "{}",
+                spec.name
+            );
+            up += stats.ciphertexts_up;
+            down += stats.ciphertexts_down;
+            fallbacks += stats.pow2_fallbacks;
+        }
+        assert_eq!((up, down, fallbacks), (76, 608, 0));
+    }
+
+    #[test]
     fn resnet_reduced_private_inference_matches_plaintext() {
         let mut rng = StdRng::seed_from_u64(23);
         let net = QuantResnet::reduced_resnet18(16, 16, 8, &mut rng);

@@ -10,11 +10,10 @@ use flash_2pc::error::FlashError;
 use flash_2pc::protocol::{ConvProtocol, ProtocolStats};
 use flash_2pc::shares::ShareRing;
 use flash_2pc::transport::TransportConfig;
-use flash_he::encoding::{pad_input, stride2_decompose, strided_out_dims, ConvShape};
+use flash_he::encoding::{pad_input, ConvShape};
 use flash_he::{PolyMulBackend, SecretKey};
 use flash_nn::layers::ConvLayerSpec;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 
 /// Output of [`FlashHconv::run_layer_shared`]: the still-secret
 /// `(client, server)` share pair of the conv output, plus the
@@ -123,10 +122,14 @@ impl FlashHconv {
     /// of a full private pipeline, where the share pair chains into the
     /// 2PC non-linear layer instead of being reconstructed.
     ///
-    /// Padding and the stride-2 phase decomposition are pure reindexing,
-    /// so they apply to each share independently (`(0, 0)` is a valid
-    /// share of the zero padding); the four stride-2 phase outputs sum
-    /// share-wise in the ring.
+    /// Both strides take one path: pad each share, fold it
+    /// ([`ConvLayerSpec::fold`]: the identity at stride 1, phase channels
+    /// at stride 2), run one [`ConvProtocol::run_shared`] round trip over
+    /// the folded shape and crop its output to the layer's. Padding and
+    /// the fold are pure reindexing, so they apply to each share
+    /// independently (`(0, 0)` is a valid share of the zero padding),
+    /// and the stride-2 phase sum happens inside the homomorphic channel
+    /// accumulation.
     ///
     /// # Errors
     ///
@@ -147,71 +150,16 @@ impl FlashHconv {
         let _t = flash_telemetry::span!("hconv.layer");
         assert_eq!(xc.len(), spec.c * spec.h * spec.w, "input size mismatch");
         assert_eq!(xc.len(), xs.len(), "share length mismatch");
-        let as_raw = |share: &[u64]| -> Vec<i64> { share.iter().map(|&v| v as i64).collect() };
-        let xc_pad = pad_input(&as_raw(xc), spec.c, spec.h, spec.w, spec.pad);
-        let xs_pad = pad_input(&as_raw(xs), spec.c, spec.h, spec.w, spec.pad);
-        let back = |v: &[i64]| -> Vec<u64> { v.iter().map(|&x| x as u64).collect() };
-        let (hp, wp) = (spec.h + 2 * spec.pad, spec.w + 2 * spec.pad);
-        let shape = ConvShape {
-            c: spec.c,
-            h: hp,
-            w: wp,
-            m: spec.m,
-            k: spec.k,
-        };
-        match spec.stride {
-            1 => {
-                let proto = self.protocol(shape);
-                let (shares, stats) =
-                    proto.run_shared(sk, &back(&xc_pad), &back(&xs_pad), weights, rng)?;
-                Ok(((shares.client, shares.server), stats))
-            }
-            2 => {
-                // Decompose each share with the same weights: the phase
-                // kernels are identical, only the reindexed activations
-                // differ.
-                let (sub, parts_c) = stride2_decompose(&xc_pad, weights, &shape);
-                let (_, parts_s) = stride2_decompose(&xs_pad, weights, &shape);
-                let (oh, ow) = strided_out_dims(hp, wp, spec.k, 2);
-                let ring = self.ring();
-                let sub_len = spec.m * sub.out_h() * sub.out_w();
-                let mut sum_c = vec![0u64; sub_len];
-                let mut sum_s = vec![0u64; sub_len];
-                let mut stats = ProtocolStats::default();
-                let phase_seeds: Vec<u64> = parts_c.iter().map(|_| rng.next_u64()).collect();
-                let phase_results = flash_runtime::parallel_gen(parts_c.len(), |i| {
-                    let (pxc, fs) = &parts_c[i];
-                    let (pxs, _) = &parts_s[i];
-                    let proto = self.protocol(sub);
-                    let mut phase_rng = StdRng::seed_from_u64(phase_seeds[i]);
-                    proto.run_shared(sk, &back(pxc), &back(pxs), fs, &mut phase_rng)
-                });
-                for phase in phase_results {
-                    let (shares, s) = phase?;
-                    for (acc, v) in sum_c.iter_mut().zip(&shares.client) {
-                        *acc = ring.add(*acc, *v);
-                    }
-                    for (acc, v) in sum_s.iter_mut().zip(&shares.server) {
-                        *acc = ring.add(*acc, *v);
-                    }
-                    stats = stats.merge(s);
-                }
-                let mut out_c = vec![0u64; spec.m * oh * ow];
-                let mut out_s = vec![0u64; spec.m * oh * ow];
-                for oc in 0..spec.m {
-                    for p in 0..oh {
-                        for q in 0..ow {
-                            let dst = (oc * oh + p) * ow + q;
-                            let src = (oc * sub.out_h() + p) * sub.out_w() + q;
-                            out_c[dst] = sum_c[src];
-                            out_s[dst] = sum_s[src];
-                        }
-                    }
-                }
-                Ok(((out_c, out_s), stats))
-            }
-            s => panic!("unsupported stride {s}"),
-        }
+        let fold = spec.fold();
+        let encode =
+            |share: &[u64]| fold.activation(&pad_input(share, spec.c, spec.h, spec.w, spec.pad));
+        let proto = self.protocol(fold.shape());
+        let (shares, stats) =
+            proto.run_shared(sk, &encode(xc), &encode(xs), &fold.kernel(weights), rng)?;
+        Ok((
+            (fold.crop(&shares.client), fold.crop(&shares.server)),
+            stats,
+        ))
     }
 }
 
@@ -306,6 +254,39 @@ mod tests {
             },
             4,
         );
+    }
+
+    #[test]
+    fn folded_stem_matches_reference_on_pow2_ring() {
+        // The 7×7/2 stem at the end-to-end operating point: four phase
+        // channels per input channel, a 4×4 folded kernel, one round trip.
+        let cfg = crate::e2e::e2e_config();
+        let spec = ConvLayerSpec {
+            name: "conv1".into(),
+            c: 3,
+            h: 32,
+            w: 32,
+            m: 8,
+            k: 7,
+            stride: 2,
+            pad: 3,
+        };
+        let engine = FlashHconv::with_backend(cfg.clone(), PolyMulBackend::Pow2);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+        let sk = SecretKey::generate(&cfg.he, &mut rng);
+        let x = spec.sample_input(Quantizer::a4(), &mut rng);
+        let w = spec.sample_weights(Quantizer::w4(), &mut rng);
+        let (got, stats) = engine.run_layer(&sk, &spec, &x, &w, &mut rng).unwrap();
+        let ring = engine.ring();
+        let want: Vec<i64> = conv_reference(&x, &w, &spec)
+            .iter()
+            .map(|&v| ring.to_signed(ring.reduce(v)))
+            .collect();
+        assert_eq!(got, want);
+        let enc = flash_he::encoding::ConvEncoder::new(spec.encoded_shape(), cfg.he.n);
+        assert_eq!(stats.ciphertexts_up, enc.activation_polys());
+        assert_eq!(stats.ciphertexts_down, enc.result_polys());
+        assert_eq!(stats.pow2_fallbacks, 0);
     }
 
     #[test]

@@ -22,9 +22,8 @@ fn main() {
         let mut up = 0usize;
         let mut down = 0usize;
         for l in &net.convs {
-            let phases = if l.stride == 2 { 4 } else { 1 };
             let enc = ConvEncoder::with_alignment(l.encoded_shape(), N, TileAlignment::PowerOfTwo);
-            up += phases * enc.activation_polys();
+            up += enc.activation_polys();
             // results repacked to the output volume before download
             let out = l.m * l.out_h() * l.out_w();
             down += out.div_ceil(N).max(1);
@@ -47,16 +46,10 @@ fn main() {
         println!(
             "(compact layout upload would be {:>6} ciphertexts — the aligned layout's \
              cost for its sparsity)",
-            {
-                let mut c = 0usize;
-                for l in &net.convs {
-                    let phases = if l.stride == 2 { 4 } else { 1 };
-                    let enc =
-                        ConvEncoder::with_alignment(l.encoded_shape(), N, TileAlignment::Compact);
-                    c += phases * enc.activation_polys();
-                }
-                c
-            }
+            net.convs
+                .iter()
+                .map(|l| ConvEncoder::new(l.encoded_shape(), N).activation_polys())
+                .sum::<usize>()
         );
     }
     println!();

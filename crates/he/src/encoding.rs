@@ -31,6 +31,13 @@
 //! `N`, rows are split into overlapping spatial bands. Partial products
 //! along the channel-group axis accumulate homomorphically; bands and
 //! output channels are independent ciphertexts.
+//!
+//! A stride-2 layer is not a separate protocol: [`StrideFold`] rewrites
+//! it as one stride-1 convolution over *phase channels*. Phase `(α, β)`
+//! of input channel `c` holds the pixels at rows `2i + α`, columns
+//! `2j + β`, and meets the kernel taps at the same parities, so the sum
+//! over phases — the stride-2 output — is just more channels of the
+//! homomorphic channel accumulation above.
 
 use std::fmt;
 
@@ -443,11 +450,13 @@ pub fn direct_conv_stride1(x: &[i64], f: &[i64], shape: &ConvShape) -> Vec<i64> 
     y
 }
 
-/// Zero-pads a `c×h×w` tensor by `pad` on each spatial side.
-pub fn pad_input(x: &[i64], c: usize, h: usize, w: usize, pad: usize) -> Vec<i64> {
+/// Zero-pads a `c×h×w` tensor by `pad` on each spatial side. Any
+/// coefficient type: signed values, or ring elements of a secret share
+/// (zero is a share of zero).
+pub fn pad_input<T: Copy + Default>(x: &[T], c: usize, h: usize, w: usize, pad: usize) -> Vec<T> {
     assert_eq!(x.len(), c * h * w);
     let (hp, wp) = (h + 2 * pad, w + 2 * pad);
-    let mut out = vec![0i64; c * hp * wp];
+    let mut out = vec![T::default(); c * hp * wp];
     for cc in 0..c {
         for i in 0..h {
             for j in 0..w {
@@ -458,67 +467,126 @@ pub fn pad_input(x: &[i64], c: usize, h: usize, w: usize, pad: usize) -> Vec<i64
     out
 }
 
-/// Decomposes a stride-2 convolution into four stride-1 convolutions over
-/// the even/odd subsampled inputs and kernels; the four outputs sum.
+/// A stride-1 or stride-2 convolution over a padded input, folded into
+/// one stride-1 convolution over phase channels.
 ///
-/// Returns `(sub_shape, [(x_sub, f_sub); 4])` where `f_sub` covers all `m`
-/// output channels. Kernel sub-grids that are empty for a phase still
-/// appear (as all-zero kernels) so the caller's accumulation is uniform.
-pub type Stride2Phases = Vec<(Vec<i64>, Vec<i64>)>;
+/// At stride 2 the folded shape has `P·c` channels of `⌈h/2⌉ × ⌈w/2⌉`
+/// and a `⌈k/2⌉` kernel, where `P = min(k, 2)²` counts the phases whose
+/// kernel sub-grid holds at least one tap: a phase without taps is
+/// dropped, so a 1×1 kernel keeps phase `(0, 0)` alone. Channels are
+/// phase-major (`phase·c + channel`, phases in `(α, β)` row order), and
+/// cells past an odd edge are zero. At stride 1 the fold is the identity.
+///
+/// The folded convolution's output holds the strided one in its top-left
+/// corner; [`StrideFold::crop`] cuts it out. Only an even `k` over an
+/// odd padded size leaves an extra row/column to cut.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StrideFold {
+    padded: ConvShape,
+    stride: usize,
+}
 
-/// See [`Stride2Phases`] for the per-phase `(activation, kernel)` pairs.
-pub fn stride2_decompose(x: &[i64], f: &[i64], shape: &ConvShape) -> (ConvShape, Stride2Phases) {
-    let s = shape;
-    assert_eq!(x.len(), s.input_len());
-    assert_eq!(f.len(), s.m * s.kernel_len());
-    // Subsampled dimensions (ceil for phase 0).
-    let hs = s.h.div_ceil(2);
-    let ws = s.w.div_ceil(2);
-    let ks = s.k.div_ceil(2);
-    let sub_shape = ConvShape {
-        c: s.c,
-        h: hs,
-        w: ws,
-        m: s.m,
-        k: ks,
-    };
-    let mut parts = Vec::with_capacity(4);
-    for alpha in 0..2usize {
-        for beta in 0..2usize {
-            let mut xs = vec![0i64; s.c * hs * ws];
-            for c in 0..s.c {
-                for i in 0..hs {
-                    for j in 0..ws {
-                        let (hi, wj) = (2 * i + alpha, 2 * j + beta);
-                        if hi < s.h && wj < s.w {
-                            xs[(c * hs + i) * ws + j] = x[(c * s.h + hi) * s.w + wj];
-                        }
-                    }
-                }
-            }
-            let mut fs = vec![0i64; s.m * s.c * ks * ks];
-            for oc in 0..s.m {
-                for c in 0..s.c {
-                    for a in 0..ks {
-                        for b in 0..ks {
-                            let (ki, kj) = (2 * a + alpha, 2 * b + beta);
-                            if ki < s.k && kj < s.k {
-                                fs[((oc * s.c + c) * ks + a) * ks + b] =
-                                    f[((oc * s.c + c) * s.k + ki) * s.k + kj];
+impl StrideFold {
+    /// Plans the fold of a convolution over the padded input `padded`.
+    ///
+    /// # Panics
+    ///
+    /// Panics for strides other than 1 and 2.
+    pub fn new(padded: ConvShape, stride: usize) -> Self {
+        assert!(matches!(stride, 1 | 2), "unsupported stride {stride}");
+        Self { padded, stride }
+    }
+
+    /// Phases per axis that meet at least one kernel tap.
+    fn phases_per_axis(&self) -> usize {
+        self.padded.k.min(self.stride)
+    }
+
+    /// The folded stride-1 shape.
+    pub fn shape(&self) -> ConvShape {
+        let p = self.phases_per_axis();
+        ConvShape {
+            c: p * p * self.padded.c,
+            h: self.padded.h.div_ceil(self.stride),
+            w: self.padded.w.div_ceil(self.stride),
+            m: self.padded.m,
+            k: self.padded.k.div_ceil(self.stride),
+        }
+    }
+
+    /// Output `(height, width)` of the strided convolution.
+    fn out_dims(&self) -> (usize, usize) {
+        let s = &self.padded;
+        ((s.h - s.k) / self.stride + 1, (s.w - s.k) / self.stride + 1)
+    }
+
+    /// Folds the padded activation (`c·h·w` row-major) into the folded
+    /// shape's input. Any coefficient type: signed values, or ring
+    /// elements of a secret share (zero is a share of zero).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.len()` differs from the padded input size.
+    pub fn activation<T: Copy + Default>(&self, x: &[T]) -> Vec<T> {
+        assert_eq!(x.len(), self.padded.input_len(), "activation size mismatch");
+        self.split_phases(x, 1, self.padded.h, self.padded.w)
+    }
+
+    /// Folds the `m×c×k×k` kernel into the folded shape's kernel.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `f.len()` differs from `m·c·k²`.
+    pub fn kernel(&self, f: &[i64]) -> Vec<i64> {
+        let s = &self.padded;
+        assert_eq!(f.len(), s.m * s.kernel_len(), "kernel size mismatch");
+        self.split_phases(f, s.m, s.k, s.k)
+    }
+
+    /// Cuts the strided output (`m × out_dims`) out of the folded
+    /// convolution's output (`m × shape().out_h() × shape().out_w()`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `y.len()` differs from the folded output size.
+    pub fn crop<T: Copy>(&self, y: &[T]) -> Vec<T> {
+        let folded = self.shape();
+        assert_eq!(y.len(), folded.output_len(), "output size mismatch");
+        let (oh, ow) = self.out_dims();
+        y.chunks_exact(folded.out_w())
+            .enumerate()
+            .filter(|(row, _)| row % folded.out_h() < oh)
+            .flat_map(|(_, r)| &r[..ow])
+            .copied()
+            .collect()
+    }
+
+    /// Splits `outer` stacked `c×h×w` tensors by stride phase: cell
+    /// `(i, j)` of phase `(α, β)` of channel `ch` reads `(s·i + α,
+    /// s·j + β)` and lands in channel `(α·p + β)·c + ch` of the
+    /// `(p²·c)×⌈h/s⌉×⌈w/s⌉` result.
+    fn split_phases<T: Copy + Default>(&self, x: &[T], outer: usize, h: usize, w: usize) -> Vec<T> {
+        let (s, p, c) = (self.stride, self.phases_per_axis(), self.padded.c);
+        let (hs, ws) = (h.div_ceil(s), w.div_ceil(s));
+        let mut out = vec![T::default(); outer * p * p * c * hs * ws];
+        for o in 0..outer {
+            for alpha in 0..p {
+                for beta in 0..p {
+                    for ch in 0..c {
+                        let src = &x[(o * c + ch) * h * w..][..h * w];
+                        let dst_ch = (o * p * p + alpha * p + beta) * c + ch;
+                        let dst = &mut out[dst_ch * hs * ws..][..hs * ws];
+                        for (i, row) in (alpha..h).step_by(s).enumerate() {
+                            for (j, col) in (beta..w).step_by(s).enumerate() {
+                                dst[i * ws + j] = src[row * w + col];
                             }
                         }
                     }
                 }
             }
-            parts.push((xs, fs));
         }
+        out
     }
-    (sub_shape, parts)
-}
-
-/// Output shape of a strided convolution given the *padded* input shape.
-pub fn strided_out_dims(h: usize, w: usize, k: usize, stride: usize) -> (usize, usize) {
-    ((h - k) / stride + 1, (w - k) / stride + 1)
 }
 
 #[cfg(test)]
@@ -537,13 +605,12 @@ mod tests {
         (x, f)
     }
 
-    /// Runs the full encode → negacyclic-multiply → accumulate → decode
-    /// pipeline in plain integers and compares with the direct conv.
-    fn check_encoded_conv(shape: ConvShape, n: usize, align: TileAlignment, seed: u64) {
-        let (x, f) = rand_conv(&shape, seed);
-        let enc = ConvEncoder::with_alignment(shape, n, align);
+    /// The full encode → negacyclic-multiply → accumulate → decode
+    /// pipeline in plain integers.
+    fn encoded_conv(enc: &ConvEncoder, x: &[i64], f: &[i64]) -> Vec<i64> {
+        let (shape, n) = (*enc.shape(), enc.degree());
         let fft = flash_fft::NegacyclicFft::shared(n);
-        let acts = enc.encode_activation(&x);
+        let acts = enc.encode_activation(x);
         let mut y = vec![0i64; shape.output_len()];
         for oc in 0..shape.m {
             let w_polys =
@@ -560,8 +627,15 @@ mod tests {
                 enc.decode_band(&acc64, b, oc, &mut y);
             }
         }
+        y
+    }
+
+    /// Runs [`encoded_conv`] and compares with the direct conv.
+    fn check_encoded_conv(shape: ConvShape, n: usize, align: TileAlignment, seed: u64) {
+        let (x, f) = rand_conv(&shape, seed);
+        let enc = ConvEncoder::with_alignment(shape, n, align);
         assert_eq!(
-            y,
+            encoded_conv(&enc, &x, &f),
             direct_conv_stride1(&x, &f, &shape),
             "shape {shape} n={n} align {align:?}"
         );
@@ -745,54 +819,51 @@ mod tests {
         assert_eq!(p[0], 0);
     }
 
+    /// Seeded sweep over odd and even padded sizes, every padding up to
+    /// 3 and kernels 1 (dropped phases), 2 (the crop), 3, 5 and 7: pad →
+    /// fold → encode → negacyclic multiply → decode → crop equals the
+    /// stride-2 convolution, i.e. the stride-1 output at even positions.
     #[test]
-    fn stride2_decomposition_matches_direct() {
-        let shape = ConvShape {
-            c: 2,
-            h: 8,
-            w: 8,
-            m: 2,
-            k: 3,
-        };
-        let (x, f) = rand_conv(&shape, 8);
-        // direct strided reference
-        let (oh, ow) = strided_out_dims(shape.h, shape.w, shape.k, 2);
-        let mut want = vec![0i64; shape.m * oh * ow];
-        for oc in 0..shape.m {
-            for p in 0..oh {
-                for q in 0..ow {
-                    let mut acc = 0;
-                    for c in 0..shape.c {
-                        for i in 0..shape.k {
-                            for j in 0..shape.k {
-                                acc += x[(c * shape.h + 2 * p + i) * shape.w + 2 * q + j]
-                                    * f[((oc * shape.c + c) * shape.k + i) * shape.k + j];
-                            }
+    fn stride2_fold_matches_strided_reference() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(8);
+        let m = 2;
+        for c in [1, 3] {
+            for (h, w) in (5..=9).flat_map(|h| (5..=9).map(move |w| (h, w))) {
+                for pad in 0..=3 {
+                    for k in [1, 2, 3, 5, 7] {
+                        let padded = ConvShape {
+                            c,
+                            h: h + 2 * pad,
+                            w: w + 2 * pad,
+                            m,
+                            k,
+                        };
+                        if k > padded.h.min(padded.w) {
+                            continue;
                         }
+                        let x: Vec<i64> = (0..c * h * w).map(|_| rng.gen_range(-8..8)).collect();
+                        let f: Vec<i64> = (0..m * padded.kernel_len())
+                            .map(|_| rng.gen_range(-8..8))
+                            .collect();
+                        let xp = pad_input(&x, c, h, w, pad);
+
+                        let full = direct_conv_stride1(&xp, &f, &padded);
+                        let (oh, ow) = ((padded.h - k) / 2 + 1, (padded.w - k) / 2 + 1);
+                        let want: Vec<i64> = (0..m * oh * ow)
+                            .map(|i| {
+                                let (oc, p, q) = (i / (oh * ow), i / ow % oh, i % ow);
+                                full[(oc * padded.out_h() + 2 * p) * padded.out_w() + 2 * q]
+                            })
+                            .collect();
+
+                        let fold = StrideFold::new(padded, 2);
+                        let folded = fold.shape();
+                        assert_eq!(folded.c, c * k.min(2).pow(2), "{padded}");
+                        assert_eq!(fold.out_dims(), (oh, ow), "{padded}");
+                        let enc = ConvEncoder::new(folded, 256);
+                        let y = encoded_conv(&enc, &fold.activation(&xp), &fold.kernel(&f));
+                        assert_eq!(fold.crop(&y), want, "{padded} pad {pad}");
                     }
-                    want[(oc * oh + p) * ow + q] = acc;
-                }
-            }
-        }
-        // via decomposition
-        let (sub, parts) = stride2_decompose(&x, &f, &shape);
-        let mut sum = vec![0i64; sub.output_len()];
-        for (xs, fs) in &parts {
-            let y = direct_conv_stride1(xs, fs, &sub);
-            for (s_, v) in sum.iter_mut().zip(&y) {
-                *s_ += v;
-            }
-        }
-        // the stride-2 output is the top-left (oh x ow) block of the
-        // sub-convolution output
-        for oc in 0..shape.m {
-            for p in 0..oh {
-                for q in 0..ow {
-                    assert_eq!(
-                        sum[(oc * sub.out_h() + p) * sub.out_w() + q],
-                        want[(oc * oh + p) * ow + q],
-                        "oc={oc} p={p} q={q}"
-                    );
                 }
             }
         }

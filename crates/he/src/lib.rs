@@ -14,7 +14,8 @@
 //!   tracking.
 //! * [`backend`] — the pluggable negacyclic multiplier.
 //! * [`encoding`] — Cheetah coefficient encoding of convolutions,
-//!   including padding, channel/spatial tiling and stride-2 decomposition.
+//!   including padding, channel/spatial tiling and the stride-2 fold
+//!   into phase channels.
 //!
 //! # Examples
 //!

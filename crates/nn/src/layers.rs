@@ -1,7 +1,7 @@
 //! Convolution layer specifications and integer reference execution.
 
 use crate::quant::Quantizer;
-use flash_he::encoding::{pad_input, ConvShape};
+use flash_he::encoding::{pad_input, ConvShape, StrideFold};
 use rand::Rng;
 
 /// A convolution layer of a quantized network.
@@ -46,35 +46,32 @@ impl ConvLayerSpec {
         self.m * self.c * self.k * self.k
     }
 
-    /// The padded stride-1 [`ConvShape`] this layer encodes to (stride-2
-    /// layers are first decomposed; see
-    /// [`flash_he::encoding::stride2_decompose`]).
+    /// The fold of this layer over its padded input: the identity at
+    /// stride 1, phase channels at stride 2 (see [`StrideFold`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics for strides other than 1 and 2.
+    pub fn fold(&self) -> StrideFold {
+        let padded = ConvShape {
+            c: self.c,
+            h: self.h + 2 * self.pad,
+            w: self.w + 2 * self.pad,
+            m: self.m,
+            k: self.k,
+        };
+        StrideFold::new(padded, self.stride)
+    }
+
+    /// The stride-1 [`ConvShape`] this layer encodes to: the padded
+    /// input, folded into `min(k, 2)²` phase channels per input channel
+    /// at stride 2. Every ciphertext count of the layer follows from it.
     ///
     /// # Panics
     ///
     /// Panics for strides other than 1 and 2.
     pub fn encoded_shape(&self) -> ConvShape {
-        match self.stride {
-            1 => ConvShape {
-                c: self.c,
-                h: self.h + 2 * self.pad,
-                w: self.w + 2 * self.pad,
-                m: self.m,
-                k: self.k,
-            },
-            2 => {
-                let hp = self.h + 2 * self.pad;
-                let wp = self.w + 2 * self.pad;
-                ConvShape {
-                    c: self.c,
-                    h: hp.div_ceil(2),
-                    w: wp.div_ceil(2),
-                    m: self.m,
-                    k: self.k.div_ceil(2),
-                }
-            }
-            s => panic!("unsupported stride {s}"),
-        }
+        self.fold().shape()
     }
 
     /// Samples realistic quantized weights for this layer.
@@ -246,15 +243,28 @@ mod tests {
                 k: 3
             }
         );
+        // four phase channels per input channel
         let s2 = spec(2, 8, 3, 2, 1);
         assert_eq!(
             s2.encoded_shape(),
             ConvShape {
-                c: 2,
+                c: 8,
                 h: 5,
                 w: 5,
                 m: 2,
                 k: 2
+            }
+        );
+        // a 1x1 downsample keeps phase (0, 0) alone
+        let ds = spec(2, 8, 1, 2, 0);
+        assert_eq!(
+            ds.encoded_shape(),
+            ConvShape {
+                c: 2,
+                h: 4,
+                w: 4,
+                m: 2,
+                k: 1
             }
         );
     }

@@ -21,8 +21,8 @@ pub struct LayerSparsity {
     pub valid_per_poly: usize,
     /// Fraction of zero coefficients.
     pub sparsity: f64,
-    /// Weight polynomials in the whole layer (`groups × m`, with stride-2
-    /// layers counting all four phases).
+    /// Weight polynomials in the whole layer (`groups × m` of the
+    /// encoded shape).
     pub weight_polys: usize,
     /// The coefficient-domain pattern of one weight polynomial.
     pub pattern: SparsityPattern,
@@ -30,20 +30,21 @@ pub struct LayerSparsity {
 
 /// Computes the encoded weight sparsity of a layer at ring degree `n`.
 ///
-/// For stride-2 layers the dominant phase (full `⌈k/2⌉²` taps) is
-/// reported; phase polynomials only differ in a few taps.
+/// Stride-2 layers are measured on their folded
+/// [`ConvLayerSpec::encoded_shape`]: the pattern spans the phase channels
+/// with the full `⌈k/2⌉²` taps each (a phase's missing taps are zero
+/// weights, which only add sparsity).
 pub fn layer_weight_sparsity(spec: &ConvLayerSpec, n: usize) -> LayerSparsity {
     let shape = spec.encoded_shape();
     let enc = ConvEncoder::new(shape, n);
     let idx = enc.weight_indices(0);
     let pattern = SparsityPattern::from_indices(n, idx.iter().copied());
-    let phases = if spec.stride == 2 { 4 } else { 1 };
     LayerSparsity {
         name: spec.name.clone(),
         n,
         valid_per_poly: idx.len(),
         sparsity: pattern.sparsity(),
-        weight_polys: enc.groups() * shape.m * phases,
+        weight_polys: enc.groups() * shape.m,
         pattern,
     }
 }

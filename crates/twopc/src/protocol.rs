@@ -74,31 +74,6 @@ pub struct ProtocolStats {
     pub pow2_fallbacks: usize,
 }
 
-impl ProtocolStats {
-    /// Sums two runs' accounting (the phases of a decomposed layer, the
-    /// layers of a network).
-    pub fn merge(self, other: ProtocolStats) -> ProtocolStats {
-        ProtocolStats {
-            upload_bytes: self.upload_bytes + other.upload_bytes,
-            download_bytes: self.download_bytes + other.download_bytes,
-            ciphertexts_up: self.ciphertexts_up + other.ciphertexts_up,
-            ciphertexts_down: self.ciphertexts_down + other.ciphertexts_down,
-            weight_transforms: self.weight_transforms + other.weight_transforms,
-            sparse_weight_transforms: self.sparse_weight_transforms
-                + other.sparse_weight_transforms,
-            activation_transforms: self.activation_transforms + other.activation_transforms,
-            inverse_transforms: self.inverse_transforms + other.inverse_transforms,
-            pointwise_muls: self.pointwise_muls + other.pointwise_muls,
-            upload_wire_bytes: self.upload_wire_bytes + other.upload_wire_bytes,
-            download_wire_bytes: self.download_wire_bytes + other.download_wire_bytes,
-            faults_detected: self.faults_detected + other.faults_detected,
-            frames_retried: self.frames_retried + other.frames_retried,
-            ntt_fallbacks: self.ntt_fallbacks + other.ntt_fallbacks,
-            pow2_fallbacks: self.pow2_fallbacks + other.pow2_fallbacks,
-        }
-    }
-}
-
 /// The secret-shared output of one convolution.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConvOutputShares {

@@ -59,7 +59,12 @@ fn counting_and_execution_agree_on_real_patterns() {
 #[test]
 fn workload_counts_match_encoder_plan() {
     let n = 4096;
-    for (c, h, m, k) in [(64usize, 56usize, 64usize, 3usize), (256, 14, 512, 1)] {
+    for (c, h, m, k, stride) in [
+        (64usize, 56usize, 64usize, 3usize, 1usize),
+        (256, 14, 512, 1, 1),
+        (64, 56, 128, 3, 2),
+        (64, 56, 128, 1, 2),
+    ] {
         let spec = ConvLayerSpec {
             name: "x".into(),
             c,
@@ -67,7 +72,7 @@ fn workload_counts_match_encoder_plan() {
             w: h,
             m,
             k,
-            stride: 1,
+            stride,
             pad: if k == 3 { 1 } else { 0 },
         };
         let w = layer_workload(&spec, n);
@@ -75,7 +80,7 @@ fn workload_counts_match_encoder_plan() {
         assert_eq!(
             w.weight_transforms,
             (enc.groups() * m) as u64,
-            "({c},{h},{m},{k})"
+            "({c},{h},{m},{k},{stride})"
         );
         assert_eq!(w.act_transforms, (2 * enc.groups() * enc.bands()) as u64);
         assert_eq!(w.pointwise, (enc.groups() * enc.bands() * m * n) as u64);
