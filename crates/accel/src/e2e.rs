@@ -554,40 +554,6 @@ pub fn run_resnet_e2e(
     })
 }
 
-/// The deterministic workload behind `BENCH_e2e.json`'s `fixture_ms`
-/// regression key: one private inference of a fixed 2-conv synthetic
-/// CNN over a clean wire, returning its wall-clock milliseconds. Both
-/// the `bench_e2e` artifact writer and `bench_perf --check-regression`
-/// call this, so the committed baseline and the fresh measurement are
-/// always the same workload.
-///
-/// # Panics
-///
-/// Panics if the private run fails or disagrees with the plaintext
-/// reference — a regression gate must not time a broken protocol.
-pub fn fixture_run_ms() -> f64 {
-    let mut rng = StdRng::seed_from_u64(0x2e2e);
-    let spec = |name: &str, c: usize, m: usize| ConvLayerSpec {
-        name: name.into(),
-        c,
-        h: 6,
-        w: 6,
-        m,
-        k: 3,
-        stride: 1,
-        pad: 1,
-    };
-    let net = SyntheticCnn::generate(vec![spec("conv1", 2, 4), spec("conv2", 4, 4)], 5, &mut rng);
-    let opts = E2eOptions {
-        samples: 1,
-        ..E2eOptions::default()
-    };
-    let t0 = Instant::now();
-    let report = run_synthetic_e2e(&net, &e2e_config(), &opts).expect("fixture run");
-    assert_eq!(report.agreement, 1.0, "fixture must stay exact");
-    ms(t0)
-}
-
 /// Merges one sample's layer rows into the run totals (the layer
 /// sequence is identical every sample).
 fn merge_layers(total: &mut Vec<LayerReport>, sample: Vec<LayerReport>) {

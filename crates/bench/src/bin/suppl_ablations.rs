@@ -14,7 +14,7 @@ use flash_dse::objective::Objective;
 use flash_dse::pareto::{hypervolume, pareto_front};
 use flash_dse::space::DesignSpace;
 use flash_he::encoding::{ConvEncoder, ConvShape, TileAlignment};
-use flash_ntt::ops::fft_complex_ops;
+use flash_ntt::ops::{fft_complex_ops, radix4_fft_ops};
 use flash_sparse::pattern::SparsityPattern;
 use flash_sparse::symbolic::{analyze, twist_mults};
 use rand::SeedableRng;
@@ -78,7 +78,7 @@ fn main() {
     // ---------------- radix ablation ----------------
     subhead("butterfly radix for the dense 2048-point transform");
     let r2 = fft_complex_ops(2048);
-    let r4 = flash_fft::radix4::radix4_ops(2048);
+    let r4 = radix4_fft_ops(2048);
     println!("radix-2: {} mults, {} adds", r2.mults, r2.adds);
     println!(
         "radix-4: {} mults, {} adds ({} of radix-2 multiplier activations)",

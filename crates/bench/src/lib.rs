@@ -7,10 +7,6 @@
 
 use std::fmt::Display;
 
-pub mod chaos;
-pub mod perf;
-pub mod serving;
-
 /// Prints a section banner.
 pub fn banner(title: &str) {
     println!();

@@ -43,7 +43,6 @@ pub mod error;
 pub mod fft64;
 pub mod fixed_fft;
 pub mod negacyclic;
-pub mod radix4;
 pub mod simd;
 pub mod twiddle;
 

@@ -4,7 +4,6 @@ use flash_fft::dft::{dft, Direction};
 use flash_fft::fft64::FftPlan;
 use flash_fft::fixed_fft::{ApproxFftConfig, FixedNegacyclicFft};
 use flash_fft::negacyclic::NegacyclicFft;
-use flash_fft::radix4::fft_radix4;
 use flash_math::fixed::FxpFormat;
 use flash_math::C64;
 use proptest::prelude::*;
@@ -32,24 +31,6 @@ proptest! {
             for (a, b) in fast.iter().zip(&slow) {
                 prop_assert!((*a - *b).abs() < 1e-7);
             }
-        }
-    }
-
-    #[test]
-    fn radix4_matches_radix2(log_len in 1u32..9, seed in any::<u64>()) {
-        let m = 1usize << log_len;
-        let x: Vec<C64> = (0..m)
-            .map(|i| {
-                let v = (i as u64).wrapping_mul(seed | 1) as f64 / u64::MAX as f64;
-                C64::new(v * 8.0 - 4.0, -v * 2.0)
-            })
-            .collect();
-        let plan = FftPlan::new(m);
-        let mut want = x.clone();
-        plan.transform(&mut want, Direction::Negative);
-        let got = fft_radix4(&x, Direction::Negative);
-        for (a, b) in got.iter().zip(&want) {
-            prop_assert!((*a - *b).abs() < 1e-7);
         }
     }
 

@@ -42,7 +42,6 @@ pub mod matvec;
 pub mod noise;
 pub mod params;
 pub mod poly;
-pub mod rns;
 pub mod serialize;
 pub mod truncate;
 

@@ -49,6 +49,32 @@ pub fn fft_complex_ops(m: usize) -> OpCount {
     ntt_ops(m)
 }
 
+/// Counts for a dense `m`-point complex FFT built from radix-4
+/// butterflies (with one radix-2 stage when `log2 m` is odd): 3 general
+/// multiplications per radix-4 butterfly, 1 per radix-2 butterfly; the
+/// `±i` rotations are wiring. The butterfly-radix ablation compares it
+/// against [`fft_complex_ops`].
+pub fn radix4_fft_ops(m: usize) -> OpCount {
+    match m {
+        0 | 1 => OpCount::default(),
+        2 => OpCount { mults: 0, adds: 2 },
+        _ if !m.is_multiple_of(4) => {
+            let sub = radix4_fft_ops(m / 2);
+            OpCount {
+                mults: 2 * sub.mults + m as u64 / 2,
+                adds: 2 * sub.adds + m as u64,
+            }
+        }
+        _ => {
+            let sub = radix4_fft_ops(m / 4);
+            OpCount {
+                mults: 4 * sub.mults + 3 * m as u64 / 4,
+                adds: 4 * sub.adds + 2 * m as u64,
+            }
+        }
+    }
+}
+
 /// Counts for the negacyclic real-to-complex transform of a length-`n`
 /// real polynomial: the fold-and-twist (`n/2` complex multiplications)
 /// plus an `n/2`-point complex FFT.
@@ -96,6 +122,25 @@ mod tests {
             );
             assert!(fft.mults < ntt.mults);
         }
+    }
+
+    #[test]
+    fn radix4_needs_fewer_multiplications() {
+        for m in [16usize, 256, 2048, 4096] {
+            let r2 = fft_complex_ops(m);
+            let r4 = radix4_fft_ops(m);
+            assert!(
+                (r4.mults as f64) < 0.85 * r2.mults as f64,
+                "m={m}: radix4 {} vs radix2 {}",
+                r4.mults,
+                r2.mults
+            );
+        }
+        // the asymptotic ratio approaches 3/4
+        let r2 = fft_complex_ops(1 << 16);
+        let r4 = radix4_fft_ops(1 << 16);
+        let ratio = r4.mults as f64 / r2.mults as f64;
+        assert!((0.70..0.85).contains(&ratio), "ratio {ratio}");
     }
 
     #[test]

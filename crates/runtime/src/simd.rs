@@ -14,16 +14,16 @@
 //!
 //! Overrides, in precedence order:
 //!
-//! 1. [`force_level`] — process-wide programmatic override, used by
-//!    `bench_perf --no-simd` for A/B runs and by the equivalence tests to
-//!    pin the scalar fallback.
+//! 1. [`force_level`] — process-wide programmatic override, used by the
+//!    equivalence tests to pin the scalar fallback.
 //! 2. `FLASH_SIMD` environment variable: `off`/`scalar` force the scalar
 //!    fallback, `portable` caps at 128-bit, `avx2` caps at 256-bit,
 //!    `native`/unset use the full detected level. Read once, at first use.
 //!
 //! The *active* level is what the dispatchers consult; the *detected*
-//! level is what the machine supports. Bench artifacts stamp both so
-//! numbers from different hosts (or an `--no-simd` run) are comparable.
+//! level is what the machine supports. Benchmark stamps record both so
+//! numbers from different hosts (or a `FLASH_SIMD=off` run) are
+//! comparable.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 

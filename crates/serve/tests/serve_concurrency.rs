@@ -259,6 +259,24 @@ fn concurrent_batched_sessions_match_serial_baseline_bitwise() {
         );
         assert_eq!(batched.stats.requests_ok, n_clients * reqs);
         assert_eq!(batched.stats.requests_failed, 0);
+        // A clean wave never exercises the resilience machinery: any
+        // refusal, retransmission or watchdog kick on healthy links is a
+        // false positive that would refuse real traffic.
+        let s = &batched.stats;
+        for (counter, v) in [
+            ("shed", s.shed),
+            ("expired", s.expired),
+            ("quarantined", s.quarantined),
+            ("poisoned", s.poisoned),
+            ("retries", s.retries),
+            ("watchdog_kicks", s.watchdog_kicks),
+            ("requests_refused", s.requests_refused),
+        ] {
+            assert_eq!(
+                v, 0,
+                "clean batched run (workers={workers}) counted {v} {counter}"
+            );
+        }
     }
 }
 

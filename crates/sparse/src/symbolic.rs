@@ -138,11 +138,6 @@ pub fn analysis_cache_stats() -> CacheStats {
     ANALYSIS_CACHE.stats()
 }
 
-/// Drops all memoized analyses and resets the counters.
-pub fn clear_analysis_cache() {
-    ANALYSIS_CACHE.clear()
-}
-
 fn analyze_inner(pattern_bitrev: &SparsityPattern) -> (DataflowCounts, StageProfile) {
     let m = pattern_bitrev.len();
     assert!(m >= 2, "network must have at least 2 points");

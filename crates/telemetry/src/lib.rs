@@ -3,9 +3,8 @@
 //! The workspace grew four disconnected counter systems (interner
 //! hit/miss stats, scratch-pool recycling counters, the sparse-plan
 //! cache metrics, per-run `ProtocolStats`) and no per-stage timing at
-//! all — `BENCH_*.json` recorded end-to-end medians only, so a tripped
-//! regression gate could not say *which* stage regressed. This crate is
-//! the one substrate they all report through:
+//! all, so an end-to-end median could not say *which* stage regressed.
+//! This crate is the one substrate they all report through:
 //!
 //! * a process-wide **metrics registry** of named [`Counter`]s,
 //!   [`Gauge`]s and latency [`Histogram`]s (fixed log2 buckets, atomics
@@ -28,7 +27,7 @@
 //! This crate sits *above* the transform crates (`runtime`, `ntt`,
 //! `fft`, `sparse`) so [`snapshot()`] can read their cache/pool
 //! counters directly, and *below* the pipeline crates (`he`, `twopc`,
-//! `accel`, `bench`) that instrument their stages with [`span!`]. The
+//! `accel`, `serve`) that instrument their stages with [`span!`]. The
 //! dependency graph stays acyclic.
 //!
 //! # Stage naming convention

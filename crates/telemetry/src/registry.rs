@@ -82,12 +82,20 @@ pub fn reset() {
     }
 }
 
+/// Unit tests share the process-wide registry and run on parallel
+/// threads: a test that reads back a value it recorded holds this for
+/// reading, and the test that zeroes the whole registry holds it for
+/// writing, so a [`reset`] never lands between a record and its check.
+#[cfg(test)]
+pub(crate) static RESET_LOCK: std::sync::RwLock<()> = std::sync::RwLock::new(());
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn same_name_same_metric() {
+        let _g = RESET_LOCK.read().unwrap_or_else(|e| e.into_inner());
         let a = counter("test.registry.same");
         let b = counter("test.registry.same");
         assert!(std::ptr::eq(a, b));
@@ -97,6 +105,7 @@ mod tests {
 
     #[test]
     fn kinds_are_namespaced_separately() {
+        let _g = RESET_LOCK.read().unwrap_or_else(|e| e.into_inner());
         counter("test.registry.kind").add(1);
         gauge("test.registry.kind").set(9);
         histogram("test.registry.kind").record_ns(5);
@@ -107,6 +116,7 @@ mod tests {
 
     #[test]
     fn reset_zeroes_but_keeps_registrations() {
+        let _g = RESET_LOCK.write().unwrap_or_else(|e| e.into_inner());
         let c = counter("test.registry.reset");
         c.add(7);
         let h = histogram("test.registry.reset");

@@ -3,8 +3,8 @@
 //! [`snapshot`] merges the registry (counters, gauges, span histograms)
 //! with the pre-existing ad-hoc counter systems — the NTT/FFT plan
 //! interners, the sparse symbolic-analysis and compiled-plan caches,
-//! and the scratch pools — so callers (notably `bench_perf`) report one
-//! unified view instead of stitching four APIs together.
+//! and the scratch pools — so callers report one unified view instead of
+//! stitching four APIs together.
 
 use crate::metric::HistogramSnapshot;
 use crate::registry::REGISTRY;
@@ -250,6 +250,9 @@ mod tests {
 
     #[test]
     fn snapshot_reflects_registry_contents() {
+        let _g = crate::registry::RESET_LOCK
+            .read()
+            .unwrap_or_else(|e| e.into_inner());
         crate::counter("test.snapshot.ctr").add(5);
         crate::gauge("test.snapshot.gauge").set(-3);
         crate::histogram("test.snapshot.hist").record_ns(1000);

@@ -64,6 +64,9 @@ mod tests {
 
     #[test]
     fn span_is_inert_or_records_matching_the_feature() {
+        let _g = crate::registry::RESET_LOCK
+            .read()
+            .unwrap_or_else(|e| e.into_inner());
         {
             let _t = crate::span!("test.span.basic");
         }
@@ -91,6 +94,9 @@ mod tests {
 
     #[test]
     fn enter_caches_per_call_site() {
+        let _g = crate::registry::RESET_LOCK
+            .read()
+            .unwrap_or_else(|e| e.into_inner());
         static CELL: OnceLock<&'static Histogram> = OnceLock::new();
         let a = Span::enter(&CELL, "test.span.cached");
         drop(a);

@@ -20,7 +20,6 @@ pub mod hconv;
 pub mod matvec;
 pub mod nonlinear;
 pub mod protocol;
-pub mod rns_protocol;
 pub mod shares;
 pub mod transport;
 

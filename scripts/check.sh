@@ -1,5 +1,7 @@
 #!/usr/bin/env bash
-# Repository health gate: lint, format, tier-1 tests, hot-path bench.
+# Repository health gate: lint, format, tier-1 tests, the benchmark
+# package's own lint and tests. Timing lives in `benchmark/` alone
+# (`bash benchmark/run.sh`; `scripts/ab.sh` for A/B claims).
 #
 # Everything runs offline against vendored dependencies; this is the
 # same sequence CI executes, so a clean local run means a clean CI run.
@@ -24,19 +26,11 @@ fi
 
 # `--serve` runs only the serving-layer suite: the flash-serve unit and
 # integration tests (session lifecycle, batching determinism across
-# worker counts, chaos isolation) plus one quick 64-client wave of the
-# serving benchmark as an end-to-end smoke. The wave asserts batch
-# occupancy and spot-checks a reconstruction against the cleartext
-# convolution; the speedup is reported but only gated in the full
-# `bench_serve` run. The full artifact-writing run is built with the
-# `telemetry` feature so `BENCH_serve.json` ships populated per-stage
-# histograms instead of an empty `telemetry.stages` block.
+# worker counts with zero refusals on clean runs, chaos isolation,
+# reconstruction against the cleartext convolution).
 if [[ "${1:-}" == "--serve" ]]; then
     echo "==> serving-layer suite"
     cargo test -q -p flash-serve
-    cargo run -q --release -p flash-bench --bin bench_serve -- --quick --chaos
-    echo "==> bench_serve full artifact (telemetry-enabled pass)"
-    cargo run -q --release -p flash-bench --features telemetry --bin bench_serve
     echo "==> serving-layer suite passed"
     exit 0
 fi
@@ -45,37 +39,25 @@ fi
 # resilience tests (deadline eviction, shedding + priority, circuit
 # breaker, panic containment/bisection, watchdog respawn, draining
 # shutdown, the exactly-one-terminal-outcome dichotomy), the wire-
-# decoder fuzz (fixed seeds via the vendored proptest stub), the
-# transport backoff/deadline tests, and one quick 64-session pass of
-# the chaos SLO grid (fault-rate × overload + worker poison, SLO and
-# agreement gates enforced, no artifact write). The committed
-# BENCH_chaos.json is regenerated by a full `bench_chaos` run and its
-# `clean_ms_per_req` baseline is enforced by `bench_perf
-# --check-regression` in the main gate.
+# decoder fuzz (fixed seeds via the vendored proptest stub) and the
+# transport backoff/deadline tests.
 if [[ "${1:-}" == "--chaos" ]]; then
     echo "==> chaos/resilience suite (deterministic seeds)"
     cargo test -q -p flash-serve --test resilience --test wire_fuzz
     cargo test -q -p flash-2pc --lib transport
-    cargo run -q --release -p flash-bench --bin bench_chaos -- --quick
     echo "==> chaos/resilience suite passed"
     exit 0
 fi
 
-# `--backends` runs the ciphertext-backend A/B suite: the power-of-two
-# ring unit/property tests across the stack, then the quick backend
-# matrix (kernel A/B + small protocol matrix, telemetry-enabled). Quick
-# mode reports the wrapping-MAC speedup without gating it and leaves the
-# committed BENCH_backends.json untouched; the committed artifact is
-# regenerated by a full `bench_perf --backends` run and its
-# `pow2_mac_ms` baseline is enforced by `bench_perf --check-regression`
-# in the main gate.
+# `--backends` runs the ciphertext-backend suite: the power-of-two ring
+# unit/property tests and the backend unit and property tests of
+# flash-he.
 if [[ "${1:-}" == "--backends" ]]; then
-    echo "==> backend A/B suite"
+    echo "==> ciphertext-backend suite"
     cargo test -q -p flash-math pow2
     cargo test -q -p flash-he --lib backend
     cargo test -q -p flash-he --test proptests
-    cargo run -q --release -p flash-bench --features telemetry --bin bench_perf -- --backends --quick
-    echo "==> backend A/B suite passed"
+    echo "==> ciphertext-backend suite passed"
     exit 0
 fi
 
@@ -86,11 +68,8 @@ fi
 # the exact per-layer ciphertext counts of the benchmark network), the
 # stride-2 path (the fold ≡ strided-reference sweep, the `hconv` unit
 # tests with the folded stem, `run_layer_composition`, and the
-# workload/encoder count equalities), and one quick `bench_e2e` smoke
-# (3 synthetic samples + a 16×16 reduced ResNet-18, agreement and
-# byte-model gates enforced, no artifact write). The committed BENCH_e2e.json is regenerated by a full
-# `bench_e2e` run and its `fixture_ms` baseline is enforced by
-# `bench_perf --check-regression` in the main gate.
+# workload/encoder count equalities). The e2e harness tests enforce
+# exact argmax agreement and the [0.5x, 2x] byte-model band.
 if [[ "${1:-}" == "--e2e" ]]; then
     echo "==> private end-to-end inference suite"
     cargo test -q -p flash-2pc --lib nonlinear
@@ -102,7 +81,6 @@ if [[ "${1:-}" == "--e2e" ]]; then
     cargo test -q -p flash-accel --test run_layer_composition
     cargo test -q -p flash-accel --test end_to_end stride2_communication_accounting
     cargo test -q -p flash-accel --test cross_validation workload_counts_match_encoder_plan
-    cargo run -q --release -p flash-bench --bin bench_e2e -- --quick
     echo "==> private end-to-end inference suite passed"
     exit 0
 fi
@@ -149,28 +127,12 @@ echo "==> cargo test (tier-1, -C target-cpu=native)"
 RUSTFLAGS="-C target-cpu=native" CARGO_TARGET_DIR=target/native \
     cargo test --workspace -q
 
-# The telemetry feature is default-off; build and test the instrumented
+# The telemetry feature is default-off; test the instrumented
 # configuration too so span plumbing cannot rot unnoticed. The feature
 # only exists in the pipeline crates (vendor stubs don't carry it), so
 # enable it per package rather than workspace-wide.
-echo "==> cargo build/test with --features telemetry"
-cargo build --release -p flash-bench --features telemetry
+echo "==> cargo test with --features telemetry"
 cargo test -q -p flash-telemetry -p flash-he -p flash-2pc -p flash-accel \
-    --features flash-telemetry/telemetry
-
-# Regression gate runs before the smoke bench: the smoke bench rewrites
-# the BENCH_*.json artifacts, and the gate must compare against the
-# *committed* baselines, not ones freshly produced by this run.
-echo "==> bench_perf --check-regression (vs committed BENCH_*.json)"
-cargo run --release -p flash-bench --bin bench_perf -- --check-regression
-
-echo "==> bench_perf --quick (hot-path + sparse smoke, telemetry on)"
-cargo run --release -p flash-bench --features telemetry --bin bench_perf -- --quick
-
-echo "==> bench_serve --quick (64-client serving smoke)"
-cargo run -q --release -p flash-bench --bin bench_serve -- --quick
-
-echo "==> bench_perf --backends --quick (ciphertext-backend A/B smoke)"
-cargo run -q --release -p flash-bench --bin bench_perf -- --backends --quick
+    -p flash-serve --features flash-telemetry/telemetry
 
 echo "==> all checks passed"
