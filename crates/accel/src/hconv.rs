@@ -25,11 +25,7 @@ pub type SharedLayerOutput = ((Vec<u64>, Vec<u64>), ProtocolStats);
 pub struct FlashHconv {
     cfg: FlashConfig,
     backend: PolyMulBackend,
-    sparse_weights: bool,
     transport: TransportConfig,
-    /// Noise-guard margin override; `None` keeps the protocol default
-    /// (`FLASH_NOISE_MARGIN` / 1.0).
-    noise_margin: Option<f64>,
 }
 
 impl FlashHconv {
@@ -45,18 +41,8 @@ impl FlashHconv {
         Self {
             cfg,
             backend,
-            sparse_weights: true,
             transport: TransportConfig::default(),
-            noise_margin: None,
         }
-    }
-
-    /// Enables or disables the compiled sparse weight-transform path in
-    /// the underlying protocols (on by default; outputs are identical
-    /// either way). See [`ConvProtocol::with_sparse_weights`].
-    pub fn with_sparse_weights(mut self, enabled: bool) -> Self {
-        self.sparse_weights = enabled;
-        self
     }
 
     /// Sets the wire configuration of the underlying protocols. See
@@ -66,21 +52,9 @@ impl FlashHconv {
         self
     }
 
-    /// Overrides the noise-guard margin of the underlying protocols. See
-    /// [`ConvProtocol::with_noise_margin`].
-    pub fn with_noise_margin(mut self, margin: f64) -> Self {
-        self.noise_margin = Some(margin);
-        self
-    }
-
     fn protocol(&self, shape: ConvShape) -> ConvProtocol {
-        let mut proto = ConvProtocol::new(self.cfg.he.clone(), shape, self.backend.clone())
-            .with_sparse_weights(self.sparse_weights)
-            .with_transport_config(self.transport.clone());
-        if let Some(m) = self.noise_margin {
-            proto = proto.with_noise_margin(m);
-        }
-        proto
+        ConvProtocol::new(self.cfg.he.clone(), shape, self.backend.clone())
+            .with_transport_config(self.transport.clone())
     }
 
     /// The share ring of the configured plaintext modulus.
@@ -287,57 +261,6 @@ mod tests {
         assert_eq!(stats.ciphertexts_up, enc.activation_polys());
         assert_eq!(stats.ciphertexts_down, enc.result_polys());
         assert_eq!(stats.pow2_fallbacks, 0);
-    }
-
-    #[test]
-    fn sparse_and_dense_weight_paths_agree_across_strides() {
-        let cfg = FlashConfig::test_small();
-        for (spec, seed) in [
-            (
-                ConvLayerSpec {
-                    name: "s1".into(),
-                    c: 2,
-                    h: 6,
-                    w: 6,
-                    m: 2,
-                    k: 3,
-                    stride: 1,
-                    pad: 1,
-                },
-                31,
-            ),
-            (
-                ConvLayerSpec {
-                    name: "s2".into(),
-                    c: 2,
-                    h: 8,
-                    w: 8,
-                    m: 2,
-                    k: 3,
-                    stride: 2,
-                    pad: 1,
-                },
-                32,
-            ),
-        ] {
-            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-            let sk = SecretKey::generate(&cfg.he, &mut rng);
-            let x = spec.sample_input(Quantizer::a4(), &mut rng);
-            let w = spec.sample_weights(Quantizer::w4(), &mut rng);
-            let sparse = FlashHconv::new(cfg.clone());
-            let dense = FlashHconv::new(cfg.clone()).with_sparse_weights(false);
-            let mut rng_a = rand::rngs::StdRng::seed_from_u64(seed + 100);
-            let mut rng_b = rand::rngs::StdRng::seed_from_u64(seed + 100);
-            let (ya, sa) = sparse.run_layer(&sk, &spec, &x, &w, &mut rng_a).unwrap();
-            let (yb, sb) = dense.run_layer(&sk, &spec, &x, &w, &mut rng_b).unwrap();
-            assert_eq!(ya, yb, "{}: sparse path changed outputs", spec.name);
-            assert!(
-                sa.sparse_weight_transforms > 0,
-                "{}: sparse path did not engage",
-                spec.name
-            );
-            assert_eq!(sb.sparse_weight_transforms, 0, "{}", spec.name);
-        }
     }
 
     #[test]

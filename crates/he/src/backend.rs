@@ -29,15 +29,11 @@ use crate::params::HeParams;
 use crate::poly::Poly;
 use flash_fft::fixed_fft::FixedNegacyclicFft;
 use flash_fft::C64_SCRATCH;
-use flash_math::modular::{add_mod, center_lift, from_signed, Barrett};
+use flash_math::modular::{center_lift, from_signed, Barrett};
 use flash_math::C64;
-use flash_ntt::polymul::negacyclic_mul_ntt;
-use flash_ntt::transform::{
-    forward, forward_batch, inverse, inverse_batch, pointwise_mul_acc,
-    pointwise_mul_acc_shoup_lazy, pointwise_mul_assign,
-};
+use flash_ntt::transform::{forward_batch, inverse_batch, pointwise_mul_acc_shoup_lazy};
 use flash_ntt::NttTables;
-use flash_runtime::{F64_SCRATCH, U64_SCRATCH};
+use flash_runtime::F64_SCRATCH;
 use std::sync::Arc;
 
 /// The negacyclic multiplier used for `ct ⊠ pt` products.
@@ -134,150 +130,6 @@ impl PolyMulBackend {
             }
         }
     }
-
-    /// Multiplies a ciphertext-ring polynomial `a` (mod `q`) by a small
-    /// signed plaintext polynomial `w` in the negacyclic ring.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lengths differ, the modulus disagrees with `params`,
-    /// or the backend and the parameter set's ring family mismatch
-    /// (`Ntt` on a power-of-two ring, `Pow2` on a prime ring).
-    pub fn mul_ct_pt(&self, a: &Poly, w_signed: &[i64], params: &HeParams) -> Poly {
-        let q = a.modulus();
-        assert_eq!(q, params.q, "operand modulus must match params");
-        assert_eq!(a.len(), w_signed.len(), "operand lengths must match");
-        let fft = params.fft();
-        match self {
-            PolyMulBackend::Ntt => {
-                let ntt = params.ntt();
-                let w = Poly::from_signed(w_signed, q);
-                Poly::from_coeffs(negacyclic_mul_ntt(a.coeffs(), w.coeffs(), ntt), q)
-            }
-            PolyMulBackend::FftF64 | PolyMulBackend::Pow2 => {
-                if matches!(self, PolyMulBackend::Pow2) {
-                    assert!(
-                        params.is_pow2(),
-                        "Pow2 backend requires a power-of-two ring"
-                    );
-                }
-                let af: Vec<f64> = a
-                    .coeffs()
-                    .iter()
-                    .map(|&x| center_lift(x, q) as f64)
-                    .collect();
-                let wf: Vec<f64> = w_signed.iter().map(|&x| x as f64).collect();
-                let prod = fft.polymul_f64(&af, &wf);
-                let red = Reducer::new(q);
-                Poly::from_coeffs(prod.iter().map(|&x| red.reduce_f64(x)).collect(), q)
-            }
-            PolyMulBackend::ApproxFft(fixed) => {
-                assert_eq!(
-                    fixed.config().degree(),
-                    a.len(),
-                    "approx plan degree mismatch"
-                );
-                let (fw, _) = fixed.forward(w_signed);
-                let af: Vec<f64> = a
-                    .coeffs()
-                    .iter()
-                    .map(|&x| center_lift(x, q) as f64)
-                    .collect();
-                let fa = fft.forward(&af);
-                let spec: Vec<C64> = fa.iter().zip(&fw).map(|(x, y)| *x * *y).collect();
-                let prod = fft.inverse(&spec);
-                let red = Reducer::new(q);
-                Poly::from_coeffs(prod.iter().map(|&x| red.reduce_f64(x)).collect(), q)
-            }
-        }
-    }
-
-    /// Fused multiply-accumulate over a ciphertext pair:
-    /// `acc0 += a0 ⊠ w` and `acc1 += a1 ⊠ w`.
-    ///
-    /// Bit-identical to [`PolyMulBackend::mul_ct_pt`] on each component
-    /// followed by a modular addition, but the weight transform runs
-    /// **once** per call (shared by both components instead of recomputed
-    /// per component) and every intermediate buffer comes from the
-    /// thread-local scratch pools, so steady-state calls allocate nothing.
-    ///
-    /// # Panics
-    ///
-    /// Operand/accumulator length and modulus agreement is an internal
-    /// invariant of the callers (the protocol validates wire-derived
-    /// ciphertexts before they reach this hot path), checked with
-    /// `debug_assert!` only.
-    pub fn mul_ct_pt_acc(
-        &self,
-        acc0: &mut Poly,
-        acc1: &mut Poly,
-        a0: &Poly,
-        a1: &Poly,
-        w_signed: &[i64],
-        params: &HeParams,
-    ) {
-        let q = a0.modulus();
-        let n = a0.len();
-        debug_assert_eq!(q, params.q, "operand modulus must match params");
-        debug_assert_eq!(a1.modulus(), q, "component modulus mismatch");
-        debug_assert_eq!(a1.len(), n, "component length mismatch");
-        for acc in [&*acc0, &*acc1] {
-            debug_assert_eq!(acc.modulus(), q, "accumulator modulus mismatch");
-            debug_assert_eq!(acc.len(), n, "accumulator length mismatch");
-        }
-        debug_assert_eq!(n, w_signed.len(), "operand lengths must match");
-        let fft = params.fft();
-        match self {
-            PolyMulBackend::Ntt => {
-                let ntt = params.ntt();
-                let mut fw = U64_SCRATCH.take(n);
-                {
-                    let _t = flash_telemetry::span!("hconv.weight_transform");
-                    for (slot, &x) in fw.iter_mut().zip(w_signed) {
-                        *slot = from_signed(x, q);
-                    }
-                    forward(&mut fw, ntt);
-                }
-                for (acc, a) in [(acc0, a0), (acc1, a1)] {
-                    let mut fa = U64_SCRATCH.take_copied(a.coeffs());
-                    {
-                        let _t = flash_telemetry::span!("hconv.activation_fft");
-                        forward(&mut fa, ntt);
-                    }
-                    {
-                        let _t = flash_telemetry::span!("hconv.pointwise_acc");
-                        pointwise_mul_assign(&mut fa, &fw, ntt);
-                    }
-                    let _t = flash_telemetry::span!("hconv.inverse_fft");
-                    inverse(&mut fa, ntt);
-                    for (dst, &x) in acc.coeffs_mut().iter_mut().zip(fa.iter()) {
-                        *dst = add_mod(*dst, x, q);
-                    }
-                }
-            }
-            PolyMulBackend::FftF64 | PolyMulBackend::Pow2 => {
-                let mut fw = C64_SCRATCH.take(n / 2);
-                {
-                    let _t = flash_telemetry::span!("hconv.weight_transform");
-                    let mut wf = F64_SCRATCH.take(n);
-                    for (slot, &x) in wf.iter_mut().zip(w_signed) {
-                        *slot = x as f64;
-                    }
-                    fft.forward_into(&wf, &mut fw);
-                }
-                accumulate_pair_fft(acc0, acc1, a0, a1, &fw, fft, q);
-            }
-            PolyMulBackend::ApproxFft(fixed) => {
-                assert_eq!(fixed.config().degree(), n, "approx plan degree mismatch");
-                let mut fw = C64_SCRATCH.take(n / 2);
-                {
-                    let _t = flash_telemetry::span!("hconv.weight_transform");
-                    let _ = fixed.forward_into(w_signed, &mut fw);
-                }
-                accumulate_pair_fft(acc0, acc1, a0, a1, &fw, fft, q);
-            }
-        }
-    }
 }
 
 /// Spectral form of every uploaded (share-folded) ciphertext, computed
@@ -324,7 +176,7 @@ impl PolyMulBackend {
     /// concatenation of the spans — so a caller holding requests from
     /// several sessions addresses request `r`'s ciphertext `c` as
     /// `idx = offset_of(r) + c` in [`ActivationSpectra::mac_fft`] /
-    /// [`ActivationSpectra::mac_ntt`].
+    /// [`ActivationSpectra::mac_ntt_shoup_lazy_into`].
     pub fn activation_spectra_multi(
         &self,
         spans: &[&[Ciphertext]],
@@ -365,7 +217,7 @@ impl PolyMulBackend {
     /// Forward-transforms one band's weight polynomials (one per channel
     /// group) into concatenated `N/2`-slot spectra through the batched
     /// kernels. FFT-family backends only; the exact path uses
-    /// [`weight_residues_into`].
+    /// [`weight_residue_shoups`].
     ///
     /// # Panics
     ///
@@ -401,13 +253,8 @@ impl PolyMulBackend {
 }
 
 /// From-signed lift + batched forward NTT of one band's weight
-/// polynomials (the exact path's counterpart of
-/// [`PolyMulBackend::weight_spectra_into`]).
-///
-/// # Panics
-///
-/// Panics if `out.len() != ws.len() · N`.
-pub fn weight_residues_into(ws: &[&[i64]], out: &mut [u64], ntt: &NttTables) {
+/// polynomials into `out` (`ws.len() · N` residues).
+fn weight_residues_into(ws: &[&[i64]], out: &mut [u64], ntt: &NttTables) {
     let n = ntt.degree();
     let q = ntt.modulus();
     assert_eq!(out.len(), ws.len() * n, "residue length mismatch");
@@ -457,25 +304,6 @@ impl ActivationSpectra {
         }
     }
 
-    /// `acc ⊞= ct[idx] ⊙ fw` over both components in the NTT domain, into
-    /// a raw `2·N` accumulator slice (`[r0 | r1]`, kept reduced).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `self` is not NTT-domain or on length mismatches.
-    pub fn mac_ntt(&self, idx: usize, fw: &[u64], tables: &NttTables, acc: &mut [u64]) {
-        let ActivationSpectra::Ntt(sp) = self else {
-            panic!("NTT MAC requires NTT-domain residues");
-        };
-        let n = fw.len();
-        assert_eq!(acc.len(), 2 * n, "accumulator length mismatch");
-        let ct = &sp[idx * 2 * n..][..2 * n];
-        let _t = flash_telemetry::span!("hconv.pointwise_acc");
-        let (a0, a1) = acc.split_at_mut(n);
-        pointwise_mul_acc(a0, &ct[..n], fw, tables);
-        pointwise_mul_acc(a1, &ct[n..], fw, tables);
-    }
-
     /// Lazy MAC into a raw `2·N` accumulator slice against one group's
     /// split-stream Shoup residues (one [`WeightShoups`] group slice):
     /// no per-element reduction — the accumulator carries raw integer
@@ -487,7 +315,7 @@ impl ActivationSpectra {
     /// ever needed. The caller owns the lazy-overflow budget: at most
     /// `⌊(2^64 − 1)/2q⌋` MACs per accumulator between reductions (see
     /// [`flash_ntt::transform::pointwise_mul_acc_shoup_lazy`]); the
-    /// unit planner enforces this when it elects the reused NTT layout.
+    /// unit planner pins any unit over it to the exact fallback.
     ///
     /// # Panics
     ///
@@ -515,7 +343,7 @@ impl ActivationSpectra {
 
 /// NTT-domain weight residues with their Shoup constants in split
 /// structure-of-arrays streams (`w[i]` and `w' = ⌊w·2^64/q⌋` in
-/// separate vectors, group-major like [`weight_residues_into`]), the
+/// separate vectors, group-major like the band's group polynomials), the
 /// layout [`pointwise_mul_acc_shoup_lazy`] vectorizes best.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WeightShoups {
@@ -525,13 +353,11 @@ pub struct WeightShoups {
     pub shoup: Vec<u64>,
 }
 
-/// [`weight_residues_into`] followed by the per-coefficient Shoup
-/// constant build — the registration-time precompute that makes
+/// The exact path's weight preparation: from-signed lift and batched
+/// forward NTT of one band's weight polynomials, then the per-coefficient
+/// Shoup constant build that makes
 /// [`ActivationSpectra::mac_ntt_shoup_lazy_into`] division-free on the
-/// request path. One division per coefficient here buys two-multiply
-/// MACs for every request served afterwards; a one-shot unit gains
-/// nothing from it and takes [`weight_residues_into`] +
-/// [`ActivationSpectra::mac_ntt`] instead.
+/// request path.
 pub fn weight_residue_shoups(ws: &[&[i64]], ntt: &NttTables) -> WeightShoups {
     let q = ntt.modulus();
     let mut w = vec![0u64; ws.len() * ntt.degree()];
@@ -574,9 +400,8 @@ impl BandAccumulator {
 
     /// The NTT-domain counterpart of [`BandAccumulator::finish_bands`],
     /// for accumulators laid out contiguously (`k · 2N` residues, filled
-    /// through [`ActivationSpectra::mac_ntt_shoup_lazy_into`] or
-    /// [`ActivationSpectra::mac_ntt`]): one Barrett reduction pass drains
-    /// any lazy sums (the identity on already-reduced residues), then the
+    /// through [`ActivationSpectra::mac_ntt_shoup_lazy_into`]): one
+    /// Barrett reduction pass drains the lazy sums, then the
     /// batched inverse runs directly on `buf` with no staging copy.
     /// Bit-identical to per-group inverse-then-add (the transform is
     /// linear over `Z_q`).
@@ -633,53 +458,6 @@ impl Reducer {
             Reducer::Barrett(br) => br.from_signed_i128(x.round_ties_even() as i128),
         }
     }
-
-    #[inline]
-    fn add_assign(&self, dst: &mut u64, x: u64, q: u64) {
-        match self {
-            Reducer::Mask(m) => *dst = dst.wrapping_add(x) & m,
-            Reducer::Barrett(_) => *dst = add_mod(*dst, x, q),
-        }
-    }
-}
-
-/// The FFT-family ciphertext side of a fused multiply-accumulate: for
-/// each component, center-lift, forward-transform, point-wise multiply by
-/// the weight spectrum `fw`, inverse-transform, and accumulate mod `q`.
-/// All intermediates come from the thread-local scratch pools. The
-/// center lift fuses into the fold-and-twist stage
-/// ([`flash_fft::NegacyclicFft::forward_residues_into`]), so no staged
-/// `f64` copy of the ciphertext component is materialized.
-fn accumulate_pair_fft(
-    acc0: &mut Poly,
-    acc1: &mut Poly,
-    a0: &Poly,
-    a1: &Poly,
-    fw: &[C64],
-    fft: &flash_fft::NegacyclicFft,
-    q: u64,
-) {
-    let n = a0.len();
-    let mut fa = C64_SCRATCH.take(n / 2);
-    let mut prod = F64_SCRATCH.take(n);
-    let red = Reducer::new(q);
-    for (acc, a) in [(acc0, a0), (acc1, a1)] {
-        {
-            let _t = flash_telemetry::span!("hconv.activation_fft");
-            fft.forward_residues_into(a.coeffs(), q, &mut fa);
-        }
-        {
-            let _t = flash_telemetry::span!("hconv.pointwise_acc");
-            for (x, &y) in fa.iter_mut().zip(fw.iter()) {
-                *x *= y;
-            }
-        }
-        let _t = flash_telemetry::span!("hconv.inverse_fft");
-        fft.inverse_into(&mut fa, &mut prod);
-        for (dst, &x) in acc.coeffs_mut().iter_mut().zip(prod.iter()) {
-            red.add_assign(dst, red.reduce_f64(x), q);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -698,14 +476,23 @@ mod tests {
         w
     }
 
+    /// `a ⊠ w` on the one product path: `a` rides as `c0` of a ciphertext
+    /// whose `c1` is zero.
+    fn mul(b: &PolyMulBackend, a: &Poly, w: &[i64], p: &HeParams) -> Poly {
+        Ciphertext::new(a.clone(), Poly::zero(p.n, p.q))
+            .mul_plain_signed(w, p, b)
+            .c0()
+            .clone()
+    }
+
     #[test]
     fn fft_backend_matches_ntt_backend() {
         let p = HeParams::test_256();
         let mut rng = rand::rngs::StdRng::seed_from_u64(3);
         let a = Poly::uniform(p.n, p.q, &mut rng);
         let w = small_weights(p.n, 9, &mut rng);
-        let exact = PolyMulBackend::Ntt.mul_ct_pt(&a, &w, &p);
-        let viaf = PolyMulBackend::FftF64.mul_ct_pt(&a, &w, &p);
+        let exact = mul(&PolyMulBackend::Ntt, &a, &w, &p);
+        let viaf = mul(&PolyMulBackend::FftF64, &a, &w, &p);
         assert_eq!(exact, viaf);
     }
 
@@ -720,8 +507,8 @@ mod tests {
         let mut cfg = ApproxFftConfig::uniform(p.n, FxpFormat::new(20, 60), 60);
         cfg.max_shift = 55;
         let b = PolyMulBackend::approx(cfg);
-        let exact = PolyMulBackend::Ntt.mul_ct_pt(&a, &w, &p);
-        let approx = b.mul_ct_pt(&a, &w, &p);
+        let exact = mul(&PolyMulBackend::Ntt, &a, &w, &p);
+        let approx = mul(&b, &a, &w, &p);
         assert_eq!(exact, approx);
     }
 
@@ -747,7 +534,7 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(17);
         let a = Poly::uniform(p.n, p.q, &mut rng);
         let w = small_weights(p.n, 9, &mut rng);
-        let got = PolyMulBackend::Pow2.mul_ct_pt(&a, &w, &p);
+        let got = mul(&PolyMulBackend::Pow2, &a, &w, &p);
         let w_res: Vec<u64> = w
             .iter()
             .map(|&x| flash_math::modular::from_signed(x, p.q))
@@ -818,6 +605,68 @@ mod tests {
     }
 
     #[test]
+    fn error_model_bounds_multi_group_accumulation() {
+        // The guard prices a band at its group count G: G approximate
+        // products accumulated in the spectral domain and rounded by one
+        // inverse, the sequence `respond` runs. Measured decryption noise
+        // must stay under the composed exact chain plus the model term.
+        use crate::keys::SecretKey;
+        use crate::noise::NoiseBound;
+        use flash_ntt::polymul::negacyclic_mul_naive;
+        let p = HeParams::test_256();
+        let half = p.n / 2;
+        for (frac, k, shift) in [(30u32, 24usize, 26u32), (34, 30, 30)] {
+            let mut cfg = ApproxFftConfig::uniform(p.n, FxpFormat::new(16, frac), k);
+            cfg.max_shift = shift;
+            let b = PolyMulBackend::approx(cfg);
+            let model = b.error_model(&p).unwrap();
+            for groups in [2usize, 4, 8] {
+                let mut rng = rand::rngs::StdRng::seed_from_u64(19 + groups as u64);
+                let sk = SecretKey::generate(&p, &mut rng);
+                let ms: Vec<Poly> = (0..groups)
+                    .map(|_| Poly::uniform(p.n, p.t, &mut rng))
+                    .collect();
+                let cts: Vec<Ciphertext> = ms.iter().map(|m| sk.encrypt(m, &mut rng)).collect();
+                let ws: Vec<Vec<i64>> = (0..groups)
+                    .map(|_| small_weights(p.n, 9, &mut rng))
+                    .collect();
+
+                let act = b.activation_spectra(&cts, &p);
+                let mut fw = vec![C64::ZERO; groups * half];
+                let refs: Vec<&[i64]> = ws.iter().map(Vec::as_slice).collect();
+                b.weight_spectra_into(&refs, &mut fw, p.fft());
+                let mut acc = act.accumulator(p.n);
+                for (g, spectrum) in fw.chunks_exact(half).enumerate() {
+                    act.mac_fft(g, spectrum, &mut acc);
+                }
+                let ct = BandAccumulator::finish_bands(vec![acc], &p).remove(0);
+
+                let mut want = Poly::zero(p.n, p.t);
+                let mut exact: Option<NoiseBound> = None;
+                let mut sq = 0.0;
+                for (m, w) in ms.iter().zip(&ws) {
+                    let w_t: Vec<u64> = w.iter().map(|&x| from_signed(x, p.t)).collect();
+                    let mw = negacyclic_mul_naive(m.coeffs(), &w_t, p.t);
+                    want = want.add(&Poly::from_coeffs(mw, p.t));
+                    let l1: f64 = w.iter().map(|&x| x.abs() as f64).sum();
+                    sq += w.iter().map(|&x| (x * x) as f64).sum::<f64>();
+                    let term = NoiseBound::fresh(&p).after_plain_mul(l1);
+                    exact = Some(exact.map_or(term, |e| e.after_ct_add(&term)));
+                }
+                let bound = exact
+                    .unwrap()
+                    .after_computation_error(model.phase_error_bound(&p, sq, groups));
+                let measured = sk.noise(&ct, &want).inf_norm() as f64;
+                assert!(
+                    measured <= bound.bound(),
+                    "frac={frac} G={groups}: measured {measured} vs bound {}",
+                    bound.bound()
+                );
+            }
+        }
+    }
+
+    #[test]
     fn narrow_approx_backend_errs_within_budget() {
         let p = HeParams::test_256();
         let mut rng = rand::rngs::StdRng::seed_from_u64(7);
@@ -826,8 +675,8 @@ mod tests {
         let mut cfg = ApproxFftConfig::uniform(p.n, FxpFormat::new(16, 30), 24);
         cfg.max_shift = 26;
         let b = PolyMulBackend::approx(cfg);
-        let exact = PolyMulBackend::Ntt.mul_ct_pt(&a, &w, &p);
-        let approx = b.mul_ct_pt(&a, &w, &p);
+        let exact = mul(&PolyMulBackend::Ntt, &a, &w, &p);
+        let approx = mul(&b, &a, &w, &p);
         // errors exist but are small relative to the noise ceiling
         let diff = exact.sub(&approx);
         let err = diff.inf_norm();

@@ -6,10 +6,13 @@
 //! subtraction, plus ciphertext–ciphertext addition for accumulating
 //! partial sums across input-channel tiles.
 
-use crate::backend::PolyMulBackend;
+use crate::backend::{weight_residue_shoups, BandAccumulator, PolyMulBackend};
 use crate::params::HeParams;
 use crate::poly::Poly;
 use flash_math::modular::{add_mod, center_lift, from_signed, sub_mod, Shoup};
+use flash_math::C64;
+use flash_ntt::polymul::negacyclic_mul_ntt_into;
+use flash_runtime::U64_SCRATCH;
 
 /// A BFV ciphertext `(c0, c1)` with `c0 + c1·s = Δ·m + e`.
 #[derive(Debug, Clone, PartialEq)]
@@ -142,46 +145,37 @@ impl Ciphertext {
         }
     }
 
-    /// `ct ⊠ w`: multiplies by a small signed plaintext polynomial through
-    /// the chosen backend (both components are transformed — the "2
-    /// transforms per ciphertext" of the accelerator's workload).
+    /// `ct ⊠ w`: multiplies by a small signed plaintext polynomial — the
+    /// one-request, one-unit, one-group case of the batched HConv stages
+    /// (activation spectra, weight preparation, MAC, one inverse), so a
+    /// single product rounds exactly as a served response does.
     pub fn mul_plain_signed(
         &self,
         w_signed: &[i64],
         params: &HeParams,
         backend: &PolyMulBackend,
     ) -> Ciphertext {
-        Ciphertext {
-            c0: backend.mul_ct_pt(&self.c0, w_signed, params),
-            c1: backend.mul_ct_pt(&self.c1, w_signed, params),
-        }
-    }
-
-    /// Fused `acc ⊞= self ⊠ w`: multiplies by a small signed plaintext
-    /// polynomial and accumulates into `acc` without materializing the
-    /// intermediate ciphertext. Bit-identical to
-    /// `acc.add_ct(&self.mul_plain_signed(w, params, backend))`, but the
-    /// weight transform runs once per call (shared by both components)
-    /// and all intermediates come from the scratch pools.
-    pub fn mul_plain_signed_acc(
-        &self,
-        w_signed: &[i64],
-        params: &HeParams,
-        backend: &PolyMulBackend,
-        acc: &mut Ciphertext,
-    ) {
-        backend.mul_ct_pt_acc(
-            &mut acc.c0,
-            &mut acc.c1,
-            &self.c0,
-            &self.c1,
-            w_signed,
-            params,
-        );
+        let act = backend.activation_spectra(std::slice::from_ref(self), params);
+        let mut closed = match backend {
+            PolyMulBackend::Ntt => {
+                let fw = weight_residue_shoups(&[w_signed], params.ntt());
+                let mut acc = vec![0u64; 2 * params.n];
+                act.mac_ntt_shoup_lazy_into(0, &fw.w, &fw.shoup, params.ntt(), &mut acc);
+                BandAccumulator::finish_ntt_bands_in_place(&mut acc, params)
+            }
+            _ => {
+                let mut fw = vec![C64::ZERO; params.n / 2];
+                backend.weight_spectra_into(&[w_signed], &mut fw, params.fft());
+                let mut acc = act.accumulator(params.n);
+                act.mac_fft(0, &fw, &mut acc);
+                BandAccumulator::finish_bands(vec![acc], params)
+            }
+        };
+        closed.pop().expect("one accumulator in, one out")
     }
 
     /// Exact `acc ⊞= self ⊠ w` for the noise guard's fallback path,
-    /// dispatched on the ring family: the Shoup-NTT MAC on a prime ring,
+    /// dispatched on the ring family: the NTT product on a prime ring,
     /// the wrapping schoolbook over the weight's nonzero taps on a
     /// power-of-two ring (where the prime NTT does not exist — and where
     /// the schoolbook keeps the datapath's zero-reduction property while
@@ -207,14 +201,19 @@ impl Ciphertext {
                 flash_math::pow2::reduce_slice(dst, params.q);
             }
         } else {
-            PolyMulBackend::Ntt.mul_ct_pt_acc(
-                &mut acc.c0,
-                &mut acc.c1,
-                &self.c0,
-                &self.c1,
-                w_signed,
-                params,
-            );
+            let q = params.q;
+            let mut w = U64_SCRATCH.take(params.n);
+            for (slot, &x) in w.iter_mut().zip(w_signed) {
+                *slot = from_signed(x, q);
+            }
+            let mut prod = U64_SCRATCH.take(params.n);
+            let _t = flash_telemetry::span!("hconv.pointwise_acc");
+            for (acc, a) in [(&mut acc.c0, &self.c0), (&mut acc.c1, &self.c1)] {
+                negacyclic_mul_ntt_into(&mut prod, a.coeffs(), &w, params.ntt());
+                for (dst, &x) in acc.coeffs_mut().iter_mut().zip(prod.iter()) {
+                    *dst = add_mod(*dst, x, q);
+                }
+            }
         }
     }
 }
@@ -301,42 +300,6 @@ mod tests {
     }
 
     #[test]
-    fn fused_mul_acc_is_bit_identical_to_mul_then_add() {
-        let (p, sk, mut rng) = setup();
-        let mut cfg =
-            flash_fft::ApproxFftConfig::uniform(p.n, flash_math::fixed::FxpFormat::new(20, 60), 60);
-        cfg.max_shift = 55;
-        for backend in [
-            PolyMulBackend::Ntt,
-            PolyMulBackend::FftF64,
-            PolyMulBackend::approx(cfg),
-        ] {
-            let mut acc = Ciphertext::zero(p.n, p.q);
-            let mut reference: Option<Ciphertext> = None;
-            for round in 0..3u64 {
-                let m = Poly::uniform(p.n, p.t, &mut rng);
-                let ct = sk.encrypt(&m, &mut rng);
-                let mut w = vec![0i64; p.n];
-                for _ in 0..9 {
-                    let i = rng.gen_range(0..p.n);
-                    w[i] = rng.gen_range(-8..8);
-                }
-                ct.mul_plain_signed_acc(&w, &p, &backend, &mut acc);
-                let term = ct.mul_plain_signed(&w, &p, &backend);
-                reference = Some(match reference {
-                    None => term,
-                    Some(r) => r.add_ct(&term),
-                });
-                assert_eq!(
-                    acc,
-                    reference.clone().unwrap(),
-                    "fused MAC diverged at round {round}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn pow2_mul_plain_matches_ring_product() {
         // The full ⊠ path on q = 2^62: FFT lift at 61-bit magnitudes,
         // wrapping mask reduction, u128 decrypt rounding.
@@ -355,36 +318,6 @@ mod tests {
         let w_t: Vec<u64> = w.iter().map(|&x| from_signed(x, p.t)).collect();
         let expected = flash_ntt::polymul::negacyclic_mul_naive(m.coeffs(), &w_t, p.t);
         assert_eq!(sk.decrypt(&ct).coeffs(), &expected[..]);
-    }
-
-    #[test]
-    fn pow2_fused_mul_acc_is_bit_identical_to_mul_then_add() {
-        let p = HeParams::pow2_test_256();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(13);
-        let sk = SecretKey::generate(&p, &mut rng);
-        let backend = PolyMulBackend::Pow2;
-        let mut acc = Ciphertext::zero(p.n, p.q);
-        let mut reference: Option<Ciphertext> = None;
-        for round in 0..3u64 {
-            let m = Poly::uniform(p.n, p.t, &mut rng);
-            let ct = sk.encrypt(&m, &mut rng);
-            let mut w = vec![0i64; p.n];
-            for _ in 0..9 {
-                let i = rng.gen_range(0..p.n);
-                w[i] = rng.gen_range(-8..8);
-            }
-            ct.mul_plain_signed_acc(&w, &p, &backend, &mut acc);
-            let term = ct.mul_plain_signed(&w, &p, &backend);
-            reference = Some(match reference {
-                None => term,
-                Some(r) => r.add_ct(&term),
-            });
-            assert_eq!(
-                acc,
-                reference.clone().unwrap(),
-                "fused pow2 MAC diverged at round {round}"
-            );
-        }
     }
 
     #[test]

@@ -86,35 +86,9 @@ pub fn max_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// The noise-guard safety margin, as a fraction of the decryption
-/// ceiling `q/(2t)`.
-///
-/// Protocol layers compare their composed worst-case noise bound (exact
-/// arithmetic plus the approximate-transform error model) against
-/// `margin × ceiling` and fall back to the exact NTT backend above it.
-/// Resolution: `FLASH_NOISE_MARGIN` if set to a finite float, else 1.0.
-/// `0.0` forces the fallback for every approximate-backend band — a
-/// deterministic hook for exercising the fallback path in tests.
-pub fn noise_margin() -> f64 {
-    if let Ok(v) = std::env::var("FLASH_NOISE_MARGIN") {
-        if let Ok(m) = v.trim().parse::<f64>() {
-            if m.is_finite() && m >= 0.0 {
-                return m;
-            }
-        }
-    }
-    1.0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn noise_margin_defaults_to_one() {
-        // The test environment does not set FLASH_NOISE_MARGIN.
-        assert_eq!(noise_margin(), 1.0);
-    }
 
     #[test]
     fn override_wins_and_clears() {

@@ -46,7 +46,7 @@ pub mod queue;
 mod scratch;
 pub mod simd;
 
-pub use config::{max_threads, noise_margin, set_threads, ThreadOverrideGuard};
+pub use config::{max_threads, set_threads, ThreadOverrideGuard};
 pub use exec::{parallel_gen, parallel_gen_with, parallel_map, parallel_map_with};
 pub use interner::{CacheStats, Interner};
 pub use queue::{QueueClosed, WorkQueue};

@@ -11,7 +11,7 @@
 //! refused here, before any session can name it.
 
 use crate::ServeError;
-use flash_2pc::hconv::{HconvLayer, HconvServer, UnitWeights};
+use flash_2pc::hconv::{HconvLayer, HconvServer, UnitWeights, DEFAULT_NOISE_MARGIN};
 use flash_2pc::shares::ShareRing;
 use flash_he::encoding::{ConvEncoder, ConvShape};
 use flash_he::{HeParams, PolyMulBackend};
@@ -31,16 +31,13 @@ pub struct ModelSpec {
     pub weights: Vec<i64>,
     /// Response truncation `(d0, d1)`, if enabled.
     pub truncation: Option<(u32, u32)>,
-    /// Route weight transforms through compiled sparse tapes when
-    /// worthwhile (on by default).
-    pub sparse_weights: bool,
     /// Noise-guard margin (fraction of the decryption ceiling).
     pub noise_margin: f64,
 }
 
 impl ModelSpec {
-    /// A model with default protocol knobs (sparse weights on, no
-    /// truncation, [`flash_runtime::noise_margin`]).
+    /// A model with default protocol knobs (no truncation,
+    /// [`DEFAULT_NOISE_MARGIN`]).
     pub fn new(
         id: u64,
         params: HeParams,
@@ -55,8 +52,7 @@ impl ModelSpec {
             backend,
             weights,
             truncation: None,
-            sparse_weights: true,
-            noise_margin: flash_runtime::noise_margin(),
+            noise_margin: DEFAULT_NOISE_MARGIN,
         }
     }
 
@@ -64,12 +60,6 @@ impl ModelSpec {
     /// [`flash_2pc::ConvProtocol::with_truncation`]).
     pub fn with_truncation(mut self, d0: u32, d1: u32) -> Self {
         self.truncation = Some((d0, d1));
-        self
-    }
-
-    /// Enables or disables the compiled sparse weight-transform path.
-    pub fn with_sparse_weights(mut self, enabled: bool) -> Self {
-        self.sparse_weights = enabled;
         self
     }
 
@@ -111,9 +101,7 @@ impl ModelPlan {
         let server = HconvServer::new(
             HconvLayer::new(spec.params, spec.shape, spec.truncation),
             spec.backend,
-            spec.sparse_weights,
             spec.noise_margin,
-            true,
         );
         let mut plan = ModelPlan {
             id: spec.id,

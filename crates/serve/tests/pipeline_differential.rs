@@ -172,8 +172,7 @@ fn served_bytes_equal_one_shot_respond_and_every_width_agrees() {
                 let ack = wire::decode_ack(&down.recv().unwrap()).unwrap();
                 assert_eq!(ack.truncation, truncation, "{case}");
 
-                let one_shot =
-                    HconvServer::new(layer.clone(), backend.clone(), true, margin, false);
+                let one_shot = HconvServer::new(layer.clone(), backend.clone(), margin);
                 for (r, req) in sealed.iter().enumerate().take(3) {
                     let req_id = r as u64;
                     up.send(&wire::encode_request(req_id, &req.blobs)).unwrap();
@@ -207,7 +206,7 @@ fn served_bytes_equal_one_shot_respond_and_every_width_agrees() {
                 server.shutdown();
 
                 // --- respond over reused units, width by width.
-                let reused = HconvServer::new(layer.clone(), backend.clone(), true, margin, true);
+                let reused = HconvServer::new(layer.clone(), backend.clone(), margin);
                 let units: Vec<_> = (0..shape.m)
                     .flat_map(|oc| reused.prepare_units(&weights, oc).unwrap().0)
                     .collect();

@@ -7,7 +7,7 @@
 //! seal ── blobs ───────────────► open            (per request)
 //!                                prepare_units   (per output channel:
 //!                                                 weight-only, offline
-//!                                                 when units are reused)
+//!                                                 for a registered model)
 //!                                spectra ─┐
 //!                                respond ◄┘      (W requests × a slice
 //!                                                 of units)
@@ -32,11 +32,10 @@
 //! [`crate::ConvProtocol`] pairs the stages in process at `W = 1`,
 //! preparing units per output channel inside its fan-out and dropping
 //! them after the MAC; `flash-serve` prepares every channel once at
-//! registration and responds to coalesced tickets at `W ≥ 1`. Whether
-//! units are reused is the one thing the two callers tell the pipeline
-//! differently ([`HconvServer::new`]): a reused exact-NTT unit carries
-//! Shoup constants (one division per coefficient, bought back by every
-//! later request), a one-shot unit does not.
+//! registration and responds to coalesced tickets at `W ≥ 1`. Both
+//! prepare the same units: an exact-NTT unit always carries its Shoup
+//! constants, so every ct⊠pt product of the tree runs the one sequence
+//! activation spectra → weight preparation → MAC → one batched inverse.
 //!
 //! # Noise guard
 //!
@@ -52,9 +51,7 @@
 
 use crate::error::FlashError;
 use crate::shares::ShareRing;
-use flash_he::backend::{
-    weight_residue_shoups, weight_residues_into, ActivationSpectra, BandAccumulator, WeightShoups,
-};
+use flash_he::backend::{weight_residue_shoups, ActivationSpectra, BandAccumulator, WeightShoups};
 use flash_he::encoding::{ConvEncoder, ConvShape};
 use flash_he::keys::KEY_BATCH;
 use flash_he::noise::NoiseBound;
@@ -315,15 +312,11 @@ impl HconvLayer {
 pub enum UnitWeights {
     /// FFT-family spectra, `groups × N/2` concatenated.
     Fft(Vec<C64>),
-    /// Exact-NTT residues of a *reused* unit, `groups × N`, with the
-    /// Shoup constant of every coefficient in a split stream — the
-    /// request-path MAC costs two multiplies per coefficient and defers
-    /// all reductions to one Barrett drain.
+    /// Exact-NTT residues, `groups × N`, with the Shoup constant of
+    /// every coefficient in a split stream — the request-path MAC costs
+    /// two multiplies per coefficient and defers all reductions to one
+    /// Barrett drain.
     Ntt(WeightShoups),
-    /// Exact-NTT residues of a *one-shot* unit, `groups × N`: no Shoup
-    /// constants (a division per coefficient that a single MAC never
-    /// earns back), eagerly reduced MAC.
-    NttOnce(Vec<u64>),
     /// The noise guard demands the exact coefficient-domain path; holds
     /// the band's weight polynomial of every channel group.
     Fallback(Vec<Vec<i64>>),
@@ -360,26 +353,26 @@ pub struct HconvServer {
     band_plans: Vec<Option<Arc<SparsePlan>>>,
     /// Noise-guard threshold as a fraction of the decryption ceiling.
     pub(crate) noise_margin: f64,
-    reuse_units: bool,
 }
 
+/// The noise-guard margin every protocol builder starts from: a unit
+/// falls back to the exact path once its composed bound reaches the full
+/// decryption ceiling `q/(2t)`.
+pub const DEFAULT_NOISE_MARGIN: f64 = 1.0;
+
 impl HconvServer {
-    /// Binds a backend and the guard/tape settings to a layer.
-    /// `reuse_units` says whether prepared units answer more than one
-    /// request (a registered model) or exactly one (an in-process run).
+    /// Binds a backend and the guard margin to a layer, and resolves each
+    /// band's weight-transform route: the interned tape when the backend
+    /// is FFT-family (modular spectra have no tape) and the pattern is
+    /// sparse enough to win ([`SparsePlan::worthwhile`]); the dense
+    /// kernels otherwise.
     ///
     /// # Panics
     ///
     /// Panics if the backend and the ring family disagree (the `Pow2`
     /// backend needs a power-of-two ciphertext modulus; the exact NTT
     /// backend needs a prime one).
-    pub fn new(
-        layer: HconvLayer,
-        backend: PolyMulBackend,
-        sparse_weights: bool,
-        noise_margin: f64,
-        reuse_units: bool,
-    ) -> Self {
+    pub fn new(layer: HconvLayer, backend: PolyMulBackend, noise_margin: f64) -> Self {
         match backend {
             PolyMulBackend::Pow2 => assert!(
                 layer.params.is_pow2(),
@@ -391,31 +384,21 @@ impl HconvServer {
             ),
             _ => {}
         }
-        let mut server = HconvServer {
-            layer,
-            backend,
-            band_plans: Vec::new(),
-            noise_margin,
-            reuse_units,
-        };
-        server.set_sparse_weights(sparse_weights);
-        server
-    }
-
-    /// Resolves each band's weight-transform route: the interned tape
-    /// when the sparse path is `enabled`, the backend is FFT-family
-    /// (modular spectra have no tape) and the pattern is sparse enough to
-    /// win ([`SparsePlan::worthwhile`]); the dense kernels otherwise.
-    pub(crate) fn set_sparse_weights(&mut self, enabled: bool) {
-        let enc = &self.layer.encoder;
-        let taped = enabled && !matches!(self.backend, PolyMulBackend::Ntt);
-        self.band_plans = (0..enc.bands())
+        let enc = &layer.encoder;
+        let taped = !matches!(backend, PolyMulBackend::Ntt);
+        let band_plans = (0..enc.bands())
             .map(|b| {
                 taped
-                    .then(|| conv_band_plan(enc, self.layer.params.n, b))
+                    .then(|| conv_band_plan(enc, layer.params.n, b))
                     .filter(|plan| plan.worthwhile())
             })
             .collect();
+        HconvServer {
+            layer,
+            backend,
+            band_plans,
+            noise_margin,
+        }
     }
 
     /// The shared layer context.
@@ -469,16 +452,14 @@ impl HconvServer {
         for b in 0..enc.bands() {
             let (noise, err) = self.band_noise(&w_polys, b);
             noise.check()?;
-            // A reused NTT unit accumulates one lazy (unreduced, < 2q)
-            // Shoup product per group before its single Barrett drain, so
-            // the group count must fit the u64 headroom ⌊(2^64−1)/2q⌋.
+            // An NTT unit accumulates one lazy (unreduced, < 2q) Shoup
+            // product per group before its single Barrett drain, so the
+            // group count must fit the u64 headroom ⌊(2^64−1)/2q⌋.
             // Unreachable for any practical q, but a violation would wrap
             // silently, so such a unit takes the exact fallback too.
             let fallback = err
                 .is_some_and(|e| noise.bound() + e >= self.noise_margin * noise.ceiling())
-                || (is_ntt
-                    && self.reuse_units
-                    && groups as u128 * 2 * p.q as u128 > u64::MAX as u128);
+                || (is_ntt && groups as u128 * 2 * p.q as u128 > u64::MAX as u128);
             if fallback {
                 counts.fallback += 1;
                 let polys = w_polys.iter_mut().map(|wp| std::mem::take(&mut wp[b]));
@@ -488,13 +469,7 @@ impl HconvServer {
             let ws: Vec<&[i64]> = w_polys.iter().map(|wp| wp[b].as_slice()).collect();
             let _t = flash_telemetry::span!("hconv.weight_transform");
             units.push(if is_ntt {
-                if self.reuse_units {
-                    UnitWeights::Ntt(weight_residue_shoups(&ws, p.ntt()))
-                } else {
-                    let mut fw = vec![0u64; groups * p.n];
-                    weight_residues_into(&ws, &mut fw, p.ntt());
-                    UnitWeights::NttOnce(fw)
-                }
+                UnitWeights::Ntt(weight_residue_shoups(&ws, p.ntt()))
             } else {
                 let mut fw = vec![C64::ZERO; groups * (p.n / 2)];
                 match &self.band_plans[b] {
@@ -553,7 +528,7 @@ impl HconvServer {
         let band_of = |slot: usize| (first_unit + slot) % bands;
 
         let ntt_slots: Vec<usize> = (0..units.len())
-            .filter(|&s| matches!(units[s], UnitWeights::Ntt(_) | UnitWeights::NttOnce(_)))
+            .filter(|&s| matches!(units[s], UnitWeights::Ntt(_)))
             .collect();
         let fft_slots: Vec<usize> = (0..units.len())
             .filter(|&s| matches!(units[s], UnitWeights::Fft(_)))
@@ -582,17 +557,16 @@ impl HconvServer {
                 for (k, &slot) in ntt_slots.iter().enumerate() {
                     let idx = offset + g * bands + band_of(slot);
                     let acc = &mut rbuf[k * two_n..][..two_n];
-                    match &units[slot] {
-                        UnitWeights::Ntt(r) => act.mac_ntt_shoup_lazy_into(
-                            idx,
-                            &r.w[g * n..][..n],
-                            &r.shoup[g * n..][..n],
-                            p.ntt(),
-                            acc,
-                        ),
-                        UnitWeights::NttOnce(w) => act.mac_ntt(idx, &w[g * n..][..n], p.ntt(), acc),
-                        _ => unreachable!("ntt_slots holds only NTT units"),
-                    }
+                    let UnitWeights::Ntt(r) = &units[slot] else {
+                        unreachable!("ntt_slots holds only NTT units");
+                    };
+                    act.mac_ntt_shoup_lazy_into(
+                        idx,
+                        &r.w[g * n..][..n],
+                        &r.shoup[g * n..][..n],
+                        p.ntt(),
+                        acc,
+                    );
                 }
             }
             for &slot in &fft_slots {

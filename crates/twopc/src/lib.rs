@@ -17,7 +17,6 @@
 
 pub mod error;
 pub mod hconv;
-pub mod matvec;
 pub mod nonlinear;
 pub mod protocol;
 pub mod shares;
@@ -25,7 +24,6 @@ pub mod transport;
 
 pub use error::{FlashError, ProtocolError};
 pub use hconv::{conv_band_plan, HconvLayer, HconvServer};
-pub use matvec::MatVecProtocol;
 pub use nonlinear::exec::{maxpool_reference, NonlinearSession, NonlinearStats};
 pub use nonlinear::NonlinearModel;
 pub use protocol::{expected_conv_mod, ConvProtocol, ProtocolStats};

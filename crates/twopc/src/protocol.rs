@@ -12,7 +12,7 @@
 //! sums over `Z_t` are exactly the share arithmetic of the 2PC layers
 //! around the convolution.
 //!
-//! Units are one-shot here: each output channel prepares its weights
+//! Units live for one run here: each output channel prepares its weights
 //! inside the fan-out ([`HconvServer::prepare_units`]), answers the one
 //! request, and drops them — a whole layer's spectra never exist at once.
 //! The noise guard (fallback to the exact path of the ring family, or
@@ -22,7 +22,7 @@
 //! [`HeError::NoiseOverflow`]: flash_he::HeError
 
 use crate::error::FlashError;
-use crate::hconv::{HconvLayer, HconvServer};
+use crate::hconv::{HconvLayer, HconvServer, DEFAULT_NOISE_MARGIN};
 use crate::shares::ShareRing;
 use crate::transport::{FaultPlan, InMemoryTransport, Transport, TransportConfig};
 use flash_he::encoding::{ConvEncoder, ConvShape};
@@ -106,9 +106,7 @@ impl ConvProtocol {
             server: HconvServer::new(
                 HconvLayer::new(params, shape, None),
                 backend,
-                true,
-                flash_runtime::noise_margin(),
-                false,
+                DEFAULT_NOISE_MARGIN,
             ),
             transport: TransportConfig::default(),
         }
@@ -123,15 +121,6 @@ impl ConvProtocol {
         self
     }
 
-    /// Enables or disables the compiled sparse weight-transform path
-    /// (on by default). With `false` every weight transform runs densely;
-    /// outputs are identical either way — the switch exists for A/B
-    /// benchmarking and regression bisection.
-    pub fn with_sparse_weights(mut self, enabled: bool) -> Self {
-        self.server.set_sparse_weights(enabled);
-        self
-    }
-
     /// Sets the wire configuration for both transport directions —
     /// retry budget, checksum enforcement, and (for testing) a fault
     /// plan. Random fault plans are salted per direction so uplink and
@@ -142,9 +131,9 @@ impl ConvProtocol {
     }
 
     /// Overrides the noise-guard margin (default:
-    /// [`flash_runtime::noise_margin`], i.e. `FLASH_NOISE_MARGIN` or
-    /// 1.0). A margin of `0.0` forces the exact fallback for every band
-    /// of an approximate backend — a deterministic test hook.
+    /// [`DEFAULT_NOISE_MARGIN`]). A margin of `0.0` forces the exact
+    /// fallback for every band of an approximate backend — a
+    /// deterministic test hook.
     pub fn with_noise_margin(mut self, margin: f64) -> Self {
         self.server.noise_margin = margin;
         self
@@ -172,7 +161,7 @@ impl ConvProtocol {
     }
 
     /// The server half of the pipeline this protocol pairs with its
-    /// client (one-shot units).
+    /// client.
     pub fn server(&self) -> &HconvServer {
         &self.server
     }
@@ -465,10 +454,9 @@ mod tests {
 
     #[test]
     fn sparse_and_dense_paths_produce_identical_shares() {
-        // The acceptance bar for the compiled tape: with the same seed,
-        // the protocol's outputs (both shares, not just the reconstructed
-        // result) are bit-identical whether weight transforms run on the
-        // sparse tape or the dense FFT.
+        // The acceptance bar for the compiled tape: every weight
+        // transform of a sparse layer takes the tape, and the output is
+        // still the exact convolution.
         let shape = ConvShape {
             c: 2,
             h: 6,
@@ -486,21 +474,15 @@ mod tests {
             .map(|i| ((i as i64 * 3) % 15) - 7)
             .collect();
 
-        let sparse = ConvProtocol::new(params.clone(), shape, PolyMulBackend::FftF64);
-        let dense =
-            ConvProtocol::new(params, shape, PolyMulBackend::FftF64).with_sparse_weights(false);
+        let sparse = ConvProtocol::new(params, shape, PolyMulBackend::FftF64);
         let mut r1 = rand::rngs::StdRng::seed_from_u64(9);
         let (shares_s, stats_s) = sparse.run(&sk, &x, &w, &mut r1).unwrap();
-        let mut r2 = rand::rngs::StdRng::seed_from_u64(9);
-        let (shares_d, stats_d) = dense.run(&sk, &x, &w, &mut r2).unwrap();
 
-        assert_eq!(shares_s, shares_d, "sparse path changed protocol output");
         assert_eq!(
             stats_s.sparse_weight_transforms, stats_s.weight_transforms,
             "every weight transform should have taken the tape"
         );
         assert!(stats_s.sparse_weight_transforms > 0);
-        assert_eq!(stats_d.sparse_weight_transforms, 0);
         assert_eq!(
             sparse.reconstruct(&shares_s),
             expected_conv_mod(&x, &w, &shape, sparse.ring())

@@ -1,10 +1,8 @@
 //! Property-based tests for secret sharing and the protocol layer.
 
-use flash_2pc::matvec::MatVecProtocol;
 use flash_2pc::protocol::{expected_conv_mod, ConvProtocol};
 use flash_2pc::shares::ShareRing;
 use flash_he::encoding::ConvShape;
-use flash_he::matvec::matvec_reference;
 use flash_he::{HeParams, PolyMulBackend, SecretKey};
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -55,24 +53,5 @@ proptest! {
             proto.reconstruct(&shares),
             expected_conv_mod(&x, &w, &shape, proto.ring())
         );
-    }
-
-    /// Full FC protocol correctness over random dimensions.
-    #[test]
-    fn matvec_protocol_correct(seed in 0u64..1000, ni in 4usize..40, no in 1usize..8) {
-        let params = HeParams::test_256();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let sk = SecretKey::generate(&params, &mut rng);
-        let proto = MatVecProtocol::new(params, ni, no, PolyMulBackend::Ntt);
-        use rand::Rng;
-        let x: Vec<i64> = (0..ni).map(|_| rng.gen_range(-8..8)).collect();
-        let w: Vec<i64> = (0..ni * no).map(|_| rng.gen_range(-8..8)).collect();
-        let ((yc, ys), _) = proto.run(&sk, &x, &w, &mut rng).unwrap();
-        let ring = proto.ring();
-        let want: Vec<i64> = matvec_reference(&w, &x, ni, no)
-            .iter()
-            .map(|&v| ring.to_signed(ring.reduce(v)))
-            .collect();
-        prop_assert_eq!(proto.reconstruct(&yc, &ys), want);
     }
 }

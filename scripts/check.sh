@@ -9,6 +9,20 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# `cargo test -q ARGS...` for a mode line that names a test filter: fails
+# when the summed `test result` lines report 0 passed, so a filter left
+# naming a deleted test cannot pass silently ("0 passed; N filtered out").
+filtered() {
+    local out passed
+    out=$(cargo test -q "$@" 2>&1) || { printf '%s\n' "$out"; return 1; }
+    printf '%s\n' "$out"
+    passed=$(printf '%s\n' "$out" | awk '/^test result:/ { n += $4 } END { print n + 0 }')
+    if ((passed == 0)); then
+        echo "error: \`cargo test $*\` passed 0 tests" >&2
+        return 1
+    fi
+}
+
 # `--faults` runs only the deterministic fault-injection suite: the
 # seeded 1000-schedule protocol sweep, the exhaustive single-bit-flip
 # sweeps, the framing proptests (fixed PROPTEST seeds via the vendored
@@ -16,10 +30,9 @@ cd "$(dirname "$0")/.."
 # of its seed, so this job is bit-reproducible across machines.
 if [[ "${1:-}" == "--faults" ]]; then
     echo "==> fault-injection suite (deterministic seeds)"
-    cargo test -q -p flash-2pc --lib transport
+    filtered -p flash-2pc --lib transport
     cargo test -q -p flash-2pc --test transport_proptests --test fault_injection
-    cargo test -q -p flash-2pc --lib protocol::tests::conv_recovers_bit_identically_from_scripted_faults
-    cargo test -q -p flash-2pc --lib matvec::tests::fc_recovers_from_faulty_wire
+    filtered -p flash-2pc --lib protocol::tests::conv_recovers_bit_identically_from_scripted_faults
     echo "==> fault-injection suite passed"
     exit 0
 fi
@@ -44,7 +57,7 @@ fi
 if [[ "${1:-}" == "--chaos" ]]; then
     echo "==> chaos/resilience suite (deterministic seeds)"
     cargo test -q -p flash-serve --test resilience --test wire_fuzz
-    cargo test -q -p flash-2pc --lib transport
+    filtered -p flash-2pc --lib transport
     echo "==> chaos/resilience suite passed"
     exit 0
 fi
@@ -54,8 +67,8 @@ fi
 # flash-he.
 if [[ "${1:-}" == "--backends" ]]; then
     echo "==> ciphertext-backend suite"
-    cargo test -q -p flash-math pow2
-    cargo test -q -p flash-he --lib backend
+    filtered -p flash-math pow2
+    filtered -p flash-he --lib backend
     cargo test -q -p flash-he --test proptests
     echo "==> ciphertext-backend suite passed"
     exit 0
@@ -72,15 +85,15 @@ fi
 # exact argmax agreement and the [0.5x, 2x] byte-model band.
 if [[ "${1:-}" == "--e2e" ]]; then
     echo "==> private end-to-end inference suite"
-    cargo test -q -p flash-2pc --lib nonlinear
+    filtered -p flash-2pc --lib nonlinear
     cargo test -q -p flash-2pc --test nonlinear_proptests
-    cargo test -q -p flash-nn --lib resnet
-    cargo test -q -p flash-accel --lib e2e
-    cargo test -q -p flash-he --lib fold
-    cargo test -q -p flash-accel --lib hconv
+    filtered -p flash-nn --lib resnet
+    filtered -p flash-accel --lib e2e
+    filtered -p flash-he --lib fold
+    filtered -p flash-accel --lib hconv
     cargo test -q -p flash-accel --test run_layer_composition
-    cargo test -q -p flash-accel --test end_to_end stride2_communication_accounting
-    cargo test -q -p flash-accel --test cross_validation workload_counts_match_encoder_plan
+    filtered -p flash-accel --test end_to_end stride2_communication_accounting
+    filtered -p flash-accel --test cross_validation workload_counts_match_encoder_plan
     echo "==> private end-to-end inference suite passed"
     exit 0
 fi
