@@ -383,6 +383,19 @@ impl ConvEncoder {
         start..start + rows_out * s.out_w()
     }
 
+    /// The product-polynomial coefficient of every output of band `b`, in
+    /// the order [`ConvEncoder::decode_band_rows`] writes them: the only
+    /// coefficients of a response a decoder reads.
+    pub fn band_positions(&self, b: usize) -> impl Iterator<Item = usize> + '_ {
+        let s = &self.shape;
+        let (rs, cs) = self.strides(b);
+        let (_, _, _, rows_out) = self.bands[b];
+        (0..rows_out).flat_map(move |p| {
+            let idx = (self.cg - 1) * cs + (p + s.k - 1) * rs + (s.k - 1);
+            idx..idx + s.out_w()
+        })
+    }
+
     /// Extracts the outputs of band `b` from the (group-accumulated)
     /// product polynomial of one output channel into `rows`, the band's
     /// own `rows_out × out_w` block ([`ConvEncoder::band_output_range`]
@@ -396,12 +409,10 @@ impl ConvEncoder {
     pub fn decode_band_rows<T: Copy>(&self, prod: &[T], b: usize, rows: &mut [T]) {
         let s = &self.shape;
         assert_eq!(prod.len(), self.n, "product polynomial length mismatch");
-        let (rs, cs) = self.strides(b);
         let (_, _, _, rows_out) = self.bands[b];
         assert_eq!(rows.len(), rows_out * s.out_w(), "band block size mismatch");
-        for (p, row) in rows.chunks_exact_mut(s.out_w()).enumerate() {
-            let idx = (self.cg - 1) * cs + (p + s.k - 1) * rs + (s.k - 1);
-            row.copy_from_slice(&prod[idx..idx + s.out_w()]);
+        for (r, i) in rows.iter_mut().zip(self.band_positions(b)) {
+            *r = prod[i];
         }
     }
 

@@ -992,11 +992,13 @@ fn finalize_ticket(core: &Arc<ServerCore>, ticket: Ticket, response: Response) {
         server_share: y_server,
     } = response;
     let response = wire::encode_response(ticket.req_id, &blobs);
-    let sent = ticket.session.downlink.clone().send(&response);
+    // The server's share is recorded before the response leaves: a client
+    // holding its response must always find the other half.
     core.results
         .lock()
         .unwrap_or_else(|e| e.into_inner())
         .insert((ticket.session.id, ticket.req_id), y_server);
+    let sent = ticket.session.downlink.clone().send(&response);
     core.latencies_us
         .lock()
         .unwrap_or_else(|e| e.into_inner())
