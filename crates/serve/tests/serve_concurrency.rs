@@ -368,6 +368,52 @@ fn pow2_model_roundtrips_and_batched_matches_serial_bitwise() {
 }
 
 #[test]
+fn a_collected_response_always_finds_its_server_share() {
+    // A client that asks for the server's share as soon as it holds its
+    // response, without waiting for the request's terminal outcome (as a
+    // load generator does): the share is recorded before the response is
+    // sent, so it is always there.
+    let params = HeParams::pow2_test_256();
+    let shape = shape_a();
+    let server = InferenceServer::start(BatchPolicy::serial_baseline(), SERVER_SEED, 1);
+    server
+        .register_model(ModelSpec::new(
+            9,
+            params.clone(),
+            shape,
+            PolyMulBackend::Pow2,
+            weights_for(&shape, 3),
+        ))
+        .unwrap();
+    let mut rng = StdRng::seed_from_u64(77);
+    let mut client = Client::connect(
+        &server,
+        9,
+        0,
+        params,
+        shape,
+        TransportConfig::default(),
+        TransportConfig::default(),
+        Duration::from_secs(5),
+        &mut rng,
+    )
+    .unwrap();
+    for req_id in 0..32 {
+        let x: Vec<i64> = (0..shape.input_len())
+            .map(|_| rng.gen_range(-8..8))
+            .collect();
+        let prepared = client.prepare(req_id, &x, &mut rng);
+        client.dispatch(&server, &prepared).unwrap();
+        assert_eq!(client.collect().unwrap().0, req_id);
+        assert!(
+            server.take_result(client.session_id(), req_id).is_some(),
+            "request {req_id}: response arrived before its server share"
+        );
+    }
+    server.shutdown();
+}
+
+#[test]
 fn model_cache_and_sessions_are_accounted() {
     let run = run_fleet(BatchPolicy::batched(), 2, 4, 2, &clean_cfg);
     assert!(run.errors.is_empty(), "{:?}", run.errors);
