@@ -8,7 +8,6 @@
 //! are `debug_assert!`-checked on hot paths.
 
 use crate::serialize::WireError;
-use flash_ntt::pow2::SmallOperandError;
 use std::fmt;
 
 /// Errors from validating or operating on wire-derived HE data.
@@ -40,8 +39,8 @@ pub enum HeError {
         ceiling: f64,
     },
     /// The small operand of a key product (a secret or encryption
-    /// randomness) is too large for the power-of-two ring's exact CRT
-    /// lift; the product would silently wrap.
+    /// randomness) is too large for the power-of-two ring's split-limb
+    /// FFT product to be provably exact; a coefficient could round wrong.
     OperandTooLarge {
         /// Largest admissible `‖b‖_∞`.
         bound: u64,
@@ -84,15 +83,6 @@ impl std::error::Error for HeError {
 impl From<WireError> for HeError {
     fn from(e: WireError) -> Self {
         HeError::Wire(e)
-    }
-}
-
-impl From<SmallOperandError> for HeError {
-    fn from(e: SmallOperandError) -> Self {
-        HeError::OperandTooLarge {
-            bound: e.bound,
-            norm: e.norm,
-        }
     }
 }
 

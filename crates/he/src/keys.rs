@@ -10,9 +10,10 @@
 //! ([`HeParams::prepare_key_operand`]) and the products run batched
 //! ([`SecretKey::encrypt_batch`], [`SecretKey::phase_batch_into`],
 //! [`SecretKey::decrypt_batch_into`]): a chunk of ciphertexts shares
-//! each twiddle in the lane-interleaved NTT kernels, and the `+ c0` add
-//! and the `round(t·x/q)` scaling ride in the product's final sweep. The
-//! per-ciphertext calls are the same code at batch width 1.
+//! each twiddle in the lane-interleaved transform kernels (the NTT on a
+//! prime ring, the split-limb `f64` FFT on a power-of-two ring), and the
+//! `+ c0` add and the `round(t·x/q)` scaling ride in the product's final
+//! sweep. The per-ciphertext calls are the same code at batch width 1.
 //!
 //! A caller that reads only a few coefficients of each plaintext asks
 //! for exactly those ([`SecretKey::decrypt_coeffs_into`]): one
@@ -164,15 +165,16 @@ impl KeyRows {
 
 /// Whether reading `count` coefficients per ciphertext row by row beats
 /// the full key product. A row costs `N` AND-and-adds; the product costs
-/// two fused `N·log2 N` transform chains (one per CRT limb), measured at
-/// about four rows per limb and per level of `log2 N`. Rows are read on
-/// power-of-two rings only: no prime-ring response in the workloads is
-/// sparse enough to pay for an exact `N·q`-sized row sum there, so a
-/// prime ring always takes the full product. Derived from the ring and
-/// the count alone — there is no knob.
+/// one batched `f64` FFT chain over the two limbs of the ciphertext,
+/// `O(N·log2 N)`, measured at a little over four rows per level of
+/// `log2 N` (a crossover of 46–61 rows at `N = 256` and 56–58 at
+/// `N = 4096`). Rows are read on power-of-two rings only: no prime-ring
+/// response in the workloads is sparse enough to pay for an exact
+/// `N·q`-sized row sum there, so a prime ring always takes the full
+/// product. Derived from the ring and the count alone — there is no knob.
 fn extraction_wins(params: &HeParams, count: usize) -> bool {
-    const LIMBS: usize = 2;
-    params.is_pow2() && count <= 4 * LIMBS * params.n.trailing_zeros() as usize
+    const ROWS_PER_LEVEL: usize = 4;
+    params.is_pow2() && count <= ROWS_PER_LEVEL * params.n.trailing_zeros() as usize
 }
 
 impl PublicKey {
@@ -516,7 +518,7 @@ mod tests {
     #[test]
     fn encrypt_decrypt_roundtrip_pow2_ring() {
         // The whole key path — ternary sampling, a·s / p·u products via
-        // the CRT lift, Δ·m scaling, u128 rounding — on q = 2^62.
+        // the split-limb FFT, Δ·m scaling, rounding — on q = 2^62.
         let p = HeParams::pow2_test_256();
         let mut rng = rand::rngs::StdRng::seed_from_u64(1);
         let sk = SecretKey::generate(&p, &mut rng);
@@ -614,20 +616,26 @@ mod tests {
 
     #[test]
     fn extraction_rule_at_the_benchmark_response_shapes() {
-        // resnet18_private: N = 256, q = 2^62, every stage's response
-        // width up to 64 outputs reads rows.
+        // resnet18_private: N = 256, q = 2^62. The responses of 1, 4 and
+        // 16 outputs (layer2–layer4) read rows; layer1's 64-output
+        // responses take the batched product, which is cheaper there.
         let pow2_256 = HeParams::pow2_test_256();
-        for count in [1, 4, 16, 64] {
+        for count in [1, 4, 16, 32] {
             assert!(extraction_wins(&pow2_256, count), "P = {count}");
         }
-        assert!(!extraction_wins(&pow2_256, 65));
+        assert!(!extraction_wins(&pow2_256, 33));
+        assert!(!extraction_wins(&pow2_256, 64));
         // serve_*: prime N = 1024, 14×14 outputs per response — and a
         // prime ring never reads rows, however few.
         let prime_1024 = HeParams::new(1024, 36, 1 << 16, 3.2);
         assert!(!extraction_wins(&prime_1024, 196));
         assert!(!extraction_wins(&prime_1024, 1));
-        // hconv_wide_n4096: q = 2^62, 32×32 outputs per response.
-        assert!(!extraction_wins(&HeParams::flash_pow2(), 1024));
+        // hconv_wide_n4096: q = 2^62, 32×32 outputs per response; rows
+        // would pay off only up to 48.
+        let pow2_4096 = HeParams::flash_pow2();
+        assert!(extraction_wins(&pow2_4096, 48));
+        assert!(!extraction_wins(&pow2_4096, 49));
+        assert!(!extraction_wins(&pow2_4096, 1024));
     }
 
     #[test]

@@ -42,6 +42,7 @@ pub mod matvec;
 pub mod noise;
 pub mod params;
 pub mod poly;
+mod pow2;
 pub mod serialize;
 pub mod truncate;
 

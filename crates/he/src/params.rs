@@ -13,9 +13,9 @@
 //! * **Power-of-two** — `q = 2^l` (Jaguar-style): modular reduction on
 //!   the MAC path is a single AND and all accumulation is native
 //!   wrapping arithmetic, at the price of losing the ring's own NTT.
-//!   Exact key operations lift through a two-limb CRT of helper primes
-//!   ([`flash_ntt::pow2::Pow2Ring`]); the hot path lifts through the
-//!   shared FFT like the other approximate backends. Because both `t`
+//!   Both the hot path and the exact key operations run on the shared
+//!   `f64` FFT; key products split the dense operand into two limbs so
+//!   every rounded coefficient is provably exact. Because both `t`
 //!   and `q` are powers of two, `Δ = q/t` is exact and plaintext-ring
 //!   wraparound carries vanish entirely (`q ≡ 0 (mod t)`).
 
@@ -24,9 +24,10 @@ use std::fmt;
 use std::sync::Arc;
 
 use crate::error::HeError;
+use crate::pow2::SplitLimb;
 use flash_fft::negacyclic::NegacyclicFft;
+use flash_math::C64;
 use flash_ntt::polymul::{negacyclic_mul_prepared_batch, PreparedOperand};
-use flash_ntt::pow2::{Pow2Ring, PreparedSmall};
 use flash_ntt::NttTables;
 use flash_runtime::U64_SCRATCH;
 
@@ -36,8 +37,9 @@ use flash_runtime::U64_SCRATCH;
 enum RingCtx {
     /// NTT-friendly prime modulus with its transform tables.
     Prime(Arc<NttTables>),
-    /// Power-of-two modulus with its CRT-NTT lift for key operations.
-    Pow2(Arc<Pow2Ring>),
+    /// Power-of-two modulus; key operations run the split-limb product
+    /// on the ring's FFT.
+    Pow2(SplitLimb),
 }
 
 /// BFV parameters plus shared transform plans for the ring.
@@ -112,7 +114,7 @@ impl HeParams {
 
     /// Builds a power-of-two parameter set with `q = 2^l`. All MAC-path
     /// reduction degenerates to wrapping arithmetic plus one mask;
-    /// exact key operations run through the CRT-NTT lift.
+    /// exact key operations run the split-limb product on the ring's FFT.
     ///
     /// `l` is capped at 62 (the workspace-wide `q < 2^63` contract);
     /// `2^62` already exceeds every prime modulus the NTT baseline can
@@ -120,8 +122,9 @@ impl HeParams {
     ///
     /// # Panics
     ///
-    /// Panics if `t` is not a power of two, `t ≥ 2^l / 2`, or `l` is
-    /// outside `2..=62`.
+    /// Panics if `t` is not a power of two, `t ≥ 2^l / 2`, `l` is outside
+    /// `2..=62`, or `n` is too large for an exact key product with a
+    /// ternary operand (`N ≥ 16384` at `l = 62`).
     pub fn new_pow2(n: usize, l: u32, t: u64, noise_std: f64) -> Self {
         assert!(
             t.is_power_of_two(),
@@ -133,15 +136,13 @@ impl HeParams {
         );
         let q = 1u64 << l;
         assert!(t < q / 2, "plaintext modulus leaves no noise budget");
-        let ring = Arc::new(Pow2Ring::new(n, l));
-        let fft = NegacyclicFft::shared(n);
         Self {
             n,
             q,
             t,
             noise_std,
-            ring: RingCtx::Pow2(ring),
-            fft,
+            ring: RingCtx::Pow2(SplitLimb::new(n, l)),
+            fft: NegacyclicFft::shared(n),
         }
     }
 
@@ -212,19 +213,6 @@ impl HeParams {
         }
     }
 
-    /// The power-of-two ring context.
-    ///
-    /// # Panics
-    ///
-    /// Panics for a prime ring.
-    #[inline]
-    pub fn pow2_ring(&self) -> &Pow2Ring {
-        match &self.ring {
-            RingCtx::Pow2(r) => r,
-            RingCtx::Prime(_) => panic!("prime modulus {q} is not a power-of-two ring", q = self.q),
-        }
-    }
-
     /// Shared `f64` negacyclic FFT plan for this ring.
     #[inline]
     pub fn fft(&self) -> &NegacyclicFft {
@@ -234,14 +222,16 @@ impl HeParams {
     /// Prepares the fixed *small* operand of key products (`a·s`, `p·u`,
     /// …: ternary secrets, encryption randomness) for
     /// [`HeParams::key_mul_batch`]: the operand moves into the transform
-    /// domain once, with Shoup constants, so every product afterwards
+    /// domain once (NTT with Shoup constants on a prime ring, its `N/2`-slot
+    /// FFT spectrum on a power-of-two ring), so every product afterwards
     /// skips its transform.
     ///
     /// # Errors
     ///
     /// [`HeError::OperandTooLarge`] on a power-of-two ring when `‖b‖_∞`
-    /// exceeds the exact CRT-lift bound. A prime ring accepts any
-    /// reduced operand.
+    /// exceeds the bound for which the split-limb product is provably
+    /// exact (2 at `N = 4096`, `q = 2^62`; ternary operands qualify at every
+    /// degree `new_pow2` accepts). A prime ring accepts any reduced operand.
     ///
     /// # Panics
     ///
@@ -249,16 +239,16 @@ impl HeParams {
     pub fn prepare_key_operand(&self, b_small: &[u64]) -> Result<KeyOperand, HeError> {
         Ok(KeyOperand(match &self.ring {
             RingCtx::Prime(t) => KeyOperandRepr::Prime(PreparedOperand::new(b_small, t)),
-            RingCtx::Pow2(r) => KeyOperandRepr::Pow2(r.prepare_small(b_small)?),
+            RingCtx::Pow2(r) => KeyOperandRepr::Pow2(r.prepare(&self.fft, b_small)?),
         }))
     }
 
     /// Exact negacyclic key products of a batch of ring elements `a`
     /// (`batch × N`, concatenated) against one prepared operand, folded
     /// into `out`: `out[i] = fold(prod[i], out[i])` with `prod` fully
-    /// reduced modulo `q`. Batched Shoup-NTT on a prime ring, batched
-    /// CRT-NTT lift on a power-of-two ring; a batch of one is the same
-    /// code at width 1. Never used on the MAC hot path.
+    /// reduced modulo `q`. Batched Shoup-NTT on a prime ring, the batched
+    /// split-limb FFT product on a power-of-two ring; a batch of one is the
+    /// same code at width 1. Never used on the MAC hot path.
     ///
     /// # Panics
     ///
@@ -280,7 +270,7 @@ impl HeParams {
                     *o = fold(p, *o);
                 }
             }
-            (RingCtx::Pow2(r), KeyOperandRepr::Pow2(b)) => r.mul_prepared_batch(out, a, b, fold),
+            (RingCtx::Pow2(r), KeyOperandRepr::Pow2(b)) => r.mul_batch(&self.fft, out, a, b, fold),
             _ => panic!("key operand prepared for the other ring family"),
         }
     }
@@ -294,7 +284,7 @@ pub struct KeyOperand(KeyOperandRepr);
 #[derive(Debug, Clone)]
 enum KeyOperandRepr {
     Prime(PreparedOperand),
-    Pow2(PreparedSmall),
+    Pow2(Box<[C64]>),
 }
 
 #[cfg(test)]
@@ -325,7 +315,7 @@ mod tests {
         assert_eq!(p.q % p.t, 0);
         // 2^62 beats the 39-bit prime's ceiling by >20 bits.
         assert!(p.noise_ceiling() > HeParams::flash_default().noise_ceiling() << 20);
-        assert_eq!(p.pow2_ring().degree(), 4096);
+        assert_eq!(p.fft().degree(), 4096);
     }
 
     #[test]

@@ -16,6 +16,8 @@ pub enum WireError {
     Truncated,
     /// A decoded coefficient is not reduced modulo the modulus.
     CoefficientOutOfRange { index: usize },
+    /// The buffer continues past the end of the encoding.
+    TrailingBytes { extra: usize },
 }
 
 impl fmt::Display for WireError {
@@ -25,11 +27,28 @@ impl fmt::Display for WireError {
             WireError::CoefficientOutOfRange { index } => {
                 write!(f, "coefficient {index} out of range for modulus")
             }
+            WireError::TrailingBytes { extra } => {
+                write!(f, "{extra} bytes past the end of the encoding")
+            }
         }
     }
 }
 
 impl std::error::Error for WireError {}
+
+/// Checks that a wire buffer is exactly as long as its encoding.
+///
+/// # Errors
+///
+/// [`WireError::Truncated`] when it is shorter, [`WireError::TrailingBytes`]
+/// when it is longer.
+pub(crate) fn expect_len(buf: &[u8], len: usize) -> Result<(), WireError> {
+    match buf.len().checked_sub(len) {
+        None => Err(WireError::Truncated),
+        Some(0) => Ok(()),
+        Some(extra) => Err(WireError::TrailingBytes { extra }),
+    }
+}
 
 /// Bytes per coefficient for a modulus.
 #[inline]
@@ -58,12 +77,11 @@ pub fn poly_to_bytes(p: &Poly) -> Vec<u8> {
 ///
 /// # Errors
 ///
-/// Returns [`WireError`] on truncation or unreduced coefficients.
+/// Returns [`WireError`] on a buffer of the wrong length or unreduced
+/// coefficients.
 pub fn poly_from_bytes(buf: &[u8], n: usize, modulus: u64) -> Result<Poly, WireError> {
     let cb = coeff_bytes(modulus);
-    if buf.len() < n * cb {
-        return Err(WireError::Truncated);
-    }
+    expect_len(buf, n * cb)?;
     // Branch-free inner loop: decode everything, fold the range check
     // into one flag, and locate the offending index only on failure.
     // Coefficients are read as full little-endian u64 words masked down
@@ -115,12 +133,11 @@ pub fn ciphertext_to_bytes(ct: &Ciphertext) -> Vec<u8> {
 ///
 /// # Errors
 ///
-/// Returns [`WireError`] on truncation or unreduced coefficients.
+/// Returns [`WireError`] on a buffer of the wrong length or unreduced
+/// coefficients.
 pub fn ciphertext_from_bytes(buf: &[u8], n: usize, q: u64) -> Result<Ciphertext, WireError> {
     let half = n * coeff_bytes(q);
-    if buf.len() < 2 * half {
-        return Err(WireError::Truncated);
-    }
+    expect_len(buf, 2 * half)?;
     let c0 = poly_from_bytes(&buf[..half], n, q)?;
     let c1 = poly_from_bytes(&buf[half..], n, q)?;
     Ok(Ciphertext::new(c0, c1))
@@ -200,6 +217,29 @@ mod tests {
             poly_from_bytes(&bytes[..bytes.len() - 1], p.n, p.q),
             Err(WireError::Truncated)
         );
+    }
+
+    #[test]
+    fn trailing_bytes_rejected_on_both_rings() {
+        for p in [HeParams::test_256(), HeParams::pow2_test_256()] {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(4);
+            let sk = SecretKey::generate(&p, &mut rng);
+            let ct = sk.encrypt(&Poly::uniform(p.n, p.t, &mut rng), &mut rng);
+            let mut bytes = ciphertext_to_bytes(&ct);
+            bytes.extend([0u8; 4]);
+            assert_eq!(
+                ciphertext_from_bytes(&bytes, p.n, p.q),
+                Err(WireError::TrailingBytes { extra: 4 }),
+                "q = {}",
+                p.q
+            );
+            let mut poly = poly_to_bytes(ct.c0());
+            poly.push(0);
+            assert_eq!(
+                poly_from_bytes(&poly, p.n, p.q),
+                Err(WireError::TrailingBytes { extra: 1 })
+            );
+        }
     }
 
     #[test]

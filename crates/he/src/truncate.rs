@@ -10,7 +10,7 @@
 use crate::cipher::Ciphertext;
 use crate::params::HeParams;
 use crate::poly::Poly;
-use crate::serialize::WireError;
+use crate::serialize::{expect_len, WireError};
 
 /// A ciphertext with truncated coefficients, as it travels on the wire.
 #[derive(Debug, Clone, PartialEq)]
@@ -107,7 +107,8 @@ impl TruncatedCiphertext {
     ///
     /// # Errors
     ///
-    /// Returns [`WireError`] when the buffer is short or a packed value
+    /// Returns [`WireError`] when the buffer is shorter or longer than the
+    /// encoding, or a packed value
     /// exceeds the `log2 q − d` wire width (including flipped pad bits in
     /// the top byte of a coefficient).
     pub fn from_bytes(buf: &[u8], d0: u32, d1: u32, params: &HeParams) -> Result<Self, WireError> {
@@ -135,6 +136,7 @@ impl TruncatedCiphertext {
             parts[slot] = high;
             offset += n * cb;
         }
+        expect_len(buf, offset)?;
         let [c0_high, c1_high] = parts;
         Ok(Self {
             c0_high,
@@ -341,6 +343,27 @@ mod tests {
             TruncatedCiphertext::from_bytes(&bad, 8, 2, &p),
             Err(WireError::CoefficientOutOfRange { index: 0 })
         ));
+    }
+
+    #[test]
+    fn truncated_wire_rejects_trailing_bytes_on_both_rings() {
+        for p in [HeParams::test_256(), HeParams::pow2_test_256()] {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(12);
+            let sk = SecretKey::generate(&p, &mut rng);
+            let ct = sk.encrypt(&Poly::uniform(p.n, p.t, &mut rng), &mut rng);
+            let mut bytes = TruncatedCiphertext::truncate(&ct, 8, 2, &p).to_bytes(&p);
+            bytes.push(0);
+            assert_eq!(
+                TruncatedCiphertext::from_bytes(&bytes, 8, 2, &p),
+                Err(WireError::TrailingBytes { extra: 1 }),
+                "q = {}",
+                p.q
+            );
+            assert_eq!(
+                TruncatedCiphertext::response_from_bytes(&bytes, Some((8, 2)), &p),
+                Err(WireError::TrailingBytes { extra: 1 })
+            );
+        }
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //! both ring families), and the pinned digests are the independent
 //! reference: they were computed with the scalar per-polynomial key
 //! product (three NTTs and a `u128` Garner per call) before the prepared
-//! key existed.
+//! key existed, and the `N = 8192` one with the batched two-prime
+//! CRT-NTT product before the power-of-two ring's key product moved to
+//! the split-limb `f64` FFT.
 //!
 //! `SecretKey::decrypt_coeffs_into` is checked against the gather of the
 //! full batched decryption, on both sides of its extraction rule (which
@@ -142,14 +144,30 @@ proptest! {
     }
 }
 
-#[test]
-fn ciphertext_bytes_and_phases_match_the_pre_batching_implementation() {
+/// FNV-1a over three encryptions' ciphertext bytes and decryption phases
+/// from a fixed key and message stream.
+fn key_path_digest(p: &HeParams) -> u64 {
     fn fnv(h: &mut u64, bytes: &[u8]) {
         for &b in bytes {
             *h ^= b as u64;
             *h = h.wrapping_mul(0x100_0000_01b3);
         }
     }
+    let mut rng = StdRng::seed_from_u64(0xF1A5);
+    let sk = SecretKey::generate(p, &mut rng);
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for _ in 0..3 {
+        let m = Poly::uniform(p.n, p.t, &mut rng);
+        let ct = sk.encrypt(&m, &mut rng);
+        fnv(&mut h, &ciphertext_to_bytes(&ct));
+        assert_eq!(sk.decrypt(&ct), m);
+        fnv(&mut h, &poly_to_bytes(&sk.phase(&ct)));
+    }
+    h
+}
+
+#[test]
+fn ciphertext_bytes_and_phases_match_the_pre_batching_implementation() {
     let golden = [
         ("prime_256", 0x6bc72446a7722413u64),
         ("prime_1024", 0xc8cd35492595eeac),
@@ -160,16 +178,22 @@ fn ciphertext_bytes_and_phases_match_the_pre_batching_implementation() {
     ];
     for ((name, p), (golden_name, want)) in parameter_sets().into_iter().zip(golden) {
         assert_eq!(name, golden_name);
-        let mut rng = StdRng::seed_from_u64(0xF1A5);
-        let sk = SecretKey::generate(&p, &mut rng);
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for _ in 0..3 {
-            let m = Poly::uniform(p.n, p.t, &mut rng);
-            let ct = sk.encrypt(&m, &mut rng);
-            fnv(&mut h, &ciphertext_to_bytes(&ct));
-            assert_eq!(sk.decrypt(&ct), m);
-            fnv(&mut h, &poly_to_bytes(&sk.phase(&ct)));
-        }
-        assert_eq!(h, want, "{name}: ciphertext or phase bytes changed");
+        assert_eq!(
+            key_path_digest(&p),
+            want,
+            "{name}: ciphertext or phase bytes changed"
+        );
     }
+}
+
+/// The largest ring the power-of-two key product serves, pinned with the
+/// bytes of the two-prime CRT-NTT key product it replaced.
+#[test]
+fn pow2_8192_ciphertext_bytes_and_phases_match_the_crt_lift() {
+    let p = HeParams::new_pow2(8192, 62, 1 << 21, 3.2);
+    assert_eq!(
+        key_path_digest(&p),
+        0x741b24443b2dc803,
+        "pow2_8192: ciphertext or phase bytes changed"
+    );
 }

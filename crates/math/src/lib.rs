@@ -28,7 +28,6 @@
 
 pub mod bitrev;
 pub mod complex;
-pub mod crt;
 pub mod csd;
 pub mod fixed;
 pub mod modular;

@@ -194,23 +194,6 @@ pub fn ntt_prime(bits: u32, n: u64) -> Option<u64> {
     None
 }
 
-/// Finds `count` distinct NTT-friendly primes just below `2^bits`.
-pub fn ntt_primes(bits: u32, n: u64, count: usize) -> Vec<u64> {
-    assert!(bits <= 62);
-    let m = 2 * n;
-    let top = 1u64 << bits;
-    let mut k = (top - 2) / m;
-    let mut out = Vec::with_capacity(count);
-    while k > 0 && out.len() < count {
-        let cand = k * m + 1;
-        if is_prime(cand) {
-            out.push(cand);
-        }
-        k -= 1;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -280,16 +263,6 @@ mod tests {
             assert!(q < (1u64 << bits));
             assert_eq!(q % (2 * n), 1);
             assert!(is_prime(q));
-        }
-    }
-
-    #[test]
-    fn ntt_primes_distinct_and_descending() {
-        let ps = ntt_primes(40, 4096, 3);
-        assert_eq!(ps.len(), 3);
-        assert!(ps[0] > ps[1] && ps[1] > ps[2]);
-        for p in ps {
-            assert_eq!(p % 8192, 1);
         }
     }
 }

@@ -9,8 +9,6 @@
 //! * [`tables`] — per-`(N, q)` precomputed ψ-power tables.
 //! * [`transform`] — in-place forward/inverse negacyclic NTT.
 //! * [`polymul`] — NTT-based and naive `O(N²)` negacyclic multiplication.
-//! * [`pow2`] — exact products on power-of-two rings via a two-limb
-//!   CRT-NTT lift (key operations of the `Pow2` ciphertext backend).
 //! * [`ops`] — arithmetic operation counts for the cost models.
 //!
 //! # Examples
@@ -31,7 +29,6 @@
 
 pub mod ops;
 pub mod polymul;
-pub mod pow2;
 pub mod tables;
 pub mod transform;
 

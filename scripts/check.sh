@@ -64,12 +64,31 @@ fi
 
 # `--backends` runs the ciphertext-backend suite: the power-of-two ring
 # unit/property tests, the backend unit and property tests of flash-he,
-# and the client's coefficient decryption (key-row extraction ≡ the
-# gathered full key product; rows on the power-of-two ring only).
+# the client's split-limb FFT key product on the power-of-two ring (≡ the
+# wrapping schoolbook for ternary, moderate and extreme-limb operands at
+# the exactness bound, batch + fold ≡ per polynomial, an operand above the
+# bound and an N without a ternary bound refused, the N = 8192 digest
+# pinned with the CRT-NTT lift it replaced), the ciphertext wire decoders'
+# length checks, and the client's coefficient decryption (key-row
+# extraction ≡ the gathered full key product; rows on the power-of-two
+# ring only). The key-product and wire tests run one exact name at a
+# time, so a renamed test fails the job instead of matching nothing.
 if [[ "${1:-}" == "--backends" ]]; then
     echo "==> ciphertext-backend suite"
     filtered -p flash-math pow2
     filtered -p flash-he --lib backend
+    for t in pow2::tests::matches_wrapping_schoolbook_for_ternary_operand \
+        pow2::tests::matches_wrapping_schoolbook_for_moderate_operand \
+        pow2::tests::extreme_limbs_at_the_bound_match_the_wrapping_schoolbook \
+        pow2::tests::batch_and_fold_match_per_polynomial_products \
+        pow2::tests::oversized_small_operand_is_refused_in_release_too \
+        pow2::tests::smallness_bound_is_generous_for_keys \
+        pow2::tests::refuses_a_degree_without_an_exact_ternary_product \
+        serialize::tests::trailing_bytes_rejected_on_both_rings \
+        truncate::tests::truncated_wire_rejects_trailing_bytes_on_both_rings; do
+        filtered -p flash-he --lib "$t" -- --exact
+    done
+    filtered -p flash-he --test key_batch pow2_8192_ciphertext_bytes_and_phases_match_the_crt_lift
     cargo test -q -p flash-he --test proptests
     filtered -p flash-he --test key_batch coefficient_extraction
     echo "==> ciphertext-backend suite passed"
