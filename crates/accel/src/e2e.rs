@@ -642,42 +642,101 @@ mod tests {
         assert_eq!(clean.agreement, 1.0);
     }
 
-    #[test]
-    fn resnet18_private_counts_are_the_encoded_shape_plans() {
-        // The benchmark's network: every conv, stride 2 included, is one
-        // round trip whose ciphertext counts are the plan of its
-        // `encoded_shape` — the shape the workload model counts too.
+    /// One conv unit of the benchmark network, as
+    /// [`resnet18_private_units`] ran it.
+    struct UnitRun {
+        name: String,
+        enc: flash_he::encoding::ConvEncoder,
+        shares: (Vec<u64>, Vec<u64>),
+        stats: ProtocolStats,
+    }
+
+    /// Runs every conv unit of the benchmark network (seed 24) once on
+    /// the power-of-two ring, checking each reconstruction against the
+    /// plaintext convolution.
+    fn resnet18_private_units() -> Vec<UnitRun> {
         let cfg = e2e_config();
         let mut rng = StdRng::seed_from_u64(24);
         let net = QuantResnet::reduced_resnet18(8, 32, 10, &mut rng);
         let engine = FlashHconv::with_backend(cfg.clone(), PolyMulBackend::Pow2);
         let ring = engine.ring();
         let sk = SecretKey::generate(&cfg.he, &mut rng);
+        net.units_in_order()
+            .into_iter()
+            .map(|unit| {
+                let spec = &unit.spec;
+                let x = spec.sample_input(Quantizer::a4(), &mut rng);
+                let (xc, xs) = ring.share_vec(&x, &mut rng);
+                let (shares, stats) = engine
+                    .run_layer_shared(&sk, spec, &xc, &xs, &unit.weights, &mut rng)
+                    .expect("conv layer");
+                let want: Vec<i64> = flash_nn::layers::conv_reference(&x, &unit.weights, spec)
+                    .iter()
+                    .map(|&v| ring.to_signed(ring.reduce(v)))
+                    .collect();
+                assert_eq!(
+                    ring.reconstruct_vec(&shares.0, &shares.1),
+                    want,
+                    "{}",
+                    spec.name
+                );
+                UnitRun {
+                    name: spec.name.clone(),
+                    enc: flash_he::encoding::ConvEncoder::new(spec.encoded_shape(), cfg.he.n),
+                    shares,
+                    stats,
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn resnet18_private_counts_are_the_encoded_shape_plans() {
+        // The benchmark's network: every conv, stride 2 included, is one
+        // round trip whose ciphertext counts are the plan of its
+        // `encoded_shape` — the shape the workload model counts too. A
+        // response carries `c0` at the band's output coefficients and all
+        // of `c1`, eight bytes a coefficient on `q = 2^62`.
+        let n = e2e_config().he.n;
         let (mut up, mut down, mut fallbacks) = (0, 0, 0);
-        for unit in net.units_in_order() {
-            let spec = &unit.spec;
-            let x = spec.sample_input(Quantizer::a4(), &mut rng);
-            let (xc, xs) = ring.share_vec(&x, &mut rng);
-            let ((yc, ys), stats) = engine
-                .run_layer_shared(&sk, spec, &xc, &xs, &unit.weights, &mut rng)
-                .expect("conv layer");
-            let want: Vec<i64> = flash_nn::layers::conv_reference(&x, &unit.weights, spec)
-                .iter()
-                .map(|&v| ring.to_signed(ring.reduce(v)))
-                .collect();
-            assert_eq!(ring.reconstruct_vec(&yc, &ys), want, "{}", spec.name);
-            let enc = flash_he::encoding::ConvEncoder::new(spec.encoded_shape(), cfg.he.n);
+        let (mut up_bytes, mut down_bytes, mut want_down) = (0, 0, 0);
+        for run in resnet18_private_units() {
+            let (enc, stats) = (&run.enc, &run.stats);
             assert_eq!(
                 (stats.ciphertexts_up, stats.ciphertexts_down),
                 (enc.activation_polys(), enc.result_polys()),
                 "{}",
-                spec.name
+                run.name
             );
             up += stats.ciphertexts_up;
             down += stats.ciphertexts_down;
             fallbacks += stats.pow2_fallbacks;
+            up_bytes += stats.upload_bytes;
+            down_bytes += stats.download_bytes;
+            want_down += (0..enc.result_polys())
+                .map(|u| (enc.band_positions(u % enc.bands()).count() + n) * 8)
+                .sum::<usize>();
         }
         assert_eq!((up, down, fallbacks), (76, 608, 0));
+        assert_eq!(down_bytes, want_down);
+        assert_eq!((up_bytes, down_bytes), (311_296, 1_295_872));
+    }
+
+    #[test]
+    fn resnet18_private_shares_match_their_digest() {
+        // FNV-1a over every unit's client share, then its server share
+        // (little-endian words): pins both shares bit for bit across
+        // changes to the response path.
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for run in resnet18_private_units() {
+            for v in run.shares.0.iter().chain(&run.shares.1) {
+                for b in v.to_le_bytes() {
+                    h ^= u64::from(b);
+                    h = h.wrapping_mul(0x100_0000_01b3);
+                }
+            }
+        }
+        assert_eq!(h, 0x386b_c5af_14cb_8d82);
     }
 
     #[test]

@@ -130,18 +130,43 @@ impl Ciphertext {
         self.plain_op_assign(p, params, sub_mod);
     }
 
-    /// Shared body of the in-place plaintext add/sub: for every
-    /// coefficient, center-lift mod `t`, re-reduce mod `q`, scale by Δ
-    /// (Shoup-multiplied — Δ is fixed for the whole pass) and combine
-    /// into `c0`. `c1` is untouched, exactly as in the allocating forms.
+    /// [`Ciphertext::sub_plain_assign`] of a plaintext that is zero off
+    /// `positions`: `m[k]` (mod `t`) is subtracted at coefficient
+    /// `positions[k]` only, and the rest of `c0` is untouched.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the lengths differ or a position is out of range.
+    pub fn sub_plain_at(&mut self, positions: &[usize], m: &[u64], params: &HeParams) {
+        assert_eq!(positions.len(), m.len(), "one plaintext value per position");
+        let terms = positions.iter().copied().zip(m.iter().copied());
+        self.plain_op_at(terms, params, sub_mod);
+    }
+
+    /// Shared body of the in-place plaintext add/sub over every
+    /// coefficient.
     fn plain_op_assign(&mut self, p: &Poly, params: &HeParams, op: fn(u64, u64, u64) -> u64) {
         assert_eq!(p.modulus(), params.t, "plaintext must be mod t");
         assert_eq!(p.len(), self.c0.len(), "plaintext length mismatch");
+        self.plain_op_at(p.coeffs().iter().copied().enumerate(), params, op);
+    }
+
+    /// For every `(i, m)` term: center-lift `m` mod `t`, re-reduce mod
+    /// `q`, scale by Δ (Shoup-multiplied — Δ is fixed for the whole pass)
+    /// and combine into `c0[i]`. `c1` is untouched, exactly as in the
+    /// allocating forms.
+    fn plain_op_at(
+        &mut self,
+        terms: impl Iterator<Item = (usize, u64)>,
+        params: &HeParams,
+        op: fn(u64, u64, u64) -> u64,
+    ) {
         let (t, q) = (params.t, params.q);
         let delta = Shoup::new(params.delta(), q);
-        for (c, &m) in self.c0.coeffs_mut().iter_mut().zip(p.coeffs()) {
+        let c0 = self.c0.coeffs_mut();
+        for (i, m) in terms {
             let lifted = from_signed(center_lift(m, t), q);
-            *c = op(*c, delta.mul(lifted, q), q);
+            c0[i] = op(c0[i], delta.mul(lifted, q), q);
         }
     }
 

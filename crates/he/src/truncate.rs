@@ -1,21 +1,29 @@
-//! Response-ciphertext truncation (Cheetah's download compression).
+//! The response wire form: Cheetah's download compression.
 //!
-//! The masked response ciphertext only needs to survive *one* decryption,
-//! so its low-order coefficient bits — which carry nothing but noise
-//! headroom — can be dropped before download. Dropping `d0` bits of `c0`
-//! adds at most `2^{d0-1}` per coefficient to the noise; dropping `d1`
-//! bits of `c1` adds up to `2^{d1-1}·‖s‖₁` (the error passes through the
-//! `c1·s` product), so `c1` tolerates far less truncation than `c0`.
+//! A masked response ciphertext only needs to survive *one* decryption,
+//! and only at the coefficients its outputs sit at. So the server sends
+//! `c0` at those positions alone (the phase `c0 + c1·s` at coefficient
+//! `i` reads `c0` only at `i`) and all of `c1` (which every coefficient
+//! of `c1·s` reads), and it may drop low-order bits of both — they carry
+//! nothing but noise headroom. Dropping `d0` bits of `c0` adds at most
+//! `2^{d0-1}` per coefficient to the noise; dropping `d1` bits of `c1`
+//! adds up to `2^{d1-1}·‖s‖₁` (the error passes through the `c1·s`
+//! product), so `c1` tolerates far less truncation than `c0`.
+//!
+//! The wire length is exactly `P·⌈(log2 q − d0)/8⌉ + N·⌈(log2 q − d1)/8⌉`
+//! for `P` positions; the client writes the received `c0` values into an
+//! otherwise-zero `c0`. [`TruncatedCiphertext`] is the all-positions case
+//! of the same codec ([`crate::serialize`]'s lanes).
 
 use crate::cipher::Ciphertext;
 use crate::params::HeParams;
 use crate::poly::Poly;
-use crate::serialize::{expect_len, WireError};
+use crate::serialize::{expect_len, Lane, WireError};
 
 /// A ciphertext with truncated coefficients, as it travels on the wire.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TruncatedCiphertext {
-    /// High bits of `c0` (each coefficient right-shifted by `d0`).
+    /// High bits of `c0` (each coefficient rounded and shifted by `d0`).
     c0_high: Vec<u64>,
     /// High bits of `c1`.
     c1_high: Vec<u64>,
@@ -33,29 +41,10 @@ impl TruncatedCiphertext {
     ///
     /// Panics if a shift is ≥ the modulus width.
     pub fn truncate(ct: &Ciphertext, d0: u32, d1: u32, params: &HeParams) -> Self {
-        let q_bits = 64 - params.q.leading_zeros();
-        assert!(
-            d0 < q_bits && d1 < q_bits,
-            "cannot drop the whole coefficient"
-        );
-        let round = |c: u64, d: u32| -> u64 {
-            if d == 0 {
-                return c;
-            }
-            // Nearest multiple of 2^d. The add runs in u128 so the
-            // rounding carry survives for coefficients near q, and the
-            // mask keeps exactly the q_bits - d wire bits (a carry past
-            // 2^{q_bits} wraps to 0, which the mod-q lift absorbs).
-            // The old `(c + half) % q >> d` wrapped near-q coefficients
-            // to 0 *before* the shift, breaking the nearest-multiple
-            // contract at the top of the range.
-            let half = 1u128 << (d - 1);
-            let mask = (1u64 << (q_bits - d)) - 1;
-            (((c as u128 + half) >> d) as u64) & mask
-        };
+        let (l0, l1) = (Lane::new(params.q, d0), Lane::new(params.q, d1));
         Self {
-            c0_high: ct.c0().coeffs().iter().map(|&c| round(c, d0)).collect(),
-            c1_high: ct.c1().coeffs().iter().map(|&c| round(c, d1)).collect(),
+            c0_high: ct.c0().coeffs().iter().map(|&c| l0.round(c)).collect(),
+            c1_high: ct.c1().coeffs().iter().map(|&c| l1.round(c)).collect(),
             d0,
             d1,
         }
@@ -63,16 +52,9 @@ impl TruncatedCiphertext {
 
     /// Reconstructs a (noisier) ciphertext on the client side.
     pub fn reconstruct(&self, params: &HeParams) -> Ciphertext {
-        // The lifted value `h << d` can exceed q (it is the nearest
-        // multiple of 2^d, which may sit just above q), so reduce in
-        // u128 rather than truncating.
-        let lift = |high: &[u64], d: u32| -> Poly {
-            Poly::from_coeffs(
-                high.iter()
-                    .map(|&h| (((h as u128) << d) % params.q as u128) as u64)
-                    .collect(),
-                params.q,
-            )
+        let lift = |high: &[u64], d: u32| {
+            let lane = Lane::new(params.q, d);
+            Poly::from_coeffs(high.iter().map(|&h| lane.lift(h)).collect(), params.q)
         };
         Ciphertext::new(lift(&self.c0_high, self.d0), lift(&self.c1_high, self.d1))
     }
@@ -80,9 +62,8 @@ impl TruncatedCiphertext {
     /// Wire size in bytes: each coefficient packs into
     /// `⌈(log2 q − d)/8⌉` bytes.
     pub fn byte_size(&self, params: &HeParams) -> usize {
-        let q_bits = (64 - params.q.leading_zeros()) as usize;
-        let bytes = |d: u32| (q_bits - d as usize).div_ceil(8);
-        self.c0_high.len() * bytes(self.d0) + self.c1_high.len() * bytes(self.d1)
+        Lane::new(params.q, self.d0).bytes(self.c0_high.len())
+            + Lane::new(params.q, self.d1).bytes(self.c1_high.len())
     }
 
     /// Serializes the truncated components (`c0_high ‖ c1_high`,
@@ -91,14 +72,9 @@ impl TruncatedCiphertext {
     /// agreed on the truncation when the protocol was planned — so the
     /// byte string length is exactly [`TruncatedCiphertext::byte_size`].
     pub fn to_bytes(&self, params: &HeParams) -> Vec<u8> {
-        let q_bits = (64 - params.q.leading_zeros()) as usize;
-        let mut out = Vec::with_capacity(self.byte_size(params));
-        for (high, d) in [(&self.c0_high, self.d0), (&self.c1_high, self.d1)] {
-            let cb = (q_bits - d as usize).div_ceil(8);
-            for &h in high.iter() {
-                out.extend_from_slice(&h.to_le_bytes()[..cb]);
-            }
-        }
+        let mut out = Vec::with_capacity(self.byte_size(params) + 8);
+        Lane::new(params.q, self.d0).write(&mut out, self.c0_high.iter().copied());
+        Lane::new(params.q, self.d1).write(&mut out, self.c1_high.iter().copied());
         out
     }
 
@@ -110,34 +86,14 @@ impl TruncatedCiphertext {
     /// Returns [`WireError`] when the buffer is shorter or longer than the
     /// encoding, or a packed value
     /// exceeds the `log2 q − d` wire width (including flipped pad bits in
-    /// the top byte of a coefficient).
+    /// the top byte of a coefficient; at `d = 0`, any value `≥ q`).
     pub fn from_bytes(buf: &[u8], d0: u32, d1: u32, params: &HeParams) -> Result<Self, WireError> {
-        let q_bits = (64 - params.q.leading_zeros()) as usize;
-        let n = params.n;
-        let mut offset = 0usize;
-        let mut parts: [Vec<u64>; 2] = [Vec::new(), Vec::new()];
-        for (slot, d) in [(0usize, d0), (1, d1)] {
-            let width = q_bits - d as usize;
-            let cb = width.div_ceil(8);
-            let mask = (1u64 << width) - 1;
-            if buf.len() < offset + n * cb {
-                return Err(WireError::Truncated);
-            }
-            let mut high = Vec::with_capacity(n);
-            for i in 0..n {
-                let mut le = [0u8; 8];
-                le[..cb].copy_from_slice(&buf[offset + i * cb..offset + (i + 1) * cb]);
-                let h = u64::from_le_bytes(le);
-                if h > mask {
-                    return Err(WireError::CoefficientOutOfRange { index: i });
-                }
-                high.push(h);
-            }
-            parts[slot] = high;
-            offset += n * cb;
-        }
-        expect_len(buf, offset)?;
-        let [c0_high, c1_high] = parts;
+        let (l0, l1) = (Lane::new(params.q, d0), Lane::new(params.q, d1));
+        let split = l0.bytes(params.n);
+        expect_len(buf, split + l1.bytes(params.n))?;
+        let (mut c0_high, mut c1_high) = (vec![0u64; params.n], vec![0u64; params.n]);
+        l0.read(&buf[..split], &mut c0_high)?;
+        l1.read(&buf[split..], &mut c1_high)?;
         Ok(Self {
             c0_high,
             c1_high,
@@ -146,9 +102,87 @@ impl TruncatedCiphertext {
         })
     }
 
-    /// Deserializes a response ciphertext as a server sent it under the
-    /// session's agreed truncation: the plain wire form when `truncation`
-    /// is `None`, otherwise the truncated form, reconstructed.
+    /// Serializes a response in its wire form: `c0` at `positions` ‖ all
+    /// of `c1`, each coefficient rounded and packed at the session's
+    /// agreed `truncation` (`(0, 0)` when `None`). The one ciphertext
+    /// encoder: [`crate::serialize::ciphertext_to_bytes`] is its
+    /// untruncated, all-positions case.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a position is out of range or a shift is ≥ the modulus
+    /// width.
+    pub fn response_to_bytes(
+        ct: &Ciphertext,
+        positions: impl ExactSizeIterator<Item = usize>,
+        truncation: Option<(u32, u32)>,
+    ) -> Vec<u8> {
+        let (d0, d1) = truncation.unwrap_or((0, 0));
+        let (c0, c1) = (ct.c0().coeffs(), ct.c1().coeffs());
+        let q = ct.c0().modulus();
+        let (l0, l1) = (Lane::new(q, d0), Lane::new(q, d1));
+        let mut out = Vec::with_capacity(l0.bytes(positions.len()) + l1.bytes(c1.len()) + 8);
+        l0.write(&mut out, positions.map(|i| l0.round(c0[i])));
+        l1.write(&mut out, c1.iter().map(|&c| l1.round(c)));
+        out
+    }
+
+    /// Deserializes a response as [`TruncatedCiphertext::response_to_bytes`]
+    /// wrote it for the same `positions` and `truncation`, reconstructed
+    /// into a ciphertext whose `c0` is zero off `positions` — its phase is
+    /// exact at those positions and meaningless elsewhere.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`WireError`] when the bytes are rejected: a length other
+    /// than the encoding's, a value `≥ q` in an untruncated component, or
+    /// set pad bits in a truncated one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a position is `≥ N` or a shift is ≥ the modulus width.
+    pub fn response_from_bytes_at(
+        buf: &[u8],
+        positions: impl ExactSizeIterator<Item = usize>,
+        truncation: Option<(u32, u32)>,
+        params: &HeParams,
+    ) -> Result<Ciphertext, WireError> {
+        Self::decode(buf, params.n, params.q, positions, truncation)
+    }
+
+    /// [`TruncatedCiphertext::response_from_bytes_at`] for degree `n`
+    /// modulo `q`.
+    pub(crate) fn decode(
+        buf: &[u8],
+        n: usize,
+        q: u64,
+        positions: impl ExactSizeIterator<Item = usize>,
+        truncation: Option<(u32, u32)>,
+    ) -> Result<Ciphertext, WireError> {
+        let (d0, d1) = truncation.unwrap_or((0, 0));
+        let (l0, l1) = (Lane::new(q, d0), Lane::new(q, d1));
+        let split = l0.bytes(positions.len());
+        expect_len(buf, split + l1.bytes(n))?;
+        // Every value a lane accepts lifts to a reduced residue, so the
+        // components are filled in place without a second range scan.
+        let mut values = vec![0u64; positions.len()];
+        l0.read(&buf[..split], &mut values)?;
+        let mut c0 = Poly::zero(n, q);
+        let coeffs = c0.coeffs_mut();
+        for (i, h) in positions.zip(values) {
+            coeffs[i] = l0.lift(h);
+        }
+        let mut c1 = Poly::zero(n, q);
+        l1.read(&buf[split..], c1.coeffs_mut())?;
+        if d1 > 0 {
+            // (At d = 0 an accepted value is its own residue.)
+            c1.coeffs_mut().iter_mut().for_each(|h| *h = l1.lift(*h));
+        }
+        Ok(Ciphertext::new(c0, c1))
+    }
+
+    /// [`TruncatedCiphertext::response_from_bytes_at`] of a response that
+    /// carries every coefficient of `c0`.
     ///
     /// # Errors
     ///
@@ -158,10 +192,7 @@ impl TruncatedCiphertext {
         truncation: Option<(u32, u32)>,
         params: &HeParams,
     ) -> Result<Ciphertext, WireError> {
-        match truncation {
-            None => crate::serialize::ciphertext_from_bytes(buf, params.n, params.q),
-            Some((d0, d1)) => Ok(Self::from_bytes(buf, d0, d1, params)?.reconstruct(params)),
-        }
+        Self::response_from_bytes_at(buf, 0..params.n, truncation, params)
     }
 
     /// Worst-case noise added by the truncation: `2^{d0-1}` from `c0`
@@ -363,6 +394,197 @@ mod tests {
                 TruncatedCiphertext::response_from_bytes(&bytes, Some((8, 2)), &p),
                 Err(WireError::TrailingBytes { extra: 1 })
             );
+        }
+    }
+
+    /// A fresh ciphertext on each ring, with an odd set of positions.
+    fn response_cases() -> Vec<(HeParams, Ciphertext, Vec<usize>)> {
+        [HeParams::test_256(), HeParams::pow2_test_256()]
+            .into_iter()
+            .map(|p| {
+                let mut rng = rand::rngs::StdRng::seed_from_u64(31);
+                let sk = SecretKey::generate(&p, &mut rng);
+                let ct = sk.encrypt(&Poly::uniform(p.n, p.t, &mut rng), &mut rng);
+                let positions = vec![0, 3, 17, 100, 101, 254, 255];
+                (p, ct, positions)
+            })
+            .collect()
+    }
+
+    /// `(bytes per c0 value, bytes per c1 value)` of a response.
+    fn lane_bytes(p: &HeParams, truncation: Option<(u32, u32)>) -> (usize, usize) {
+        let q_bits = (64 - p.q.leading_zeros()) as usize;
+        let (d0, d1) = truncation.unwrap_or((0, 0));
+        (
+            (q_bits - d0 as usize).div_ceil(8),
+            (q_bits - d1 as usize).div_ceil(8),
+        )
+    }
+
+    #[test]
+    fn response_wire_carries_c0_at_positions_and_all_of_c1() {
+        for (p, ct, positions) in response_cases() {
+            for truncation in [None, Some((8, 2))] {
+                let bytes = TruncatedCiphertext::response_to_bytes(
+                    &ct,
+                    positions.iter().copied(),
+                    truncation,
+                );
+                let (cb0, cb1) = lane_bytes(&p, truncation);
+                assert_eq!(bytes.len(), positions.len() * cb0 + p.n * cb1);
+                let back = TruncatedCiphertext::response_from_bytes_at(
+                    &bytes,
+                    positions.iter().copied(),
+                    truncation,
+                    &p,
+                )
+                .unwrap();
+                // The all-positions case of the same codec is the full form.
+                let (d0, d1) = truncation.unwrap_or((0, 0));
+                let full = TruncatedCiphertext::truncate(&ct, d0, d1, &p).reconstruct(&p);
+                for i in 0..p.n {
+                    let want = if positions.contains(&i) {
+                        full.c0().coeffs()[i]
+                    } else {
+                        0
+                    };
+                    assert_eq!(
+                        back.c0().coeffs()[i],
+                        want,
+                        "q={} {truncation:?} i={i}",
+                        p.q
+                    );
+                }
+                assert_eq!(back.c1(), full.c1(), "q={} {truncation:?}", p.q);
+            }
+        }
+    }
+
+    #[test]
+    fn response_wire_rejects_short_and_trailing_buffers() {
+        for (p, ct, positions) in response_cases() {
+            for truncation in [None, Some((8, 2))] {
+                let mut bytes = TruncatedCiphertext::response_to_bytes(
+                    &ct,
+                    positions.iter().copied(),
+                    truncation,
+                );
+                let decode = |buf: &[u8]| {
+                    TruncatedCiphertext::response_from_bytes_at(
+                        buf,
+                        positions.iter().copied(),
+                        truncation,
+                        &p,
+                    )
+                };
+                assert_eq!(decode(&bytes[..bytes.len() - 1]), Err(WireError::Truncated));
+                assert_eq!(decode(&[]), Err(WireError::Truncated));
+                bytes.extend([0u8; 3]);
+                assert_eq!(decode(&bytes), Err(WireError::TrailingBytes { extra: 3 }));
+            }
+        }
+    }
+
+    #[test]
+    fn response_wire_rejects_unreduced_coefficients_untruncated() {
+        // At d = 0 a value ≥ q is refused, not reduced — in c0 and in c1.
+        // On the prime ring a 36-bit q leaves 4 spare bits in 5 bytes; on
+        // q = 2^62 the 63-bit width holds values in [q, 2^63).
+        for (p, ct, positions) in response_cases() {
+            let bytes =
+                TruncatedCiphertext::response_to_bytes(&ct, positions.iter().copied(), None);
+            let (cb0, cb1) = lane_bytes(&p, None);
+            let c1_at = positions.len() * cb0;
+            for (offset, cb, index) in [(cb0, cb0, 1usize), (c1_at + 5 * cb1, cb1, 5)] {
+                let mut bad = bytes.clone();
+                bad[offset..offset + cb].copy_from_slice(&p.q.to_le_bytes()[..cb]);
+                assert_eq!(
+                    TruncatedCiphertext::response_from_bytes_at(
+                        &bad,
+                        positions.iter().copied(),
+                        None,
+                        &p
+                    ),
+                    Err(WireError::CoefficientOutOfRange { index }),
+                    "q={} offset={offset}",
+                    p.q
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn response_wire_rejects_set_pad_bits_truncated() {
+        // At (8, 2) every lane's top byte has pad bits above the wire
+        // width; the top bit of that byte is one of them on both rings.
+        let truncation = Some((8, 2));
+        for (p, ct, positions) in response_cases() {
+            let bytes =
+                TruncatedCiphertext::response_to_bytes(&ct, positions.iter().copied(), truncation);
+            let (cb0, cb1) = lane_bytes(&p, truncation);
+            let c1_at = positions.len() * cb0;
+            for (byte, index) in [(2 * cb0 + cb0 - 1, 2usize), (c1_at + 7 * cb1 + cb1 - 1, 7)] {
+                let mut bad = bytes.clone();
+                bad[byte] |= 0x80;
+                assert_eq!(
+                    TruncatedCiphertext::response_from_bytes_at(
+                        &bad,
+                        positions.iter().copied(),
+                        truncation,
+                        &p
+                    ),
+                    Err(WireError::CoefficientOutOfRange { index }),
+                    "q={} byte={byte}",
+                    p.q
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn response_wire_rejects_another_bands_positions_of_other_length() {
+        use crate::encoding::{ConvEncoder, ConvShape};
+        let shape = ConvShape {
+            c: 1,
+            h: 20,
+            w: 20,
+            m: 1,
+            k: 3,
+        };
+        for (p, ct, _) in response_cases() {
+            let enc = ConvEncoder::new(shape, p.n);
+            let bands: Vec<Vec<usize>> = (0..enc.bands())
+                .map(|b| enc.band_positions(b).collect())
+                .collect();
+            let mut mismatched = 0;
+            for truncation in [None, Some((8, 2))] {
+                for sent in &bands {
+                    let bytes = TruncatedCiphertext::response_to_bytes(
+                        &ct,
+                        sent.iter().copied(),
+                        truncation,
+                    );
+                    for read in bands.iter().filter(|b| b.len() != sent.len()) {
+                        mismatched += 1;
+                        let got = TruncatedCiphertext::response_from_bytes_at(
+                            &bytes,
+                            read.iter().copied(),
+                            truncation,
+                            &p,
+                        );
+                        let want = if read.len() > sent.len() {
+                            WireError::Truncated
+                        } else {
+                            let (cb0, _) = lane_bytes(&p, truncation);
+                            WireError::TrailingBytes {
+                                extra: (sent.len() - read.len()) * cb0,
+                            }
+                        };
+                        assert_eq!(got, Err(want), "q={} {truncation:?}", p.q);
+                    }
+                }
+            }
+            assert!(mismatched > 0, "the shape must have bands of unequal size");
         }
     }
 

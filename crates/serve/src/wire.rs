@@ -10,7 +10,7 @@
 //! | 0x01 | HELLO    | `model_id u64, client_tag u64` |
 //! | 0x02 | ACK      | `session_id u32, n u32, t u64, c_polys u32, m u32, bands u32, trunc u8 [, d0 u32, d1 u32]` |
 //! | 0x03 | REQUEST  | `req_id u64, count u32, count × (len u32, ciphertext bytes)` |
-//! | 0x04 | RESPONSE | `req_id u64, count u32, count × (len u32, ciphertext bytes)` — unit order `oc·bands + b` |
+//! | 0x04 | RESPONSE | `req_id u64, count u32, count × (len u32, response bytes)` — unit order `oc·bands + b`; each `c0` at the band's output coefficients ‖ all of `c1` |
 //! | 0x05 | REFUSED  | `req_id u64, code u8, len u32, utf-8 detail` |
 
 use crate::ServeError;
@@ -237,8 +237,9 @@ pub fn decode_request_borrowed(buf: &[u8]) -> Result<(u64, Vec<&[u8]>), ServeErr
     Ok((req_id, blobs))
 }
 
-/// Encodes one inference response: the serialized (possibly truncated)
-/// result ciphertexts in unit order `oc·bands + b`.
+/// Encodes one inference response: the serialized result ciphertexts
+/// (`c0` at the band's output coefficients ‖ all of `c1`, possibly
+/// truncated) in unit order `oc·bands + b`.
 pub fn encode_response(req_id: u64, blobs: &[Vec<u8>]) -> Vec<u8> {
     encode_blob_list(TAG_RESPONSE, req_id, blobs)
 }

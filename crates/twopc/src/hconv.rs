@@ -24,13 +24,15 @@
 //!   verdict, the forward weight transforms); [`HconvServer::respond`]
 //!   does the per-request work against a slice of prepared units at
 //!   width `W = requests.len()` — MAC against the activation spectra of
-//!   one [`HconvServer::spectra`] sweep, one batched inverse, mask,
-//!   server-share rows, truncate + serialize.
-//! * **unseal** — deserialize (undoing the agreed truncation), then
-//!   decrypt only the coefficients the outputs sit at, straight into the
-//!   output share: row by row against the key for a chunk of sparse
-//!   responses, one full batched key product for a chunk holding a dense
-//!   one.
+//!   one [`HconvServer::spectra`] sweep, one batched inverse, then, at
+//!   the coefficients the band's outputs sit at only, the mask and the
+//!   server-share rows; the response carries `c0` there and all of `c1`,
+//!   each at its agreed truncation.
+//! * **unseal** — deserialize into a `c0` that is zero off the output
+//!   coefficients (undoing the agreed truncation), then decrypt only
+//!   those coefficients, straight into the output share: row by row
+//!   against the key for a chunk of sparse responses, one full batched
+//!   key product for a chunk holding a dense one.
 //!
 //! [`crate::ConvProtocol`] pairs the stages in process at `W = 1`,
 //! preparing units per output channel inside its fan-out and dropping
@@ -73,7 +75,8 @@ pub struct HconvLayer {
     params: HeParams,
     encoder: ConvEncoder,
     /// Per band, the response coefficients its outputs sit at
-    /// ([`ConvEncoder::band_positions`]) — all **unseal** decrypts.
+    /// ([`ConvEncoder::band_positions`]): the only coefficients of `c0`
+    /// **respond** masks and sends and **unseal** decrypts.
     positions: Vec<Vec<usize>>,
     ring: ShareRing,
     pub(crate) truncation: Option<(u32, u32)>,
@@ -201,9 +204,10 @@ impl HconvLayer {
     }
 
     /// Client **unseal** of one response (one blob per unit
-    /// `u = oc·bands + b`): deserializes the blobs (undoing the agreed
-    /// truncation) and decrypts only the coefficients band `b`'s outputs
-    /// sit at, straight into unit `u`'s rows of the output share
+    /// `u = oc·bands + b`): deserializes each blob — `c0` at band `b`'s
+    /// output coefficients ‖ all of `c1`, undoing the agreed truncation —
+    /// into a ciphertext whose `c0` is zero elsewhere, and decrypts only
+    /// those coefficients, straight into unit `u`'s rows of the output share
     /// (one [`SecretKey::decrypt_coeffs_into`] per [`KEY_BATCH`] chunk
     /// of units, which picks row extraction or one full batched key
     /// product for the chunk by count). Chunks own disjoint windows of
@@ -211,8 +215,8 @@ impl HconvLayer {
     ///
     /// # Errors
     ///
-    /// [`FlashError`] when a blob fails deserialization or decryption
-    /// validation.
+    /// [`FlashError`] when a blob fails deserialization (including a
+    /// length other than its band's wire form) or decryption validation.
     ///
     /// # Panics
     ///
@@ -246,8 +250,14 @@ impl HconvLayer {
                 let _t = flash_telemetry::span!("hconv.deserialize");
                 blobs[ks.clone()]
                     .iter()
-                    .map(|bytes| {
-                        TruncatedCiphertext::response_from_bytes(bytes.as_ref(), self.truncation, p)
+                    .zip(ks.clone())
+                    .map(|(bytes, u)| {
+                        TruncatedCiphertext::response_from_bytes_at(
+                            bytes.as_ref(),
+                            positions(u).iter().copied(),
+                            self.truncation,
+                            p,
+                        )
                     })
                     .collect::<Result<Vec<Ciphertext>, _>>()?
             };
@@ -292,7 +302,8 @@ pub struct UnitCounts {
 /// One request's answer to a slice of units.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Response {
-    /// One serialized (optionally truncated) ciphertext per unit.
+    /// One serialized response per unit: `c0` at its band's output
+    /// coefficients ‖ all of `c1`, at the agreed truncation.
     pub blobs: Vec<Vec<u8>>,
     /// The server's output share over the slice's (contiguous) rows.
     pub server_share: Vec<u64>,
@@ -465,6 +476,21 @@ impl HconvServer {
     /// not); FFT accumulators of the whole batch close through one
     /// inverse call.
     ///
+    /// Each response is then masked at its band's output coefficients
+    /// only (`mask_at` per position; the server's share rows are those
+    /// draws), and carries `c0` at those coefficients and all of `c1`
+    /// ([`TruncatedCiphertext::response_to_bytes`]). The `c0`
+    /// coefficients that stay behind hold partial sums of the weights the
+    /// client never needed.
+    ///
+    /// **Security (not enforced):** `c1` is never re-randomized. It is
+    /// `Σ_g a_g·w_g` over the client's own uniform `a_g` (the mask and
+    /// the server's share touch only `c0`), so a client that keeps its
+    /// `a_g` can solve for a band's weights — directly when the band has
+    /// one channel group and `a_g` is invertible. Closing that needs a
+    /// fresh encryption of zero plus noise flooding per response, which
+    /// this pipeline does not do.
+    ///
     /// # Panics
     ///
     /// Panics if a request's ciphertext count is not
@@ -551,7 +577,8 @@ impl HconvServer {
             resolved[i / fft_slots.len()][fft_slots[i % fft_slots.len()]] = Some(ct);
         }
 
-        // Mask, keep the server's share rows, serialize.
+        // Mask where the outputs sit, keep the server's share rows,
+        // serialize `c0` there and all of `c1`.
         let unit_range =
             |slot: usize| enc.band_output_range(band_of(slot), (first_unit + slot) / bands);
         let rows = match units.len() {
@@ -569,21 +596,19 @@ impl HconvServer {
                     .map(|(slot, ct)| {
                         let mut ct = ct.expect("every unit resolved above");
                         let seed = seed_of(ri, first_unit + slot);
-                        let mask = Poly::from_coeffs(mask_coeffs(seed, n, p.t), p.t);
-                        ct.sub_plain_assign(&mask, p);
+                        let positions = &self.layer.positions[band_of(slot)];
                         let r = unit_range(slot);
-                        enc.decode_band_rows(
-                            mask.coeffs(),
-                            band_of(slot),
-                            &mut server_share[r.start - rows.start..r.end - rows.start],
-                        );
-                        let _t = flash_telemetry::span!("hconv.truncate_serialize");
-                        match self.layer.truncation {
-                            None => serialize::ciphertext_to_bytes(&ct),
-                            Some((d0, d1)) => {
-                                TruncatedCiphertext::truncate(&ct, d0, d1, p).to_bytes(p)
-                            }
+                        let mask = &mut server_share[r.start - rows.start..r.end - rows.start];
+                        for (m, &i) in mask.iter_mut().zip(positions) {
+                            *m = mask_at(seed, i, p.t);
                         }
+                        ct.sub_plain_at(positions, mask, p);
+                        let _t = flash_telemetry::span!("hconv.truncate_serialize");
+                        TruncatedCiphertext::response_to_bytes(
+                            &ct,
+                            positions.iter().copied(),
+                            self.layer.truncation,
+                        )
                     })
                     .collect();
                 Response {
@@ -677,43 +702,70 @@ pub fn mask_seed(server_seed: u64, session_id: u32, req_id: u64, unit: usize) ->
     mix64(h ^ unit as u64)
 }
 
-/// Expands one mask seed into `n` output-share coefficients mod `t`.
+/// Coefficient `i` of the output mask `seed` expands to, in `[0, t)`.
 ///
-/// A splitmix64 counter stream mapped into `[0, t)` with Lemire's
-/// multiply-shift: two multiplies per coefficient, versus keying a full
-/// `StdRng` per unit and paying a `u128 %` per draw. The expansion is a
-/// pure function of its inputs, so every batch width and worker count
-/// draws bit-identical masks. The multiply-shift range map has bias
-/// ≤ `t / 2^64` — below `2^-47` for every supported plaintext modulus,
-/// immaterial for the share-hiding role the masks play in this
-/// reproduction.
-pub fn mask_coeffs(seed: u64, n: usize, t: u64) -> Vec<u64> {
+/// The mask is a splitmix64 counter stream — coefficient `i` is the
+/// `(i+1)`-th output, one `mix64` of `seed + (i+1)·GOLDEN` — so any
+/// coefficient is drawn alone: **respond** draws only the positions a
+/// response's outputs sit at. The range map is Lemire's multiply-shift:
+/// two multiplies per coefficient, versus keying a full `StdRng` per unit
+/// and paying a `u128 %` per draw. The draw is a pure function of its
+/// inputs, so every batch width and worker count draws bit-identical
+/// masks. The multiply-shift has bias ≤ `t / 2^64` — below `2^-47` for
+/// every supported plaintext modulus, immaterial for the share-hiding
+/// role the masks play in this reproduction.
+pub fn mask_at(seed: u64, i: usize, t: u64) -> u64 {
     const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
-    (1..=n as u64)
-        .map(|i| {
-            let z = mix64(seed.wrapping_add(i.wrapping_mul(GOLDEN)));
-            ((z as u128 * t as u128) >> 64) as u64
-        })
-        .collect()
+    let z = mix64(seed.wrapping_add((i as u64 + 1).wrapping_mul(GOLDEN)));
+    ((z as u128 * t as u128) >> 64) as u64
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The whole-polynomial mask as a sequential splitmix64 generator
+    /// (the state advances by the golden gamma per draw): the stream
+    /// [`mask_at`] reads at random.
+    fn mask_coeffs(seed: u64, n: usize, t: u64) -> Vec<u64> {
+        let mut state = seed;
+        (0..n)
+            .map(|_| {
+                state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                ((mix64(state) as u128 * t as u128) >> 64) as u64
+            })
+            .collect()
+    }
+
+    fn expand(seed: u64, n: usize, t: u64) -> Vec<u64> {
+        (0..n).map(|i| mask_at(seed, i, t)).collect()
+    }
+
     #[test]
     fn mask_expansion_is_deterministic_and_in_range() {
         for t in [2u64, 1 << 13, 1 << 16, (1 << 36) - 5] {
-            let a = mask_coeffs(0xDEAD_BEEF, 257, t);
-            assert_eq!(a, mask_coeffs(0xDEAD_BEEF, 257, t));
+            let a = expand(0xDEAD_BEEF, 257, t);
+            assert_eq!(a, expand(0xDEAD_BEEF, 257, t));
             assert!(a.iter().all(|&v| v < t), "mask out of range for t={t}");
-            assert_ne!(a, mask_coeffs(0xDEAD_BEF0, 257, t), "seed separation");
+            assert_ne!(a, expand(0xDEAD_BEF0, 257, t), "seed separation");
         }
         // Masks should look like draws, not a constant: over 257 draws
         // from [0, 2^13) a repeated value is plausible, a single value
         // for all coefficients is not.
-        let a = mask_coeffs(7, 257, 1 << 13);
+        let a = expand(7, 257, 1 << 13);
         assert!(a.windows(2).any(|w| w[0] != w[1]));
+    }
+
+    #[test]
+    fn mask_at_reads_the_sequential_stream_at_every_position() {
+        for n in [256usize, 1024, 4096] {
+            for (seed, t) in [(0u64, 1u64 << 21), (0xDEAD_BEEF, 1 << 13), (u64::MAX, 3)] {
+                let stream = mask_coeffs(seed, n, t);
+                for (i, &want) in stream.iter().enumerate() {
+                    assert_eq!(mask_at(seed, i, t), want, "n={n} seed={seed:#x} i={i}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -68,11 +68,17 @@ fi
 # wrapping schoolbook for ternary, moderate and extreme-limb operands at
 # the exactness bound, batch + fold ≡ per polynomial, an operand above the
 # bound and an N without a ternary bound refused, the N = 8192 digest
-# pinned with the CRT-NTT lift it replaced), the ciphertext wire decoders'
-# length checks, and the client's coefficient decryption (key-row
-# extraction ≡ the gathered full key product; rows on the power-of-two
-# ring only). The key-product and wire tests run one exact name at a
-# time, so a renamed test fails the job instead of matching nothing.
+# pinned with the CRT-NTT lift it replaced), the ciphertext wire codec
+# (length checks of the full form; the response form — `c0` at the
+# output positions ‖ all of `c1` — on both rings, untruncated and at
+# (8, 2): round trip, short/trailing buffers, an unreduced value at
+# d = 0, set pad bits at d > 0, another band's positions of another
+# length), the server's position-wise mask (≡ the whole-polynomial
+# splitmix stream at N ∈ {256, 1024, 4096}), and the client's
+# coefficient decryption (key-row extraction ≡ the gathered full key
+# product; rows on the power-of-two ring only). The key-product, wire
+# and mask tests run one exact name at a time, so a renamed test fails
+# the job instead of matching nothing.
 if [[ "${1:-}" == "--backends" ]]; then
     echo "==> ciphertext-backend suite"
     filtered -p flash-math pow2
@@ -85,9 +91,16 @@ if [[ "${1:-}" == "--backends" ]]; then
         pow2::tests::smallness_bound_is_generous_for_keys \
         pow2::tests::refuses_a_degree_without_an_exact_ternary_product \
         serialize::tests::trailing_bytes_rejected_on_both_rings \
-        truncate::tests::truncated_wire_rejects_trailing_bytes_on_both_rings; do
+        truncate::tests::truncated_wire_rejects_trailing_bytes_on_both_rings \
+        truncate::tests::response_wire_carries_c0_at_positions_and_all_of_c1 \
+        truncate::tests::response_wire_rejects_short_and_trailing_buffers \
+        truncate::tests::response_wire_rejects_unreduced_coefficients_untruncated \
+        truncate::tests::response_wire_rejects_set_pad_bits_truncated \
+        truncate::tests::response_wire_rejects_another_bands_positions_of_other_length; do
         filtered -p flash-he --lib "$t" -- --exact
     done
+    filtered -p flash-2pc --lib \
+        hconv::tests::mask_at_reads_the_sequential_stream_at_every_position -- --exact
     filtered -p flash-he --test key_batch pow2_8192_ciphertext_bytes_and_phases_match_the_crt_lift
     cargo test -q -p flash-he --test proptests
     filtered -p flash-he --test key_batch coefficient_extraction
