@@ -696,7 +696,8 @@ mod tests {
         // round trip whose ciphertext counts are the plan of its
         // `encoded_shape` — the shape the workload model counts too. A
         // response carries `c0` at the band's output coefficients and all
-        // of `c1`, eight bytes a coefficient on `q = 2^62`.
+        // of `c1` at the planned (38, 30): ⌈(62 − 38)/8⌉ = 3 bytes a `c0`
+        // value and ⌈(62 − 30)/8⌉ = 4 a `c1` one on `q = 2^62`.
         let n = e2e_config().he.n;
         let (mut up, mut down, mut fallbacks) = (0, 0, 0);
         let (mut up_bytes, mut down_bytes, mut want_down) = (0, 0, 0);
@@ -714,12 +715,54 @@ mod tests {
             up_bytes += stats.upload_bytes;
             down_bytes += stats.download_bytes;
             want_down += (0..enc.result_polys())
-                .map(|u| (enc.band_positions(u % enc.bands()).count() + n) * 8)
+                .map(|u| enc.band_positions(u % enc.bands()).count() * 3 + n * 4)
                 .sum::<usize>();
         }
         assert_eq!((up, down, fallbacks), (76, 608, 0));
         assert_eq!(down_bytes, want_down);
-        assert_eq!((up_bytes, down_bytes), (311_296, 1_295_872));
+        assert_eq!((up_bytes, down_bytes), (311_296, 641_600));
+    }
+
+    #[test]
+    fn resnet18_planned_truncation_keeps_a_bit_of_headroom() {
+        // Every conv unit of the benchmark network at the planned pair on
+        // the power-of-two ring: no unit falls back, and each unit's
+        // composed bound — exact chain + f64 rounding + truncation —
+        // stays at least one bit below q/(2t).
+        use flash_2pc::ConvProtocol;
+        let he = e2e_config().he;
+        let planned = flash_he::truncate::planned_truncation(&he);
+        assert_eq!(planned, (38, 30));
+        let mut rng = StdRng::seed_from_u64(24);
+        let net = QuantResnet::reduced_resnet18(8, 32, 10, &mut rng);
+        let mut units = 0;
+        for unit in net.units_in_order() {
+            let fold = unit.spec.fold();
+            let (shape, kernel) = (fold.shape(), fold.kernel(&unit.weights));
+            let proto = ConvProtocol::new(he.clone(), shape, PolyMulBackend::Pow2);
+            let server = proto.server();
+            assert_eq!(server.layer().truncation(), Some(planned));
+            let enc = server.layer().encoder();
+            let klen = shape.kernel_len();
+            for oc in 0..shape.m {
+                let (_, counts) = server.prepare_units(&kernel, oc).expect("guard");
+                assert_eq!(counts.fallback, 0, "{} oc={oc}", unit.spec.name);
+                let w_polys = enc.encode_weight(&kernel[oc * klen..][..klen], oc);
+                for b in 0..enc.bands() {
+                    let (noise, err) = server.band_noise(&w_polys, b);
+                    let composed = noise.bound() + err.expect("Pow2 has an error model");
+                    assert!(
+                        composed.log2() <= noise.ceiling().log2() - 1.0,
+                        "{} oc={oc} b={b}: 2^{:.2} vs ceiling 2^{:.2}",
+                        unit.spec.name,
+                        composed.log2(),
+                        noise.ceiling().log2()
+                    );
+                    units += 1;
+                }
+            }
+        }
+        assert!(units > 0);
     }
 
     #[test]

@@ -8,12 +8,16 @@
 //! volume, which no protocol here runs), and the executed plan of the
 //! conv layers — the Compact encoder's `activation_polys` uploads and
 //! `result_polys` responses, each response carrying `c0` at its band's
-//! `P_b` output coefficients and all `N` of `c1` (the byte count the
-//! functional protocol reports, untruncated).
+//! `P_b` output coefficients and all `N` of `c1`: untruncated, and at
+//! the planned truncation `(d0, d1)` the functional protocol runs by
+//! default (`P_b·⌈(log2 q − d0)/8⌉ + N·⌈(log2 q − d1)/8⌉` bytes).
 
 use flash_bench::{banner, subhead};
 use flash_he::encoding::{ConvEncoder, TileAlignment};
 use flash_he::matvec::MatVecEncoder;
+use flash_he::serialize::modulus_bits;
+use flash_he::truncate::planned_truncation;
+use flash_he::HeParams;
 use flash_nn::resnet::{resnet18_conv_layers, resnet50_conv_layers};
 
 const N: usize = 4096;
@@ -26,6 +30,11 @@ fn mib(bytes: usize) -> f64 {
 
 fn main() {
     banner("Supplementary: ciphertext traffic per private inference");
+    let params = HeParams::flash_default();
+    assert_eq!(params.n, N);
+    let (d0, d1) = planned_truncation(&params);
+    let lane = |d: u32| (modulus_bits(params.q) - d).div_ceil(8) as usize;
+    assert_eq!(lane(0), COEFF_BYTES);
     for net in [resnet18_conv_layers(), resnet50_conv_layers()] {
         subhead(&net.name);
         let mut up = 0usize;
@@ -52,14 +61,16 @@ fn main() {
             down,
             mib(down * CT_BYTES)
         );
-        let (mut up, mut down, mut down_bytes) = (0usize, 0usize, 0usize);
+        let (mut up, mut down, mut down_bytes, mut planned_bytes) = (0, 0, 0, 0);
         for l in &net.convs {
             let enc = ConvEncoder::new(l.encoded_shape(), N);
             up += enc.activation_polys();
             down += enc.result_polys();
-            down_bytes += (0..enc.result_polys())
-                .map(|u| (enc.band_positions(u % enc.bands()).count() + N) * COEFF_BYTES)
-                .sum::<usize>();
+            for u in 0..enc.result_polys() {
+                let p_b = enc.band_positions(u % enc.bands()).count();
+                down_bytes += (p_b + N) * COEFF_BYTES;
+                planned_bytes += p_b * lane(d0) + N * lane(d1);
+            }
         }
         println!(
             "executed upload:  {:>6} ciphertexts = {:>8.1} MiB (convs, Compact encoder)",
@@ -73,9 +84,17 @@ fn main() {
             mib(down_bytes),
             mib(down * CT_BYTES)
         );
+        println!(
+            "executed download:{:>6} responses   = {:>8.1} MiB at the planned ({d0}, {d1}): \
+             P_b x {} B + N x {} B each",
+            down,
+            mib(planned_bytes),
+            lane(d0),
+            lane(d1)
+        );
     }
     println!();
     println!("note: model counts include the FC layers and are the upper bound the");
     println!("accelerator's workload model uses; executed counts are the conv layers");
-    println!("as HconvLayer runs them, before response truncation.");
+    println!("as HconvLayer runs them, whole and at the planned response truncation.");
 }

@@ -86,11 +86,11 @@ impl Ciphertext {
         self.c0.is_empty()
     }
 
-    /// Serialized size in bytes (two polynomials of `⌈log2 q⌉`-bit words),
-    /// used for protocol communication accounting.
+    /// Serialized size in bytes (two polynomials of
+    /// [`crate::serialize::modulus_bits`]-bit words), used for protocol
+    /// communication accounting.
     pub fn byte_size(&self) -> usize {
-        let q_bits = 64 - self.c0.modulus().leading_zeros() as usize;
-        2 * self.len() * q_bits.div_ceil(8)
+        2 * self.len() * crate::serialize::coeff_bytes(self.c0.modulus())
     }
 
     /// Homomorphic ciphertext addition.

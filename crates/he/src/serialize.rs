@@ -3,7 +3,9 @@
 //! The protocol's communication costs (Cheetah's headline advantage) are
 //! accounted from real byte strings: coefficients are packed
 //! little-endian into `⌈log2 q / 8⌉` bytes each, matching
-//! [`crate::Ciphertext::byte_size`].
+//! [`crate::Ciphertext::byte_size`]. Both read the width from
+//! [`modulus_bits`]: `log2 q` exactly on a power-of-two `q`, the bit
+//! length of `q` on a prime one.
 //!
 //! One codec packs every ciphertext on the wire: `c0` at a list of
 //! coefficient positions, then all of `c1`, each component at its own
@@ -57,6 +59,19 @@ pub(crate) fn expect_len(buf: &[u8], len: usize) -> Result<(), WireError> {
     }
 }
 
+/// Bits of a residue modulo `q` on the wire, `log2 q`: the exponent on
+/// a power-of-two `q` (every residue is below `2^{log2 q} = q`), the bit
+/// length of `q` otherwise. The one width rule of the codec, the byte
+/// accounting and the truncation planner.
+#[inline]
+pub fn modulus_bits(q: u64) -> u32 {
+    if q.is_power_of_two() {
+        q.trailing_zeros()
+    } else {
+        64 - q.leading_zeros()
+    }
+}
+
 /// Bytes per coefficient for a modulus.
 #[inline]
 pub fn coeff_bytes(modulus: u64) -> usize {
@@ -66,7 +81,8 @@ pub fn coeff_bytes(modulus: u64) -> usize {
 /// One ciphertext component's packing: each value keeps its high
 /// `log2 q − d` bits in `⌈(log2 q − d)/8⌉` little-endian bytes. Every
 /// ciphertext on the wire is two lanes back to back; `d = 0` is the
-/// untruncated form.
+/// untruncated form. On a power-of-two `q` a truncated value's rounding
+/// carry past `2^{log2 q − d}` wraps to 0, which is `q ≡ 0` exactly.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Lane {
     /// Bytes per value.
@@ -85,7 +101,7 @@ impl Lane {
     ///
     /// Panics if `d` is ≥ the modulus width.
     pub(crate) fn new(q: u64, d: u32) -> Self {
-        let q_bits = 64 - q.leading_zeros();
+        let q_bits = modulus_bits(q);
         assert!(d < q_bits, "cannot drop the whole coefficient");
         let width = q_bits - d;
         Lane {
@@ -107,15 +123,17 @@ impl Lane {
         if self.d == 0 {
             return c;
         }
-        // The add runs in u128 so the rounding carry survives for
-        // coefficients near q; the mask keeps exactly the wire bits (a
-        // carry past 2^{log2 q} wraps to 0, which `lift` absorbs mod q).
-        let half = 1u128 << (self.d - 1);
-        (((c as u128 + half) >> self.d) as u64) & (self.bound - 1)
+        // `(c + 2^{d-1}) >> d` is `c >> d` plus bit d − 1 of `c`, so
+        // the rounding carry survives for coefficients near q without a
+        // wider add; the mask keeps exactly the wire bits (a carry past
+        // 2^{log2 q} wraps to 0: exactly q on a power-of-two ring, within
+        // 2^{d-1} of the coefficient on a prime one).
+        ((c >> self.d) + ((c >> (self.d - 1)) & 1)) & (self.bound - 1)
     }
 
     /// The residue a wire value stands for: `h·2^d mod q`. `h < 2^{log2 q − d}`
-    /// puts `h·2^d` below `2^{log2 q} ≤ 2q`, so one conditional subtraction
+    /// puts `h·2^d` below `2^{log2 q}` — `q` itself on a power-of-two
+    /// ring, `< 2q` on a prime one — so one conditional subtraction
     /// reduces it.
     pub(crate) fn lift(&self, h: u64) -> u64 {
         let v = h << self.d;
@@ -269,7 +287,7 @@ mod tests {
 
     #[test]
     fn pow2_ring_ciphertext_roundtrip() {
-        // q = 2^62 needs 8-byte coefficient words (63-bit residue range);
+        // q = 2^62 needs 8-byte coefficient words (62-bit residues);
         // the serializer is modulus-generic, so the power-of-two ring
         // must roundtrip bit-exactly including residues right below q.
         let p = HeParams::pow2_test_256();
@@ -294,6 +312,71 @@ mod tests {
             poly_from_bytes(&bad, p.n, p.q),
             Err(WireError::CoefficientOutOfRange { index: 0 })
         ));
+    }
+
+    #[test]
+    fn lane_width_is_log2_q_minus_d_on_both_rings() {
+        // ⌈(log2 q − d)/8⌉ bytes per value, from the one width rule, for
+        // a 39-bit prime and for q = 2^62 (log2 q = 62, not the 63-bit
+        // length of q).
+        let prime = HeParams::flash_default().q;
+        let pow2 = HeParams::flash_pow2().q;
+        assert_eq!((modulus_bits(prime), modulus_bits(pow2)), (39, 62));
+        let ds = [0u32, 8, 26, 30, 38];
+        for (q, want) in [(prime, [5usize, 4, 2, 2, 1]), (pow2, [8, 7, 5, 4, 3])] {
+            for (d, want) in ds.into_iter().zip(want) {
+                let lane = Lane::new(q, d);
+                assert_eq!(lane.bytes(1), want, "q={q} d={d}");
+                assert_eq!(want, (modulus_bits(q) - d).div_ceil(8) as usize);
+            }
+        }
+    }
+
+    #[test]
+    fn pow2_lane_wraps_the_rounding_carry_to_zero() {
+        // On q = 2^62, coefficients in [q − 2^{d−1}, q) round up to
+        // 2^{62−d}, one past the lane: the carry wraps to wire value 0,
+        // which lifts to 0 ≡ q, within 2^{d−1} of the coefficient.
+        let q = HeParams::flash_pow2().q;
+        for d in [8u32, 26, 30, 38] {
+            let (lane, half) = (Lane::new(q, d), 1u64 << (d - 1));
+            for c in [q - half, q - half / 2, q - 1] {
+                let h = lane.round(c);
+                assert_eq!(h, 0, "d={d} c={c}");
+                assert_eq!(lane.lift(h), 0, "d={d} c={c}");
+                assert!(q - c <= half, "d={d} c={c}");
+            }
+        }
+    }
+
+    #[test]
+    fn pow2_lane_rejects_the_bit_at_log2_q_minus_d() {
+        // The power-of-two lane holds 62 − d bits; bit 62 − d is a pad
+        // bit wherever the lane's bytes reach it (at d ∈ {30, 38} the
+        // width is a whole number of bytes and no pad bit exists).
+        let q = HeParams::flash_pow2().q;
+        let mut checked = Vec::new();
+        for d in [0u32, 8, 26, 30, 38] {
+            let lane = Lane::new(q, d);
+            let bit = 62 - d;
+            if bit as usize >= 8 * lane.bytes(1) {
+                continue;
+            }
+            let top = (1u64 << bit) - 1;
+            let mut buf = Vec::new();
+            lane.write(&mut buf, [top, 1 << bit].into_iter());
+            let mut out = [0u64; 2];
+            assert_eq!(
+                lane.read(&buf, &mut out),
+                Err(WireError::CoefficientOutOfRange { index: 1 }),
+                "d={d}"
+            );
+            // The widest in-range value still reads back.
+            lane.read(&buf[..lane.bytes(1)], &mut out[..1]).unwrap();
+            assert_eq!(out[0], top, "d={d}");
+            checked.push(d);
+        }
+        assert_eq!(checked, [0, 8, 26]);
     }
 
     #[test]

@@ -14,11 +14,29 @@
 //! for `P` positions; the client writes the received `c0` values into an
 //! otherwise-zero `c0`. [`TruncatedCiphertext`] is the all-positions case
 //! of the same codec ([`crate::serialize`]'s lanes).
+//!
+//! `log2 q` is [`modulus_bits`]: on a prime `q` the bit length of `q`;
+//! on a power-of-two `q = 2^l` exactly `l`, one bit fewer — there
+//! `2^d | q`, so a rounding carry past `2^{l−d}` wraps to `0 ≡ q` and the
+//! lane needs no bit for it. At `q = 2^62` and `d1 = 30`, `c1` packs in
+//! 4 bytes.
+//!
+//! Every conv layer agrees on [`planned_truncation`] by default: the
+//! largest pair whose worst-case error stays within
+//! [`TRUNCATION_SHARE`] (¼) of the decryption ceiling `q/(2t)`. It
+//! depends on the parameters only; the per-unit noise guard adds the
+//! same truncation term to every unit's exact bound, so the split is
+//! checked where every other noise term is.
 
 use crate::cipher::Ciphertext;
 use crate::params::HeParams;
 use crate::poly::Poly;
-use crate::serialize::{expect_len, Lane, WireError};
+use crate::serialize::{expect_len, modulus_bits, Lane, WireError};
+
+/// The share of the decryption ceiling `q/(2t)` that response truncation
+/// may spend: at most a quarter. The exact path plus the approximate
+/// product keep the other three quarters.
+pub const TRUNCATION_SHARE: f64 = 0.25;
 
 /// A ciphertext with truncated coefficients, as it travels on the wire.
 #[derive(Debug, Clone, PartialEq)]
@@ -224,8 +242,7 @@ impl TruncatedCiphertext {
 /// truncation than the bound allows) on the table.
 pub fn safe_truncation(params: &HeParams, budget_abs: f64, margin: f64) -> (u32, u32) {
     let target = budget_abs * margin;
-    let q_bits = 64 - params.q.leading_zeros();
-    let max_d = 40.min(q_bits - 1);
+    let max_d = 40.min(modulus_bits(params.q) - 1);
     // largest d0 with 2^{d0-1} <= target/2
     let mut d0 = 0u32;
     while d0 < max_d && (2.0f64).powi(d0 as i32) <= target / 2.0 {
@@ -242,6 +259,14 @@ pub fn safe_truncation(params: &HeParams, budget_abs: f64, margin: f64) -> (u32,
         d1 += 1;
     }
     (d0, d1)
+}
+
+/// The response truncation every conv layer agrees on unless overridden:
+/// [`safe_truncation`] of the whole decryption ceiling `q/(2t)` at
+/// [`TRUNCATION_SHARE`]. `(38, 30)` at `N = 256`, `q = 2^62`,
+/// `t = 2^21`; `(38, 26)` at [`HeParams::flash_pow2`].
+pub fn planned_truncation(params: &HeParams) -> (u32, u32) {
+    safe_truncation(params, params.noise_ceiling() as f64, TRUNCATION_SHARE)
 }
 
 #[cfg(test)]
@@ -290,18 +315,44 @@ mod tests {
 
     #[test]
     fn truncation_noise_within_bound() {
-        let (p, sk, m, ct) = setup();
-        let before = sk.noise(&ct, &m).inf_norm() as f64;
-        for (d0, d1) in [(4u32, 0u32), (8, 0), (10, 2)] {
-            let t = TruncatedCiphertext::truncate(&ct, d0, d1, &p);
-            let back = t.reconstruct(&p);
-            let after = sk.noise(&back, &m).inf_norm() as f64;
-            assert!(
-                after <= before + t.noise_bound(&p) + 1.0,
-                "d=({d0},{d1}): {after} > {before} + {}",
-                t.noise_bound(&p)
-            );
+        // On both rings, at fixed pairs and at the planned one: the
+        // measured reconstruction noise stays within the bound, and at
+        // the planned pair decryption is still exact.
+        for p in [HeParams::test_256(), HeParams::pow2_test_256()] {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+            let sk = SecretKey::generate(&p, &mut rng);
+            let m = Poly::uniform(p.n, p.t, &mut rng);
+            let ct = sk.encrypt(&m, &mut rng);
+            let before = sk.noise(&ct, &m).inf_norm() as f64;
+            let planned = planned_truncation(&p);
+            for (d0, d1) in [(4u32, 0u32), (8, 0), (10, 2), planned] {
+                let t = TruncatedCiphertext::truncate(&ct, d0, d1, &p);
+                let back = t.reconstruct(&p);
+                let after = sk.noise(&back, &m).inf_norm() as f64;
+                assert!(
+                    after <= before + t.noise_bound(&p) + 1.0,
+                    "q={} d=({d0},{d1}): {after} > {before} + {}",
+                    p.q,
+                    t.noise_bound(&p)
+                );
+            }
+            let t = TruncatedCiphertext::truncate(&ct, planned.0, planned.1, &p);
+            assert!(t.noise_bound(&p) <= p.noise_ceiling() as f64 * TRUNCATION_SHARE);
+            assert_eq!(sk.decrypt(&t.reconstruct(&p)), m, "q={}", p.q);
         }
+    }
+
+    #[test]
+    fn planned_truncation_pins_the_operating_points() {
+        // N = 256, q = 2^62, t = 2^21 is the end-to-end operating point;
+        // flash_pow2 is the paper's N = 4096 on the same ring. A quarter
+        // of q/(2t) = 2^40 is 2^38: d0 takes half of it (2^37), and
+        // 2^{d1-1}·N the rest.
+        assert_eq!(
+            planned_truncation(&HeParams::new_pow2(256, 62, 1 << 21, 3.2)),
+            (38, 30)
+        );
+        assert_eq!(planned_truncation(&HeParams::flash_pow2()), (38, 26));
     }
 
     #[test]
@@ -413,7 +464,7 @@ mod tests {
 
     /// `(bytes per c0 value, bytes per c1 value)` of a response.
     fn lane_bytes(p: &HeParams, truncation: Option<(u32, u32)>) -> (usize, usize) {
-        let q_bits = (64 - p.q.leading_zeros()) as usize;
+        let q_bits = modulus_bits(p.q) as usize;
         let (d0, d1) = truncation.unwrap_or((0, 0));
         (
             (q_bits - d0 as usize).div_ceil(8),
@@ -489,7 +540,7 @@ mod tests {
     fn response_wire_rejects_unreduced_coefficients_untruncated() {
         // At d = 0 a value ≥ q is refused, not reduced — in c0 and in c1.
         // On the prime ring a 36-bit q leaves 4 spare bits in 5 bytes; on
-        // q = 2^62 the 63-bit width holds values in [q, 2^63).
+        // q = 2^62 the 8-byte lane holds values in [q, 2^64).
         for (p, ct, positions) in response_cases() {
             let bytes =
                 TruncatedCiphertext::response_to_bytes(&ct, positions.iter().copied(), None);

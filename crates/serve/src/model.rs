@@ -14,6 +14,7 @@ use crate::ServeError;
 use flash_2pc::hconv::{HconvLayer, HconvServer, UnitWeights, DEFAULT_NOISE_MARGIN};
 use flash_2pc::shares::ShareRing;
 use flash_he::encoding::{ConvEncoder, ConvShape};
+use flash_he::truncate::planned_truncation;
 use flash_he::{HeParams, PolyMulBackend};
 
 /// A model as registered by the operator.
@@ -29,15 +30,16 @@ pub struct ModelSpec {
     pub backend: PolyMulBackend,
     /// Full `m×c×k×k` kernel, row-major.
     pub weights: Vec<i64>,
-    /// Response truncation `(d0, d1)`, if enabled.
+    /// Response truncation `(d0, d1)`; `None` sends responses whole.
     pub truncation: Option<(u32, u32)>,
     /// Noise-guard margin (fraction of the decryption ceiling).
     pub noise_margin: f64,
 }
 
 impl ModelSpec {
-    /// A model with default protocol knobs (no truncation,
-    /// [`DEFAULT_NOISE_MARGIN`]).
+    /// A model with default protocol knobs: responses truncated at
+    /// [`planned_truncation`] of the parameters, and
+    /// [`DEFAULT_NOISE_MARGIN`].
     pub fn new(
         id: u64,
         params: HeParams,
@@ -47,16 +49,16 @@ impl ModelSpec {
     ) -> Self {
         ModelSpec {
             id,
+            truncation: Some(planned_truncation(&params)),
             params,
             shape,
             backend,
             weights,
-            truncation: None,
             noise_margin: DEFAULT_NOISE_MARGIN,
         }
     }
 
-    /// Enables response truncation (see
+    /// Overrides the planned response truncation (see
     /// [`flash_2pc::ConvProtocol::with_truncation`]).
     pub fn with_truncation(mut self, d0: u32, d1: u32) -> Self {
         self.truncation = Some((d0, d1));

@@ -26,6 +26,7 @@ use crate::hconv::{HconvLayer, HconvServer, DEFAULT_NOISE_MARGIN};
 use crate::shares::ShareRing;
 use crate::transport::{FaultPlan, InMemoryTransport, Transport, TransportConfig};
 use flash_he::encoding::{ConvEncoder, ConvShape};
+use flash_he::truncate::planned_truncation;
 use flash_he::{HeParams, PolyMulBackend, SecretKey};
 use rand::Rng;
 
@@ -93,7 +94,8 @@ pub struct ConvProtocol {
 }
 
 impl ConvProtocol {
-    /// Plans a protocol run for a (pre-padded, stride-1) convolution.
+    /// Plans a protocol run for a (pre-padded, stride-1) convolution, with
+    /// responses truncated at [`planned_truncation`] of the parameters.
     ///
     /// # Panics
     ///
@@ -102,9 +104,10 @@ impl ConvProtocol {
     /// `Pow2` backend needs a power-of-two ciphertext modulus; the exact
     /// NTT backend needs a prime one).
     pub fn new(params: HeParams, shape: ConvShape, backend: PolyMulBackend) -> Self {
+        let truncation = planned_truncation(&params);
         Self {
             server: HconvServer::new(
-                HconvLayer::new(params, shape, None),
+                HconvLayer::new(params, shape, Some(truncation)),
                 backend,
                 DEFAULT_NOISE_MARGIN,
             ),
@@ -112,10 +115,10 @@ impl ConvProtocol {
         }
     }
 
-    /// Enables response-ciphertext truncation: the server drops `d0` low
-    /// bits of `c0` and `d1` of `c1` before download. The caller is
-    /// responsible for choosing a noise-safe pair (see
-    /// [`flash_he::truncate::safe_truncation`]).
+    /// Overrides the planned response truncation: the server drops `d0`
+    /// low bits of `c0` and `d1` of `c1` before download; `(0, 0)` sends
+    /// them whole. The noise guard still prices the pair per unit (see
+    /// [`flash_he::truncate::safe_truncation`] to choose one).
     pub fn with_truncation(mut self, d0: u32, d1: u32) -> Self {
         self.server.layer.truncation = Some((d0, d1));
         self
@@ -531,24 +534,31 @@ mod tests {
             .map(|i| ((i as i64 * 3) % 15) - 7)
             .collect();
 
-        let plain = ConvProtocol::new(params.clone(), shape, PolyMulBackend::Ntt);
+        let proto = || ConvProtocol::new(params.clone(), shape, PolyMulBackend::Ntt);
+        let plain = proto().with_truncation(0, 0);
         let mut r1 = rand::rngs::StdRng::seed_from_u64(1);
         let (_, base_stats) = plain.run(&sk, &x, &w, &mut r1).unwrap();
 
-        // a conservative truncation well inside the budget
-        let trunc = ConvProtocol::new(params, shape, PolyMulBackend::Ntt).with_truncation(8, 2);
-        let mut r2 = rand::rngs::StdRng::seed_from_u64(1);
-        let (shares, stats) = trunc.run(&sk, &x, &w, &mut r2).unwrap();
-        assert_eq!(
-            trunc.reconstruct(&shares),
-            expected_conv_mod(&x, &w, &shape, trunc.ring())
-        );
-        assert!(
-            stats.download_bytes < base_stats.download_bytes,
-            "truncation must shrink the response: {} vs {}",
-            stats.download_bytes,
-            base_stats.download_bytes
-        );
+        // a conservative pair well inside the budget, and the planned
+        // default
+        let planned = planned_truncation(&params);
+        assert_eq!(proto().server().layer().truncation(), Some(planned));
+        for trunc in [proto().with_truncation(8, 2), proto()] {
+            let mut r2 = rand::rngs::StdRng::seed_from_u64(1);
+            let (shares, stats) = trunc.run(&sk, &x, &w, &mut r2).unwrap();
+            let pair = trunc.server().layer().truncation();
+            assert_eq!(
+                trunc.reconstruct(&shares),
+                expected_conv_mod(&x, &w, &shape, trunc.ring()),
+                "{pair:?}"
+            );
+            assert!(
+                stats.download_bytes < base_stats.download_bytes,
+                "truncation {pair:?} must shrink the response: {} vs {}",
+                stats.download_bytes,
+                base_stats.download_bytes
+            );
+        }
     }
 
     #[test]

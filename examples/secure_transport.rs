@@ -45,7 +45,8 @@ fn main() {
         t.noise_bound(&params)
     );
 
-    // --- 3. The full protocol with compression enabled.
+    // --- 3. The full protocol at its planned truncation, against
+    // whole responses.
     let shape = ConvShape {
         c: 2,
         h: 6,
@@ -60,12 +61,12 @@ fn main() {
         .map(|i| ((i as i64 * 3) % 15) - 7)
         .collect();
 
-    let plain = ConvProtocol::new(params.clone(), shape, PolyMulBackend::FftF64);
+    let plain =
+        ConvProtocol::new(params.clone(), shape, PolyMulBackend::FftF64).with_truncation(0, 0);
     let mut r = rand::rngs::StdRng::seed_from_u64(1);
     let (_, base) = plain.run(&sk, &x, &w, &mut r).expect("protocol run failed");
 
-    let compressed =
-        ConvProtocol::new(params, shape, PolyMulBackend::FftF64).with_truncation(d0.min(8), 2);
+    let compressed = ConvProtocol::new(params, shape, PolyMulBackend::FftF64);
     let mut r = rand::rngs::StdRng::seed_from_u64(1);
     let (shares, stats) = compressed
         .run(&sk, &x, &w, &mut r)
@@ -75,10 +76,11 @@ fn main() {
         expected_conv_mod(&x, &w, &shape, compressed.ring())
     );
     println!(
-        "protocol: upload {} B; download {} B compressed vs {} B plain ({:.0}% saved), \
-         outputs bit-exact",
+        "protocol: upload {} B; download {} B at the planned {:?} vs {} B plain \
+         ({:.0}% saved), outputs bit-exact",
         stats.upload_bytes,
         stats.download_bytes,
+        compressed.server().layer().truncation().expect("planned"),
         base.download_bytes,
         (1.0 - stats.download_bytes as f64 / base.download_bytes as f64) * 100.0
     );

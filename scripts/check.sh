@@ -73,12 +73,18 @@ fi
 # output positions ‖ all of `c1` — on both rings, untruncated and at
 # (8, 2): round trip, short/trailing buffers, an unreduced value at
 # d = 0, set pad bits at d > 0, another band's positions of another
-# length), the server's position-wise mask (≡ the whole-polynomial
-# splitmix stream at N ∈ {256, 1024, 4096}), and the client's
-# coefficient decryption (key-row extraction ≡ the gathered full key
-# product; rows on the power-of-two ring only). The key-product, wire
-# and mask tests run one exact name at a time, so a renamed test fails
-# the job instead of matching nothing.
+# length), the lane width (⌈(log2 q − d)/8⌉ bytes on both rings with
+# log2 q = 62 on q = 2^62, the power-of-two rounding carry wrapping to
+# 0, the pad bit at 62 − d refused), the planned truncation ((38, 30)
+# at N = 256 and (38, 26) at flash_pow2; measured noise within its
+# bound on both rings; every reduced-ResNet-18 unit without a fallback
+# and a bit below q/(2t) at the planned pair), the server's
+# position-wise mask (≡ the whole-polynomial splitmix stream at
+# N ∈ {256, 1024, 4096}), and the client's coefficient decryption
+# (key-row extraction ≡ the gathered full key product; rows on the
+# power-of-two ring only). The key-product, wire, lane, planner,
+# headroom and mask tests run one exact name at a time, so a renamed
+# test fails the job instead of matching nothing.
 if [[ "${1:-}" == "--backends" ]]; then
     echo "==> ciphertext-backend suite"
     filtered -p flash-math pow2
@@ -96,11 +102,18 @@ if [[ "${1:-}" == "--backends" ]]; then
         truncate::tests::response_wire_rejects_short_and_trailing_buffers \
         truncate::tests::response_wire_rejects_unreduced_coefficients_untruncated \
         truncate::tests::response_wire_rejects_set_pad_bits_truncated \
-        truncate::tests::response_wire_rejects_another_bands_positions_of_other_length; do
+        truncate::tests::response_wire_rejects_another_bands_positions_of_other_length \
+        serialize::tests::lane_width_is_log2_q_minus_d_on_both_rings \
+        serialize::tests::pow2_lane_wraps_the_rounding_carry_to_zero \
+        serialize::tests::pow2_lane_rejects_the_bit_at_log2_q_minus_d \
+        truncate::tests::planned_truncation_pins_the_operating_points \
+        truncate::tests::truncation_noise_within_bound; do
         filtered -p flash-he --lib "$t" -- --exact
     done
     filtered -p flash-2pc --lib \
         hconv::tests::mask_at_reads_the_sequential_stream_at_every_position -- --exact
+    filtered -p flash-accel --lib \
+        e2e::tests::resnet18_planned_truncation_keeps_a_bit_of_headroom -- --exact
     filtered -p flash-he --test key_batch pow2_8192_ciphertext_bytes_and_phases_match_the_crt_lift
     cargo test -q -p flash-he --test proptests
     filtered -p flash-he --test key_batch coefficient_extraction
