@@ -34,6 +34,6 @@ pub mod sim;
 pub mod workload;
 
 pub use config::FlashConfig;
-pub use e2e::{e2e_config, run_resnet_e2e, run_synthetic_e2e, E2eOptions, E2eReport, LayerReport};
+pub use e2e::{e2e_config, run_program_e2e, run_resnet_e2e, E2eOptions, E2eReport, LayerReport};
 pub use inference::{run_network, NetworkRun};
 pub use workload::{layer_workload, LayerWorkload};

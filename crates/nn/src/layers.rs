@@ -115,13 +115,34 @@ pub fn conv_reference(x: &[i64], f: &[i64], spec: &ConvLayerSpec) -> Vec<i64> {
     y
 }
 
+/// Output `(height, width)` of a `k×k` window sliding with `stride` over
+/// an `h×w` plane zero-padded by `pad` on every side:
+/// `(h + 2·pad − k)/stride + 1` per axis.
+///
+/// # Panics
+///
+/// Panics when `stride` is zero or the window is larger than the padded
+/// plane (`k > h + 2·pad` or `k > w + 2·pad`).
+pub fn pool_out_dims(h: usize, w: usize, k: usize, stride: usize, pad: usize) -> (usize, usize) {
+    assert!(stride > 0, "pooling stride must be positive");
+    assert!(
+        k <= h.min(w) + 2 * pad,
+        "pooling window {k} exceeds the padded {h}x{w} plane (pad {pad})"
+    );
+    (
+        (h + 2 * pad - k) / stride + 1,
+        (w + 2 * pad - k) / stride + 1,
+    )
+}
+
 /// Plaintext max-pooling reference. Out-of-bounds (padded) positions
 /// contribute 0 — the after-ReLU identity, matching the secure pooling's
 /// window rule.
 ///
 /// # Panics
 ///
-/// Panics when the input length does not match `c·h·w`.
+/// Panics when the input length does not match `c·h·w`, and where
+/// [`pool_out_dims`] does.
 pub fn maxpool_reference(
     x: &[i64],
     (c, h, w): (usize, usize, usize),
@@ -130,8 +151,7 @@ pub fn maxpool_reference(
     pad: usize,
 ) -> Vec<i64> {
     assert_eq!(x.len(), c * h * w, "input size mismatch");
-    let oh = (h + 2 * pad - k) / stride + 1;
-    let ow = (w + 2 * pad - k) / stride + 1;
+    let (oh, ow) = pool_out_dims(h, w, k, stride, pad);
     let mut out = Vec::with_capacity(c * oh * ow);
     for ch in 0..c {
         for oy in 0..oh {
@@ -228,6 +248,27 @@ mod tests {
             conv_reference(&x, &f, &s),
             flash_he::encoding::direct_conv_stride1(&x, &f, &shape)
         );
+    }
+
+    #[test]
+    fn pool_out_dims_of_the_resnet_stem_pool() {
+        // 3×3/2 pad 1: 112 -> 56, and an odd plane rounds down
+        assert_eq!(pool_out_dims(112, 112, 3, 2, 1), (56, 56));
+        assert_eq!(pool_out_dims(7, 5, 3, 2, 1), (4, 3));
+        // the window may fill the padded plane exactly
+        assert_eq!(pool_out_dims(2, 2, 4, 1, 1), (1, 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "pooling window 5 exceeds the padded 2x4 plane (pad 1)")]
+    fn maxpool_reference_names_an_oversized_window() {
+        maxpool_reference(&[0; 8], (1, 2, 4), 5, 1, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "pooling stride must be positive")]
+    fn maxpool_reference_names_a_zero_stride() {
+        maxpool_reference(&[0; 4], (1, 2, 2), 2, 0, 0);
     }
 
     #[test]

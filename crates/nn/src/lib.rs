@@ -13,6 +13,8 @@
 //! * [`quant`] — symmetric quantization and re-quantization.
 //! * [`layers`] — convolution layer specs and integer reference
 //!   execution (any stride/padding).
+//! * [`program`] — a network as an ordered op list, and its plaintext
+//!   interpreter.
 //! * [`resnet`] — the full conv-layer tables of ResNet-18 and ResNet-50.
 //! * [`sparsity`] — encoded weight-polynomial sparsity per layer
 //!   (Figure 7).
@@ -20,6 +22,7 @@
 //!   models (Figure 5(b)).
 
 pub mod layers;
+pub mod program;
 pub mod quant;
 pub mod resnet;
 pub mod robustness;

@@ -48,6 +48,7 @@ use crate::error::{FlashError, ProtocolError};
 use crate::shares::ShareRing;
 use crate::transport::{FaultPlan, InMemoryTransport, Transport, TransportConfig, TransportStats};
 use flash_he::matvec::matvec_reference;
+use flash_nn::layers::pool_out_dims;
 use flash_nn::quant::{div_round_half_away, Requantizer};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
@@ -494,7 +495,8 @@ impl NonlinearSession {
     ///
     /// # Panics
     ///
-    /// Panics when the share length does not match `c·h·w`.
+    /// Panics when the share length does not match `c·h·w`, and where
+    /// [`pool_out_dims`] does.
     #[allow(clippy::too_many_arguments)]
     pub fn maxpool<R: Rng>(
         &mut self,
@@ -508,8 +510,7 @@ impl NonlinearSession {
     ) -> Result<(Vec<u64>, Vec<u64>), FlashError> {
         assert_eq!(xc.len(), c * h * w, "input size mismatch");
         assert_eq!(xc.len(), xs.len(), "share length mismatch");
-        let oh = (h + 2 * pad - k) / stride + 1;
-        let ow = (w + 2 * pad - k) / stride + 1;
+        let (oh, ow) = pool_out_dims(h, w, k, stride, pad);
         // One candidate list per window, earliest-first so the
         // tournament's tie-breaking matches the first-max reference.
         let mut windows: Vec<Vec<(u64, u64)>> = Vec::with_capacity(c * oh * ow);
@@ -984,6 +985,22 @@ mod tests {
         let got = s.ring().reconstruct_vec(&yc, &ys);
         assert_eq!(got, maxpool_reference(&x, (2, 2, 2), 2, 2, 0));
         assert_eq!(got, vec![4, 7]);
+    }
+
+    #[test]
+    #[should_panic(expected = "pooling window 5 exceeds the padded 2x4 plane (pad 1)")]
+    fn maxpool_names_an_oversized_window() {
+        let mut s = session(16);
+        let mut rng = StdRng::seed_from_u64(5);
+        let _ = s.maxpool(&[0; 8], &[0; 8], (1, 2, 4), 5, 1, 1, &mut rng);
+    }
+
+    #[test]
+    #[should_panic(expected = "pooling stride must be positive")]
+    fn maxpool_names_a_zero_stride() {
+        let mut s = session(16);
+        let mut rng = StdRng::seed_from_u64(5);
+        let _ = s.maxpool(&[0; 4], &[0; 4], (1, 2, 2), 2, 0, 0, &mut rng);
     }
 
     #[test]

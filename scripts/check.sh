@@ -124,18 +124,40 @@ fi
 # `--e2e` runs only the private end-to-end inference suite: the
 # executable 2PC non-linear layers against their plaintext references
 # (unit + property tests, including the chaos-wire property), the
-# reduced-ResNet topology tests, the accel e2e harness tests (including
-# the exact per-layer ciphertext counts of the benchmark network), the
-# stride-2 path (the fold ≡ strided-reference sweep, the `hconv` unit
-# tests with the folded stem, `run_layer_composition`, and the
-# workload/encoder count equalities). The e2e harness tests enforce
-# exact argmax agreement and the [0.5x, 2x] byte-model band.
+# network program and its plaintext interpreter, the reduced-ResNet and
+# synthetic-CNN tests, the accel e2e harness tests (the private
+# interpreter, including the exact per-layer ciphertext counts of the
+# benchmark network), the stride-2 path (the fold ≡ strided-reference
+# sweep, the `hconv` unit tests with the folded stem,
+# `run_layer_composition`, and the workload/encoder count equalities).
+# The e2e harness tests enforce exact argmax agreement and the [0.5x,
+# 2x] byte-model band. The golden pins (report rows of both e2e
+# networks; requantizer + logit digests of both plaintext networks)
+# and the pooling-geometry tests run one exact name at a time, so a
+# renamed pin fails the job instead of matching nothing.
 if [[ "${1:-}" == "--e2e" ]]; then
     echo "==> private end-to-end inference suite"
     filtered -p flash-2pc --lib nonlinear
     cargo test -q -p flash-2pc --test nonlinear_proptests
+    filtered -p flash-nn --lib program
     filtered -p flash-nn --lib resnet
+    filtered -p flash-nn --lib synthetic
     filtered -p flash-accel --lib e2e
+    for t in e2e::tests::tiny_net_report_rows_match_their_pins \
+        e2e::tests::resnet18_report_rows_match_their_pins; do
+        filtered -p flash-accel --lib "$t" -- --exact
+    done
+    for t in resnet::tests::reduced_resnet18_requantizers_and_logits_match_their_digest \
+        synthetic::tests::small_testnet_requantizers_and_logits_match_their_digest \
+        layers::tests::pool_out_dims_of_the_resnet_stem_pool \
+        layers::tests::maxpool_reference_names_an_oversized_window \
+        layers::tests::maxpool_reference_names_a_zero_stride; do
+        filtered -p flash-nn --lib "$t" -- --exact
+    done
+    for t in nonlinear::exec::tests::maxpool_names_an_oversized_window \
+        nonlinear::exec::tests::maxpool_names_a_zero_stride; do
+        filtered -p flash-2pc --lib "$t" -- --exact
+    done
     filtered -p flash-he --lib fold
     filtered -p flash-accel --lib hconv
     cargo test -q -p flash-accel --test run_layer_composition
