@@ -6,16 +6,18 @@
 //! plans at the paper's `N = 4096`, 39-bit `q` (5 bytes/coefficient), in
 //! two forms: the repacked-volume model (results repacked to the output
 //! volume, which no protocol here runs), and the executed plan of the
-//! conv layers — the Compact encoder's `activation_polys` uploads and
-//! `result_polys` responses, each response carrying `c0` at its band's
-//! `P_b` output coefficients and all `N` of `c1`: untruncated, and at
-//! the planned truncation `(d0, d1)` the functional protocol runs by
-//! default (`P_b·⌈(log2 q − d0)/8⌉ + N·⌈(log2 q − d1)/8⌉` bytes).
+//! conv layers — the Compact encoder's `activation_polys` uploads, each
+//! all of `c0` plus the 32-byte seed `c1 = a` expands from
+//! (`N·⌈log2 q/8⌉ + 32` bytes), and `result_polys` responses, each
+//! carrying `c0` at its band's `P_b` output coefficients and all `N` of
+//! `c1`: untruncated, and at the planned truncation `(d0, d1)` the
+//! functional protocol runs by default
+//! (`P_b·⌈(log2 q − d0)/8⌉ + N·⌈(log2 q − d1)/8⌉` bytes).
 
 use flash_bench::{banner, subhead};
 use flash_he::encoding::{ConvEncoder, TileAlignment};
 use flash_he::matvec::MatVecEncoder;
-use flash_he::serialize::modulus_bits;
+use flash_he::serialize::{modulus_bits, upload_len};
 use flash_he::truncate::planned_truncation;
 use flash_he::HeParams;
 use flash_nn::resnet::{resnet18_conv_layers, resnet50_conv_layers};
@@ -73,8 +75,10 @@ fn main() {
             }
         }
         println!(
-            "executed upload:  {:>6} ciphertexts = {:>8.1} MiB (convs, Compact encoder)",
+            "executed upload:  {:>6} ciphertexts = {:>8.1} MiB (convs, Compact encoder; \
+             c0 + a 32 B seed each, full ciphertexts would be {:.1} MiB)",
             up,
+            mib(up * upload_len(N, params.q)),
             mib(up * CT_BYTES)
         );
         println!(

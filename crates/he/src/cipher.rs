@@ -35,8 +35,8 @@ impl Ciphertext {
 
     /// Checks that a (typically deserialized) ciphertext belongs to a
     /// parameter set: ring degree `n` and coefficient modulus `q` must
-    /// match. Coefficient reduction is already enforced by
-    /// [`crate::serialize::ciphertext_from_bytes`].
+    /// match. Coefficient reduction is already enforced by the wire
+    /// decoders of [`crate::serialize`] and [`crate::truncate`].
     ///
     /// # Errors
     ///

@@ -4,6 +4,20 @@
 //! encrypts and decrypts): `ct = (c0, c1)` with `c1 = a` uniform and
 //! `c0 = −a·s + Δ·m + e`, so `c0 + c1·s = Δ·m + e`.
 //!
+//! An upload never carries `a` itself: [`SecretKey::encrypt_batch_seeded`]
+//! draws a fresh 32-byte seed per ciphertext and sets `a =`
+//! [`expand_a`]`(seed)`, and the receiver expands the same `a` from the
+//! seed with the same function ([`crate::serialize::upload_from_bytes`]),
+//! so `c1` costs 32 bytes on the wire instead of `N` coefficients.
+//!
+//! **Security of the seeded form.** `a` is public in RLWE, so sending the
+//! seed it expands from instead of its coefficients reveals nothing new.
+//! Every seed is drawn fresh from the caller's RNG and never reused: two
+//! ciphertexts under one `a` would give `c0_i − c0_j = Δ(m_i − m_j) +
+//! e_i − e_j`. The expander keys the vendored xoshiro256** `StdRng`, the
+//! same emulation-grade generator that drew `a` before; a deployment
+//! would expand `a` with an XOF such as SHAKE-128 or AES-CTR.
+//!
 //! Every encryption and decryption is one exact key product `c1·s`, and
 //! `s` is fixed for the life of the key, so [`SecretKey::generate`]
 //! stores it in the ring's transform domain once
@@ -27,7 +41,8 @@ use crate::params::{HeParams, KeyOperand};
 use crate::poly::Poly;
 use flash_math::modular::{add_mod, center_lift, sub_mod, Shoup};
 use flash_runtime::U64_SCRATCH;
-use rand::Rng;
+use rand::rngs::StdRng;
+use rand::{Rng, RngCore, SeedableRng};
 use std::sync::OnceLock;
 
 /// Ciphertexts per batched key product at the protocol call sites: one
@@ -35,6 +50,42 @@ use std::sync::OnceLock;
 /// ciphertext lists by this so staging buffers stay a few polynomials
 /// large and a parallel region still has chunks to fan out.
 pub const KEY_BATCH: usize = flash_runtime::simd::MAX_LANES;
+
+/// Bytes of the seed an upload carries in place of `c1 = a`.
+pub const SEED_BYTES: usize = 32;
+
+/// The RLWE mask `a` a seed stands for: `N` exactly uniform residues of
+/// `Z_q`, drawn from the vendored `StdRng` keyed by `seed`. On a
+/// power-of-two `q` each value is the top `log2 q` bits of one draw;
+/// otherwise Lemire's multiply-shift, whose high word is exactly uniform
+/// once draws with a low word below `2^64 mod q` are rejected. Both cost
+/// a shift or a multiply per value, not the `u128 %` of `gen_range`. The
+/// one expander of the tree: the client's
+/// [`SecretKey::encrypt_batch_seeded`] and the server's
+/// [`crate::serialize::upload_from_bytes`] both call it.
+///
+/// # Panics
+///
+/// Panics if `q < 2`.
+pub fn expand_a(seed: &[u8; SEED_BYTES], n: usize, q: u64) -> Poly {
+    assert!(q >= 2, "modulus must be at least 2");
+    let mut rng = StdRng::from_seed(*seed);
+    let coeffs = if q.is_power_of_two() {
+        let shift = 64 - q.trailing_zeros();
+        (0..n).map(|_| rng.next_u64() >> shift).collect()
+    } else {
+        let threshold = q.wrapping_neg() % q;
+        (0..n)
+            .map(|_| loop {
+                let wide = u128::from(rng.next_u64()) * u128::from(q);
+                if wide as u64 >= threshold {
+                    break (wide >> 64) as u64;
+                }
+            })
+            .collect()
+    };
+    Poly::from_coeffs(coeffs, q)
+}
 
 /// A BFV secret key (ternary): its coefficients, the same key in the
 /// transform domain for the full key products, and — built on the first
@@ -282,12 +333,52 @@ impl SecretKey {
     /// Panics if a plaintext's modulus or length does not match the
     /// parameters.
     pub fn encrypt_batch<R: Rng>(&self, ms: &[Poly], rng: &mut R) -> Vec<Ciphertext> {
+        let q = self.params.q;
+        self.encrypt_batch_with(ms, rng, |rng, a| {
+            a.iter_mut().for_each(|c| *c = rng.gen_range(0..q));
+        })
+    }
+
+    /// [`SecretKey::encrypt_batch`] with each `a` expanded from a fresh
+    /// seed: per ciphertext, in order, 32 seed bytes from `rng`, `a =`
+    /// [`expand_a`]`(seed)`, then `e`. Returns every ciphertext with its
+    /// seed — the upload wire form sends `c0` and the seed only
+    /// ([`crate::serialize::upload_to_bytes`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a plaintext's modulus or length does not match the
+    /// parameters.
+    pub fn encrypt_batch_seeded<R: Rng>(
+        &self,
+        ms: &[Poly],
+        rng: &mut R,
+    ) -> Vec<(Ciphertext, [u8; SEED_BYTES])> {
+        let (n, q) = (self.params.n, self.params.q);
+        let mut seeds = Vec::with_capacity(ms.len());
+        let cts = self.encrypt_batch_with(ms, rng, |rng, a| {
+            let mut seed = [0u8; SEED_BYTES];
+            rng.fill_bytes(&mut seed);
+            a.copy_from_slice(expand_a(&seed, n, q).coeffs());
+            seeds.push(seed);
+        });
+        cts.into_iter().zip(seeds).collect()
+    }
+
+    /// Shared body of the batched encryptions: per ciphertext, in order,
+    /// `draw_a` fills `a` and `e` is drawn; then `c0 = Δ·m + e − a·s` for
+    /// the whole batch in one key product.
+    fn encrypt_batch_with<R: Rng>(
+        &self,
+        ms: &[Poly],
+        rng: &mut R,
+        mut draw_a: impl FnMut(&mut R, &mut [u64]),
+    ) -> Vec<Ciphertext> {
         let p = &self.params;
         let (n, q) = (p.n, p.q);
         let delta = Shoup::new(p.delta(), q);
         let mut a_flat = U64_SCRATCH.take(ms.len() * n);
         let mut c0_flat = U64_SCRATCH.take(ms.len() * n);
-        let mut c1s = Vec::with_capacity(ms.len());
         for ((m, a_k), c0_k) in ms
             .iter()
             .zip(a_flat.chunks_exact_mut(n))
@@ -295,13 +386,11 @@ impl SecretKey {
         {
             assert_eq!(m.modulus(), p.t, "plaintext must be mod t");
             assert_eq!(m.len(), n, "plaintext length must be N");
-            let a = Poly::uniform(n, q, rng);
+            draw_a(rng, a_k);
             let e = Poly::gaussian(n, q, p.noise_std, rng);
-            a_k.copy_from_slice(a.coeffs());
             for ((c, &m), &e) in c0_k.iter_mut().zip(m.coeffs()).zip(e.coeffs()) {
                 *c = add_mod(scale_plain(m, &delta, p.t, q), e, q);
             }
-            c1s.push(a);
         }
         // c0 = Δ·m + e − a·s
         key_mul(p, &mut c0_flat, &a_flat, &self.s, |prod, x| {
@@ -309,8 +398,13 @@ impl SecretKey {
         });
         c0_flat
             .chunks_exact(n)
-            .zip(c1s)
-            .map(|(c0, c1)| Ciphertext::new(Poly::from_coeffs(c0.to_vec(), q), c1))
+            .zip(a_flat.chunks_exact(n))
+            .map(|(c0, a)| {
+                Ciphertext::new(
+                    Poly::from_coeffs(c0.to_vec(), q),
+                    Poly::from_coeffs(a.to_vec(), q),
+                )
+            })
             .collect()
     }
 
@@ -583,6 +677,123 @@ mod tests {
                 assert_eq!(&phases[k * p.n..][..p.n], sk.phase(ct).coeffs());
                 assert_eq!(&plains[k * p.n..][..p.n], ms[k].coeffs());
             }
+        }
+    }
+
+    /// FNV-1a over the little-endian coefficients of a polynomial.
+    fn fnv(poly: &Poly) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for b in poly.coeffs().iter().flat_map(|c| c.to_le_bytes()) {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x100_0000_01b3);
+        }
+        h
+    }
+
+    #[test]
+    fn expand_a_matches_its_known_answers() {
+        // Pins the generator and both samplers: any change to the
+        // vendored StdRng, the power-of-two shift or the rejection rule
+        // moves these words. The values were computed by an independent
+        // xoshiro256** implementation outside the tree.
+        let seed: [u8; SEED_BYTES] = std::array::from_fn(|i| i as u8);
+        let pow2 = expand_a(&seed, 256, HeParams::pow2_test_256().q);
+        let prime = expand_a(&seed, 256, HeParams::test_256().q);
+        assert_eq!(HeParams::test_256().q, 68_718_428_161);
+        assert_eq!(
+            pow2.coeffs()[..2],
+            [3_389_349_862_678_121_811, 676_593_381_250_246_573]
+        );
+        assert_eq!(prime.coeffs()[..2], [50_504_477_997, 10_081_873_197]);
+        assert_eq!(
+            (fnv(&pow2), fnv(&prime)),
+            (0xe550_7b99_977e_5142, 0xf468_08a9_0f8a_d5ff)
+        );
+    }
+
+    #[test]
+    fn expand_a_values_are_reduced() {
+        let seed = [7u8; SEED_BYTES];
+        for q in [
+            2,
+            3,
+            1 << 16,
+            HeParams::test_256().q,
+            HeParams::flash_default().q,
+            HeParams::pow2_test_256().q,
+            (1 << 63) + 1,
+            u64::MAX,
+        ] {
+            let a = expand_a(&seed, 1024, q);
+            assert_eq!(a.modulus(), q);
+            assert!(a.coeffs().iter().all(|&c| c < q), "q = {q}");
+        }
+    }
+
+    #[test]
+    fn expand_a_is_uniform_on_small_moduli() {
+        // Pearson's χ² over 70 000 draws; the bounds sit past the 99.99th
+        // percentile of χ² with q − 1 degrees of freedom (27.9 at 6 and
+        // 29.9 at 7 dof). The draws are seeded, so this cannot flake.
+        for (q, bound) in [(7u64, 27.9), (8, 29.9)] {
+            let n = 70_000;
+            let a = expand_a(&[q as u8; SEED_BYTES], n, q);
+            let mut counts = vec![0f64; q as usize];
+            a.coeffs().iter().for_each(|&c| counts[c as usize] += 1.0);
+            let want = n as f64 / q as f64;
+            let chi2: f64 = counts.iter().map(|c| (c - want).powi(2) / want).sum();
+            assert!(chi2 < bound, "q = {q}: χ² = {chi2}");
+        }
+    }
+
+    #[test]
+    fn rejection_fires_on_about_half_the_draws_just_above_2_63() {
+        // q = 2^63 + 1: 2^64 mod q = 2^63 − 1, so a draw whose low word
+        // (x·q mod 2^64) falls below that is rejected — half of them.
+        // The kept draws' high words are the output, in order.
+        let q = (1u64 << 63) + 1;
+        let seed = [3u8; SEED_BYTES];
+        let n = 4096;
+        let a = expand_a(&seed, n, q);
+        let threshold = q.wrapping_neg() % q;
+        assert_eq!(threshold, (1 << 63) - 1);
+        let mut rng = StdRng::from_seed(seed);
+        let (mut kept, mut rejected) = (Vec::new(), 0usize);
+        while kept.len() < n {
+            let wide = u128::from(rng.next_u64()) * u128::from(q);
+            if (wide as u64) < threshold {
+                rejected += 1;
+            } else {
+                kept.push((wide >> 64) as u64);
+            }
+        }
+        assert_eq!(a.coeffs(), &kept[..]);
+        let share = rejected as f64 / (rejected + n) as f64;
+        assert!((0.47..0.53).contains(&share), "rejected {share}");
+        // Kept values still cover both halves of [0, q).
+        let high = kept.iter().filter(|&&c| c >= 1 << 62).count();
+        assert!((0.47..0.53).contains(&(high as f64 / n as f64)));
+    }
+
+    #[test]
+    fn seeded_encryptions_decrypt_and_expand_from_fresh_seeds() {
+        for p in [HeParams::test_256(), HeParams::pow2_test_256()] {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(12);
+            let sk = SecretKey::generate(&p, &mut rng);
+            let ms: Vec<Poly> = (0..11).map(|_| Poly::uniform(p.n, p.t, &mut rng)).collect();
+            let first = sk.encrypt_batch_seeded(&ms, &mut rng);
+            let second = sk.encrypt_batch_seeded(&ms[..3], &mut rng);
+            for ((ct, seed), m) in first.iter().zip(&ms).chain(second.iter().zip(&ms)) {
+                assert_eq!(ct.c1(), &expand_a(seed, p.n, p.q));
+                assert_eq!(&sk.decrypt(ct), m);
+                assert!(sk.noise(ct, m).inf_norm() < 40);
+            }
+            // Every seed is fresh, within one batch and across batches on
+            // one rng.
+            let mut seeds: Vec<_> = first.iter().chain(&second).map(|(_, s)| *s).collect();
+            seeds.sort_unstable();
+            seeds.dedup();
+            assert_eq!(seeds.len(), 14, "q = {}", p.q);
         }
     }
 

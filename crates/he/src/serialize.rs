@@ -12,8 +12,14 @@
 //! width. The full ciphertext here is its untruncated, all-positions
 //! case; [`crate::truncate`] holds the response form, which drops low bits
 //! and sends `c0` only where the outputs sit.
+//!
+//! An upload is the other wire form: all of `c0` at full width, then the
+//! 32-byte seed `c1 = a` expands from ([`upload_to_bytes`],
+//! [`upload_from_bytes`]; see [`crate::keys`] for why the seed may
+//! travel in place of `a`).
 
 use crate::cipher::Ciphertext;
+use crate::keys::{expand_a, SEED_BYTES};
 use crate::poly::Poly;
 use crate::truncate::TruncatedCiphertext;
 use std::fmt;
@@ -234,7 +240,9 @@ pub fn poly_from_bytes(buf: &[u8], n: usize, modulus: u64) -> Result<Poly, WireE
     Ok(poly)
 }
 
-/// Serializes a ciphertext (`c0 ‖ c1`).
+/// Serializes a ciphertext (`c0 ‖ c1`). No protocol path sends this
+/// form: uploads travel as [`upload_to_bytes`], responses as
+/// [`TruncatedCiphertext::response_to_bytes`].
 pub fn ciphertext_to_bytes(ct: &Ciphertext) -> Vec<u8> {
     TruncatedCiphertext::response_to_bytes(ct, 0..ct.len(), None)
 }
@@ -247,6 +255,37 @@ pub fn ciphertext_to_bytes(ct: &Ciphertext) -> Vec<u8> {
 /// coefficients.
 pub fn ciphertext_from_bytes(buf: &[u8], n: usize, q: u64) -> Result<Ciphertext, WireError> {
     TruncatedCiphertext::decode(buf, n, q, 0..n, None)
+}
+
+/// Wire length of an upload of degree `n` modulo `q`:
+/// `N·⌈log2 q / 8⌉ + 32`.
+pub fn upload_len(n: usize, q: u64) -> usize {
+    Lane::new(q, 0).bytes(n) + SEED_BYTES
+}
+
+/// Serializes an upload: all of `c0` at full width, then the seed its
+/// `c1 = a` was expanded from ([`crate::SecretKey::encrypt_batch_seeded`]).
+pub fn upload_to_bytes(c0: &Poly, seed: &[u8; SEED_BYTES]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(upload_len(c0.len(), c0.modulus()) + 8);
+    Lane::new(c0.modulus(), 0).write(&mut out, c0.coeffs().iter().copied());
+    out.extend_from_slice(seed);
+    out
+}
+
+/// Deserializes an upload of degree `n` modulo `q` into its ciphertext,
+/// expanding `c1 = a` from the seed with [`expand_a`].
+///
+/// # Errors
+///
+/// [`WireError::Truncated`] / [`WireError::TrailingBytes`] on any length
+/// other than [`upload_len`], [`WireError::CoefficientOutOfRange`] on a
+/// `c0` value `≥ q`.
+pub fn upload_from_bytes(buf: &[u8], n: usize, q: u64) -> Result<Ciphertext, WireError> {
+    expect_len(buf, upload_len(n, q))?;
+    let (c0, seed) = buf.split_at(buf.len() - SEED_BYTES);
+    let c0 = poly_from_bytes(c0, n, q)?;
+    let seed = seed.try_into().expect("split at the seed length");
+    Ok(Ciphertext::new(c0, expand_a(seed, n, q)))
 }
 
 #[cfg(test)]
@@ -377,6 +416,103 @@ mod tests {
             checked.push(d);
         }
         assert_eq!(checked, [0, 8, 26]);
+    }
+
+    /// A fresh seeded encryption of a random plaintext and its upload.
+    fn sealed_upload(p: &HeParams, seed: u64) -> (Ciphertext, Vec<u8>) {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let sk = SecretKey::generate(p, &mut rng);
+        let m = Poly::uniform(p.n, p.t, &mut rng);
+        let (ct, a_seed) = sk
+            .encrypt_batch_seeded(std::slice::from_ref(&m), &mut rng)
+            .pop()
+            .expect("one plaintext in, one ciphertext out");
+        let bytes = upload_to_bytes(ct.c0(), &a_seed);
+        (ct, bytes)
+    }
+
+    #[test]
+    fn upload_carries_c0_and_the_seed_on_both_rings() {
+        for p in [HeParams::test_256(), HeParams::pow2_test_256()] {
+            let (ct, bytes) = sealed_upload(&p, 5);
+            assert_eq!(bytes.len(), upload_len(p.n, p.q));
+            assert_eq!(bytes.len(), p.n * coeff_bytes(p.q) + 32);
+            assert_eq!(&bytes[..bytes.len() - 32], &poly_to_bytes(ct.c0())[..]);
+            assert_eq!(upload_from_bytes(&bytes, p.n, p.q).unwrap(), ct);
+        }
+        // N·8 + 32 on q = 2^62: 2 080 B at N = 256, 32 800 B at N = 4096.
+        assert_eq!(upload_len(256, HeParams::pow2_test_256().q), 2_080);
+        assert_eq!(upload_len(4096, HeParams::flash_pow2().q), 32_800);
+    }
+
+    #[test]
+    fn upload_rejects_short_and_trailing_buffers() {
+        for p in [HeParams::test_256(), HeParams::pow2_test_256()] {
+            let (_, bytes) = sealed_upload(&p, 6);
+            for cut in [0, 1, 32, bytes.len() - 32, bytes.len() - 1] {
+                assert_eq!(
+                    upload_from_bytes(&bytes[..cut], p.n, p.q),
+                    Err(WireError::Truncated),
+                    "q = {} cut = {cut}",
+                    p.q
+                );
+            }
+            let mut long = bytes.clone();
+            long.extend([0u8; 3]);
+            assert_eq!(
+                upload_from_bytes(&long, p.n, p.q),
+                Err(WireError::TrailingBytes { extra: 3 })
+            );
+        }
+    }
+
+    #[test]
+    fn upload_rejects_an_unreduced_c0_on_a_prime_ring() {
+        let p = HeParams::test_256();
+        let (_, mut bytes) = sealed_upload(&p, 7);
+        let cb = coeff_bytes(p.q);
+        let at = 17;
+        bytes[at * cb..][..cb].copy_from_slice(&p.q.to_le_bytes()[..cb]);
+        assert_eq!(
+            upload_from_bytes(&bytes, p.n, p.q),
+            Err(WireError::CoefficientOutOfRange { index: at })
+        );
+    }
+
+    #[test]
+    fn upload_rejects_a_set_pad_bit_on_a_pow2_ring() {
+        // q = 2^62 packs in 8 bytes: bits 62 and 63 of a `c0` value are
+        // pad bits, and either one set puts the value at or above q.
+        let p = HeParams::pow2_test_256();
+        let (_, bytes) = sealed_upload(&p, 8);
+        for bit in [62u32, 63] {
+            let mut bad = bytes.clone();
+            bad[3 * 8 + 7] |= 1 << (bit - 56);
+            assert_eq!(
+                upload_from_bytes(&bad, p.n, p.q),
+                Err(WireError::CoefficientOutOfRange { index: 3 }),
+                "bit {bit}"
+            );
+        }
+    }
+
+    proptest::proptest! {
+        /// Arbitrary bytes of any length near the upload's never panic the
+        /// decoder: they decode, or fail with a typed error.
+        #[test]
+        fn upload_decoder_never_panics_on_arbitrary_bytes(
+            bytes in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..120),
+            exact in proptest::collection::vec(proptest::prelude::any::<u8>(), 96..=96),
+        ) {
+            // N = 8: a 30-bit prime (64-byte uploads) and 2^62 (96 bytes).
+            for q in [HeParams::toy().q, 1 << 62] {
+                let _ = upload_from_bytes(&bytes, 8, q);
+                let len = upload_len(8, q);
+                if let Ok(ct) = upload_from_bytes(&exact[..len], 8, q) {
+                    assert!(ct.c0().coeffs().iter().chain(ct.c1().coeffs()).all(|&c| c < q));
+                }
+            }
+        }
     }
 
     #[test]

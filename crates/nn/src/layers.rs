@@ -26,14 +26,33 @@ pub struct ConvLayerSpec {
 }
 
 impl ConvLayerSpec {
+    /// Output `(height, width)`: [`pool_out_dims`]'s window rule.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the stride is zero or the kernel is larger than the
+    /// padded input.
+    fn out_dims(&self) -> (usize, usize) {
+        window_out_dims("convolution", self.h, self.w, self.k, self.stride, self.pad)
+    }
+
     /// Output height.
+    ///
+    /// # Panics
+    ///
+    /// Where [`pool_out_dims`] does: a zero stride, or a kernel larger
+    /// than the padded input.
     pub fn out_h(&self) -> usize {
-        (self.h + 2 * self.pad - self.k) / self.stride + 1
+        self.out_dims().0
     }
 
     /// Output width.
+    ///
+    /// # Panics
+    ///
+    /// Where [`pool_out_dims`] does.
     pub fn out_w(&self) -> usize {
-        (self.w + 2 * self.pad - self.k) / self.stride + 1
+        self.out_dims().1
     }
 
     /// Multiply-accumulates of the cleartext convolution.
@@ -124,10 +143,23 @@ pub fn conv_reference(x: &[i64], f: &[i64], spec: &ConvLayerSpec) -> Vec<i64> {
 /// Panics when `stride` is zero or the window is larger than the padded
 /// plane (`k > h + 2·pad` or `k > w + 2·pad`).
 pub fn pool_out_dims(h: usize, w: usize, k: usize, stride: usize, pad: usize) -> (usize, usize) {
-    assert!(stride > 0, "pooling stride must be positive");
+    window_out_dims("pooling", h, w, k, stride, pad)
+}
+
+/// The one window-geometry rule of pooling and convolution; `what` names
+/// the layer kind in the panic messages.
+fn window_out_dims(
+    what: &str,
+    h: usize,
+    w: usize,
+    k: usize,
+    stride: usize,
+    pad: usize,
+) -> (usize, usize) {
+    assert!(stride > 0, "{what} stride must be positive");
     assert!(
         k <= h.min(w) + 2 * pad,
-        "pooling window {k} exceeds the padded {h}x{w} plane (pad {pad})"
+        "{what} window {k} exceeds the padded {h}x{w} plane (pad {pad})"
     );
     (
         (h + 2 * pad - k) / stride + 1,
@@ -205,6 +237,19 @@ mod tests {
         // 7x7/2 pad 3 on 224 -> 112 (ResNet conv1)
         let s = spec(3, 224, 7, 2, 3);
         assert_eq!(s.out_h(), 112);
+    }
+
+    #[test]
+    #[should_panic(expected = "convolution window 5 exceeds the padded 2x2 plane (pad 0)")]
+    fn conv_output_dims_name_an_oversized_kernel() {
+        // Unchecked, (2 + 0 − 5)/1 + 1 wrapped to 2^64 − 2 in release.
+        spec(1, 2, 5, 1, 0).out_h();
+    }
+
+    #[test]
+    #[should_panic(expected = "convolution stride must be positive")]
+    fn conv_output_dims_name_a_zero_stride() {
+        spec(1, 8, 3, 0, 1).out_w();
     }
 
     #[test]

@@ -15,9 +15,11 @@
 //! ```
 //!
 //! * **seal** — share tiles → `Poly::from_signed` → one batched
-//!   encryption per [`KEY_BATCH`] chunk → serialized blobs, handed to the
-//!   caller's sink so only a chunk of ciphertexts is alive at a time.
-//! * **open** — deserialize, validate, fold the server's share tile in.
+//!   encryption per [`KEY_BATCH`] chunk, each `a` expanded from a fresh
+//!   seed → uploads of `c0` ‖ seed, handed to the caller's sink so only a
+//!   chunk of ciphertexts is alive at a time.
+//! * **open** — deserialize `c0`, expand `a` from the seed, validate,
+//!   fold the server's share tile in.
 //! * **respond** — splits where the Flash CPU protocol splits:
 //!   [`HconvServer::prepare_units`] does everything that depends on the
 //!   *weights only* for one output channel (encode, the noise-guard
@@ -127,8 +129,10 @@ impl HconvLayer {
 
     /// Client **seal** of one activation share: encodes it into the
     /// layer's [`ConvEncoder::activation_polys`] tiles, encrypts them one
-    /// batched key product per [`KEY_BATCH`] chunk, and hands each
-    /// serialized ciphertext to `sink` in tile order.
+    /// batched key product per [`KEY_BATCH`] chunk with each `a` expanded
+    /// from a fresh seed ([`SecretKey::encrypt_batch_seeded`]), and hands
+    /// each upload — `c0` ‖ the seed, [`serialize::upload_to_bytes`] — to
+    /// `sink` in tile order.
     ///
     /// # Errors
     ///
@@ -157,19 +161,20 @@ impl HconvLayer {
                     .iter()
                     .map(|tile| Poly::from_signed(tile, t))
                     .collect();
-                sk.encrypt_batch(&ms, rng)
+                sk.encrypt_batch_seeded(&ms, rng)
             };
             let _t = flash_telemetry::span!("hconv.wire_serialize");
-            for ct in &cts {
-                sink(serialize::ciphertext_to_bytes(ct))?;
+            for (ct, seed) in &cts {
+                sink(serialize::upload_to_bytes(ct.c0(), seed))?;
             }
         }
         Ok(())
     }
 
-    /// Server **open** of one upload: deserializes and validates one blob
-    /// per tile and folds the matching tile of the server's activation
-    /// share into it.
+    /// Server **open** of one upload: deserializes one blob per tile —
+    /// `c0`, then the seed `c1 = a` is expanded from
+    /// ([`serialize::upload_from_bytes`]) — validates it, and folds the
+    /// matching tile of the server's activation share into it.
     ///
     /// # Errors
     ///
@@ -192,7 +197,7 @@ impl HconvLayer {
             .iter()
             .zip(blobs)
             .map(|(tile, bytes)| {
-                let mut ct = serialize::ciphertext_from_bytes(bytes?.as_ref(), p.n, p.q)
+                let mut ct = serialize::upload_from_bytes(bytes?.as_ref(), p.n, p.q)
                     .map_err(FlashError::from)?;
                 ct.validate_for(p).map_err(FlashError::from)?;
                 ct.add_plain_assign(&Poly::from_signed(tile, p.t), p);
@@ -723,6 +728,108 @@ pub fn mask_at(seed: u64, i: usize, t: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flash_he::serialize::WireError;
+    use rand::SeedableRng;
+
+    /// A small layer on each ring and one client share of its input.
+    fn layers() -> Vec<(HconvLayer, Vec<u64>)> {
+        let shape = ConvShape {
+            c: 4,
+            h: 16,
+            w: 16,
+            m: 2,
+            k: 3,
+        };
+        [HeParams::test_256(), HeParams::pow2_test_256()]
+            .into_iter()
+            .map(|p| {
+                let layer = HconvLayer::new(p, shape, None);
+                let share = (0..shape.input_len() as u64)
+                    .map(|i| (i * 7919) % layer.params().t)
+                    .collect();
+                (layer, share)
+            })
+            .collect()
+    }
+
+    fn seal_blobs(
+        layer: &HconvLayer,
+        sk: &SecretKey,
+        share: &[u64],
+        rng: &mut impl Rng,
+    ) -> Vec<Vec<u8>> {
+        let mut blobs = Vec::new();
+        layer
+            .seal(sk, share, rng, |b| {
+                blobs.push(b);
+                Ok::<_, FlashError>(())
+            })
+            .unwrap();
+        blobs
+    }
+
+    #[test]
+    fn every_upload_seed_is_fresh_within_and_across_seals() {
+        for (layer, share) in layers() {
+            let p = layer.params().clone();
+            let mut rng = rand::rngs::StdRng::seed_from_u64(31);
+            let sk = SecretKey::generate(&p, &mut rng);
+            let mut blobs = seal_blobs(&layer, &sk, &share, &mut rng);
+            let per_seal = blobs.len();
+            assert!(per_seal > 1, "the layer needs several uploads");
+            blobs.extend(seal_blobs(&layer, &sk, &share, &mut rng));
+            let mut seeds: Vec<&[u8]> = blobs
+                .iter()
+                .map(|b| {
+                    assert_eq!(b.len(), serialize::upload_len(p.n, p.q));
+                    &b[b.len() - flash_he::keys::SEED_BYTES..]
+                })
+                .collect();
+            seeds.sort_unstable();
+            seeds.dedup();
+            assert_eq!(seeds.len(), 2 * per_seal, "q = {}", p.q);
+        }
+    }
+
+    #[test]
+    fn open_refuses_a_mutated_upload_typed() {
+        for (layer, share) in layers() {
+            let p = layer.params().clone();
+            let mut rng = rand::rngs::StdRng::seed_from_u64(32);
+            let sk = SecretKey::generate(&p, &mut rng);
+            let blobs = seal_blobs(&layer, &sk, &share, &mut rng);
+            let server_share = vec![0i64; share.len()];
+            let open = |blobs: &[Vec<u8>]| {
+                layer.open(&server_share, blobs.iter().map(Ok::<_, FlashError>))
+            };
+            assert!(open(&blobs).is_ok());
+            let last = blobs.len() - 1;
+            let mut short = blobs.clone();
+            short[last].pop();
+            let mut long = blobs.clone();
+            long[0].push(0);
+            let mut unreduced = blobs.clone();
+            unreduced[last][..8].fill(0xFF);
+            for (bad, want) in [
+                (short, WireError::Truncated),
+                (long, WireError::TrailingBytes { extra: 1 }),
+                (unreduced, WireError::CoefficientOutOfRange { index: 0 }),
+            ] {
+                assert!(
+                    matches!(open(&bad), Err(FlashError::Wire(ref e)) if *e == want),
+                    "q = {}: {want:?}",
+                    p.q
+                );
+            }
+            // A mutated seed is still a well-formed upload: it opens to
+            // another `a`, and the client's decryption is what fails.
+            let mut reseeded = blobs.clone();
+            *reseeded[0].last_mut().unwrap() ^= 1;
+            let (good, bad) = (open(&blobs).unwrap(), open(&reseeded).unwrap());
+            assert_eq!(good[0].c0(), bad[0].c0());
+            assert_ne!(good[0].c1(), bad[0].c1());
+        }
+    }
 
     /// The whole-polynomial mask as a sequential splitmix64 generator
     /// (the state advances by the golden gamma per draw): the stream

@@ -52,11 +52,15 @@ fi
 # resilience tests (deadline eviction, shedding + priority, circuit
 # breaker, panic containment/bisection, watchdog respawn, draining
 # shutdown, the exactly-one-terminal-outcome dichotomy), the wire-
-# decoder fuzz (fixed seeds via the vendored proptest stub) and the
-# transport backoff/deadline tests.
+# decoder fuzz (fixed seeds via the vendored proptest stub), the
+# mutated-upload admission test (a short, long or unreduced `c0` ‖ seed
+# upload refused typed, a flipped seed answered, one terminal outcome
+# each; run by exact name) and the transport backoff/deadline tests.
 if [[ "${1:-}" == "--chaos" ]]; then
     echo "==> chaos/resilience suite (deterministic seeds)"
     cargo test -q -p flash-serve --test resilience --test wire_fuzz
+    filtered -p flash-serve --test upload_wire \
+        a_mutated_upload_fails_its_request_typed_with_one_terminal_outcome -- --exact
     filtered -p flash-2pc --lib transport
     echo "==> chaos/resilience suite passed"
     exit 0
@@ -82,9 +86,16 @@ fi
 # position-wise mask (≡ the whole-polynomial splitmix stream at
 # N ∈ {256, 1024, 4096}), and the client's coefficient decryption
 # (key-row extraction ≡ the gathered full key product; rows on the
-# power-of-two ring only). The key-product, wire, lane, planner,
-# headroom and mask tests run one exact name at a time, so a renamed
-# test fails the job instead of matching nothing.
+# power-of-two ring only), the seeded upload (`expand_a` pinned by known
+# answers on both rings, reduced, uniform by χ² on small moduli, its
+# rejection rule firing on half the draws at q = 2^63 + 1; seeded
+# encryptions decrypting on both rings from fresh seeds, within and
+# across seals; the `c0` ‖ seed codec's length, short/trailing buffers,
+# an unreduced prime `c0`, a set pow2 pad bit and arbitrary bytes; a
+# mutated upload refused typed by `open`). The key-product, wire, lane,
+# planner, headroom, mask, expander and upload tests run one exact name
+# at a time, so a renamed test fails the job instead of matching
+# nothing.
 if [[ "${1:-}" == "--backends" ]]; then
     echo "==> ciphertext-backend suite"
     filtered -p flash-math pow2
@@ -107,11 +118,24 @@ if [[ "${1:-}" == "--backends" ]]; then
         serialize::tests::pow2_lane_wraps_the_rounding_carry_to_zero \
         serialize::tests::pow2_lane_rejects_the_bit_at_log2_q_minus_d \
         truncate::tests::planned_truncation_pins_the_operating_points \
-        truncate::tests::truncation_noise_within_bound; do
+        truncate::tests::truncation_noise_within_bound \
+        keys::tests::expand_a_matches_its_known_answers \
+        keys::tests::expand_a_values_are_reduced \
+        keys::tests::expand_a_is_uniform_on_small_moduli \
+        keys::tests::rejection_fires_on_about_half_the_draws_just_above_2_63 \
+        keys::tests::seeded_encryptions_decrypt_and_expand_from_fresh_seeds \
+        serialize::tests::upload_carries_c0_and_the_seed_on_both_rings \
+        serialize::tests::upload_rejects_short_and_trailing_buffers \
+        serialize::tests::upload_rejects_an_unreduced_c0_on_a_prime_ring \
+        serialize::tests::upload_rejects_a_set_pad_bit_on_a_pow2_ring \
+        serialize::tests::upload_decoder_never_panics_on_arbitrary_bytes; do
         filtered -p flash-he --lib "$t" -- --exact
     done
-    filtered -p flash-2pc --lib \
-        hconv::tests::mask_at_reads_the_sequential_stream_at_every_position -- --exact
+    for t in hconv::tests::mask_at_reads_the_sequential_stream_at_every_position \
+        hconv::tests::every_upload_seed_is_fresh_within_and_across_seals \
+        hconv::tests::open_refuses_a_mutated_upload_typed; do
+        filtered -p flash-2pc --lib "$t" -- --exact
+    done
     filtered -p flash-accel --lib \
         e2e::tests::resnet18_planned_truncation_keeps_a_bit_of_headroom -- --exact
     filtered -p flash-he --test key_batch pow2_8192_ciphertext_bytes_and_phases_match_the_crt_lift
@@ -133,8 +157,9 @@ fi
 # The e2e harness tests enforce exact argmax agreement and the [0.5x,
 # 2x] byte-model band. The golden pins (report rows of both e2e
 # networks; requantizer + logit digests of both plaintext networks)
-# and the pooling-geometry tests run one exact name at a time, so a
-# renamed pin fails the job instead of matching nothing.
+# and the window-geometry tests (pooling and convolution) run one
+# exact name at a time, so a renamed pin fails the job instead of
+# matching nothing.
 if [[ "${1:-}" == "--e2e" ]]; then
     echo "==> private end-to-end inference suite"
     filtered -p flash-2pc --lib nonlinear
@@ -151,7 +176,9 @@ if [[ "${1:-}" == "--e2e" ]]; then
         synthetic::tests::small_testnet_requantizers_and_logits_match_their_digest \
         layers::tests::pool_out_dims_of_the_resnet_stem_pool \
         layers::tests::maxpool_reference_names_an_oversized_window \
-        layers::tests::maxpool_reference_names_a_zero_stride; do
+        layers::tests::maxpool_reference_names_a_zero_stride \
+        layers::tests::conv_output_dims_name_an_oversized_kernel \
+        layers::tests::conv_output_dims_name_a_zero_stride; do
         filtered -p flash-nn --lib "$t" -- --exact
     done
     for t in nonlinear::exec::tests::maxpool_names_an_oversized_window \
