@@ -10,7 +10,7 @@ use flash_2pc::error::FlashError;
 use flash_2pc::protocol::{ConvProtocol, ProtocolStats};
 use flash_2pc::shares::ShareRing;
 use flash_2pc::transport::TransportConfig;
-use flash_he::encoding::{pad_input, ConvShape};
+use flash_he::encoding::{pad_input, ConvEncoder, ConvShape};
 use flash_he::{PolyMulBackend, SecretKey};
 use flash_nn::layers::ConvLayerSpec;
 use rand::Rng;
@@ -55,6 +55,12 @@ impl FlashHconv {
     fn protocol(&self, shape: ConvShape) -> ConvProtocol {
         ConvProtocol::new(self.cfg.he.clone(), shape, self.backend.clone())
             .with_transport_config(self.transport.clone())
+    }
+
+    /// The tiling plan `spec` runs under: the planned partition of its
+    /// folded shape ([`flash_2pc::HconvLayer::new`]).
+    pub fn encoder(&self, spec: &ConvLayerSpec) -> ConvEncoder {
+        self.protocol(spec.encoded_shape()).encoder().clone()
     }
 
     /// The share ring of the configured plaintext modulus.
@@ -257,7 +263,7 @@ mod tests {
             .map(|&v| ring.to_signed(ring.reduce(v)))
             .collect();
         assert_eq!(got, want);
-        let enc = flash_he::encoding::ConvEncoder::new(spec.encoded_shape(), cfg.he.n);
+        let enc = engine.encoder(&spec);
         assert_eq!(stats.ciphertexts_up, enc.activation_polys());
         assert_eq!(stats.ciphertexts_down, enc.result_polys());
         assert_eq!(stats.pow2_fallbacks, 0);

@@ -6,14 +6,17 @@
 //! plans at the paper's `N = 4096`, 39-bit `q` (5 bytes/coefficient), in
 //! two forms: the repacked-volume model (results repacked to the output
 //! volume, which no protocol here runs), and the executed plan of the
-//! conv layers — the Compact encoder's `activation_polys` uploads, each
-//! all of `c0` plus the 32-byte seed `c1 = a` expands from
-//! (`N·⌈log2 q/8⌉ + 32` bytes), and `result_polys` responses, each
-//! carrying `c0` at its band's `P_b` output coefficients and all `N` of
-//! `c1`: untruncated, and at the planned truncation `(d0, d1)` the
-//! functional protocol runs by default
-//! (`P_b·⌈(log2 q − d0)/8⌉ + N·⌈(log2 q − d1)/8⌉` bytes).
+//! conv layers — each layer's partition as `HconvLayer::new` plans it at
+//! the planned truncation `(d0, d1)` the functional protocol runs by
+//! default (`C_w` input channels per upload, `M_w` output channels per
+//! response, printed per layer): `activation_polys` uploads, each all of
+//! `c0` plus the 32-byte seed `c1 = a` expands from (`upload_len`,
+//! `N·⌈log2 q/8⌉ + 32` bytes), and `result_polys` responses, each
+//! carrying `c0` at its unit's `P_u` output coefficients and all `N` of
+//! `c1` (`response_len`: `P_u·⌈(log2 q − d0)/8⌉ + N·⌈(log2 q − d1)/8⌉`
+//! bytes), untruncated and at `(d0, d1)`.
 
+use flash_2pc::hconv::{wire_bytes, HconvLayer};
 use flash_bench::{banner, subhead};
 use flash_he::encoding::{ConvEncoder, TileAlignment};
 use flash_he::matvec::MatVecEncoder;
@@ -64,25 +67,32 @@ fn main() {
             mib(down * CT_BYTES)
         );
         let (mut up, mut down, mut down_bytes, mut planned_bytes) = (0, 0, 0, 0);
+        println!("executed partition per conv (C_w input / M_w output channels):");
         for l in &net.convs {
-            let enc = ConvEncoder::new(l.encoded_shape(), N);
+            let layer = HconvLayer::new(params.clone(), l.encoded_shape(), Some((d0, d1)));
+            let enc = layer.encoder();
+            println!(
+                "  {:<24} ({}, {}) {:>4} up {:>4} down",
+                l.name,
+                enc.channels_per_group(),
+                enc.channels_per_pack(),
+                enc.activation_polys(),
+                enc.result_polys()
+            );
             up += enc.activation_polys();
             down += enc.result_polys();
-            for u in 0..enc.result_polys() {
-                let p_b = enc.band_positions(u % enc.bands()).count();
-                down_bytes += (p_b + N) * COEFF_BYTES;
-                planned_bytes += p_b * lane(d0) + N * lane(d1);
-            }
+            down_bytes += wire_bytes(enc, &params, None).1;
+            planned_bytes += wire_bytes(enc, &params, layer.truncation()).1;
         }
         println!(
-            "executed upload:  {:>6} ciphertexts = {:>8.1} MiB (convs, Compact encoder; \
+            "executed upload:  {:>6} ciphertexts = {:>8.1} MiB (convs, planned partition; \
              c0 + a 32 B seed each, full ciphertexts would be {:.1} MiB)",
             up,
             mib(up * upload_len(N, params.q)),
             mib(up * CT_BYTES)
         );
         println!(
-            "executed download:{:>6} responses   = {:>8.1} MiB (P_b c0 + N c1 coefficients each; \
+            "executed download:{:>6} responses   = {:>8.1} MiB (P_u c0 + N c1 coefficients each; \
              full ciphertexts would be {:.1} MiB)",
             down,
             mib(down_bytes),
@@ -90,7 +100,7 @@ fn main() {
         );
         println!(
             "executed download:{:>6} responses   = {:>8.1} MiB at the planned ({d0}, {d1}): \
-             P_b x {} B + N x {} B each",
+             P_u x {} B + N x {} B each",
             down,
             mib(planned_bytes),
             lane(d0),

@@ -134,8 +134,8 @@ impl PolyMulBackend {
 
 /// Spectral form of every uploaded (share-folded) ciphertext, computed
 /// **once per protocol run** through the batched lane-parallel transforms
-/// and shared by all `(oc, band)` jobs — the activation hoist of the SoA
-/// datapath. Without it, each output channel re-derives the same forward
+/// and shared by all `(pack, band)` units — the activation hoist of the
+/// SoA datapath. Without it, each output-channel pack re-derives the same forward
 /// transforms of the same ciphertexts.
 #[derive(Debug, Clone)]
 pub enum ActivationSpectra {
@@ -147,7 +147,7 @@ pub enum ActivationSpectra {
     Ntt(Vec<u64>),
 }
 
-/// One `(oc, band)` response being accumulated in the FFT spectral
+/// One `(pack, band)` response being accumulated in the FFT spectral
 /// domain, both ciphertext components side by side (`[s0 | s1]`, each
 /// `N/2` slots), so a whole batch of responses can close through one
 /// lane-parallel inverse ([`BandAccumulator::finish_bands`]). NTT-domain

@@ -263,6 +263,21 @@ pub fn upload_len(n: usize, q: u64) -> usize {
     Lane::new(q, 0).bytes(n) + SEED_BYTES
 }
 
+/// Wire length of a response of degree `n` modulo `q` that carries `c0`
+/// at `positions` coefficients and all of `c1`, at the agreed
+/// `truncation` (`(0, 0)` when `None`):
+/// `P·⌈(log2 q − d0)/8⌉ + N·⌈(log2 q − d1)/8⌉`. The one width rule of the
+/// response codec ([`TruncatedCiphertext::response_from_bytes_at`]
+/// checks a buffer against it) and of the encoder planner's byte price.
+///
+/// # Panics
+///
+/// Panics if a shift is ≥ the modulus width.
+pub fn response_len(n: usize, q: u64, positions: usize, truncation: Option<(u32, u32)>) -> usize {
+    let (d0, d1) = truncation.unwrap_or((0, 0));
+    Lane::new(q, d0).bytes(positions) + Lane::new(q, d1).bytes(n)
+}
+
 /// Serializes an upload: all of `c0` at full width, then the seed its
 /// `c1 = a` was expanded from ([`crate::SecretKey::encrypt_batch_seeded`]).
 pub fn upload_to_bytes(c0: &Poly, seed: &[u8; SEED_BYTES]) -> Vec<u8> {

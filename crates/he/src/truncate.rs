@@ -11,7 +11,7 @@
 //! product), so `c1` tolerates far less truncation than `c0`.
 //!
 //! The wire length is exactly `P·⌈(log2 q − d0)/8⌉ + N·⌈(log2 q − d1)/8⌉`
-//! for `P` positions; the client writes the received `c0` values into an
+//! for `P` positions ([`crate::serialize::response_len`]); the client writes the received `c0` values into an
 //! otherwise-zero `c0`. [`TruncatedCiphertext`] is the all-positions case
 //! of the same codec ([`crate::serialize`]'s lanes).
 //!
@@ -31,7 +31,7 @@
 use crate::cipher::Ciphertext;
 use crate::params::HeParams;
 use crate::poly::Poly;
-use crate::serialize::{expect_len, modulus_bits, Lane, WireError};
+use crate::serialize::{expect_len, modulus_bits, response_len, Lane, WireError};
 
 /// The share of the decryption ceiling `q/(2t)` that response truncation
 /// may spend: at most a quarter. The exact path plus the approximate
@@ -180,7 +180,7 @@ impl TruncatedCiphertext {
         let (d0, d1) = truncation.unwrap_or((0, 0));
         let (l0, l1) = (Lane::new(q, d0), Lane::new(q, d1));
         let split = l0.bytes(positions.len());
-        expect_len(buf, split + l1.bytes(n))?;
+        expect_len(buf, response_len(n, q, positions.len(), truncation))?;
         // Every value a lane accepts lifts to a reduced residue, so the
         // components are filled in place without a second range scan.
         let mut values = vec![0u64; positions.len()];
@@ -483,6 +483,10 @@ mod tests {
                 );
                 let (cb0, cb1) = lane_bytes(&p, truncation);
                 assert_eq!(bytes.len(), positions.len() * cb0 + p.n * cb1);
+                assert_eq!(
+                    bytes.len(),
+                    crate::serialize::response_len(p.n, p.q, positions.len(), truncation)
+                );
                 let back = TruncatedCiphertext::response_from_bytes_at(
                     &bytes,
                     positions.iter().copied(),
@@ -605,7 +609,7 @@ mod tests {
         for (p, ct, _) in response_cases() {
             let enc = ConvEncoder::new(shape, p.n);
             let bands: Vec<Vec<usize>> = (0..enc.bands())
-                .map(|b| enc.band_positions(b).collect())
+                .map(|b| enc.unit_positions(b).collect())
                 .collect();
             let mut mismatched = 0;
             for truncation in [None, Some((8, 2))] {

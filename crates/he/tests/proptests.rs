@@ -1,6 +1,8 @@
 //! Property-based tests for the BFV scheme and the coefficient encoding.
 
-use flash_he::encoding::{direct_conv_stride1, ConvEncoder, ConvShape, TileAlignment};
+use flash_he::encoding::{
+    direct_conv_stride1, pad_input, ConvEncoder, ConvShape, StrideFold, TileAlignment,
+};
 use flash_he::matvec::{matvec_reference, MatVecEncoder};
 use flash_he::serialize::{ciphertext_from_bytes, ciphertext_to_bytes};
 use flash_he::{Ciphertext, HeParams, Poly, PolyMulBackend, SecretKey};
@@ -43,6 +45,46 @@ fn mul(b: &PolyMulBackend, a: &Poly, w: &[i64], p: &HeParams) -> Poly {
         .mul_plain_signed(w, p, b)
         .c0()
         .clone()
+}
+
+/// The packed pipeline in plain integers: encode every pack's kernels,
+/// multiply negacyclically, accumulate over channel groups, decode each
+/// `(pack, band)` unit into its window of the output tensor. Cells no
+/// unit writes keep `i64::MIN`, so a gap in the tiling cannot pass.
+fn packed_conv(enc: &ConvEncoder, x: &[i64], f: &[i64]) -> Vec<i64> {
+    let (shape, n, bands) = (*enc.shape(), enc.degree(), enc.bands());
+    let fft = flash_fft::NegacyclicFft::shared(n);
+    let acts = enc.encode_activation(x);
+    let mut y = vec![i64::MIN; shape.output_len()];
+    for pack in 0..enc.packs() {
+        let w_polys = enc.encode_pack(f, pack);
+        for b in 0..bands {
+            let mut acc = vec![0i64; n];
+            for (g, w) in w_polys.iter().enumerate() {
+                for (s, v) in acc
+                    .iter_mut()
+                    .zip(fft.polymul_i64(&acts[g * bands + b], &w[b]))
+                {
+                    *s += v as i64;
+                }
+            }
+            let u = pack * bands + b;
+            enc.decode_unit(&acc, u, &mut y[enc.unit_output_range(u)]);
+        }
+    }
+    y
+}
+
+fn rand_tensors(shape: &ConvShape, seed: u64) -> (Vec<i64>, Vec<i64>) {
+    use rand::Rng;
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let x = (0..shape.input_len())
+        .map(|_| rng.gen_range(-8..8))
+        .collect();
+    let f = (0..shape.m * shape.kernel_len())
+        .map(|_| rng.gen_range(-8..8))
+        .collect();
+    (x, f)
 }
 
 proptest! {
@@ -219,5 +261,80 @@ proptest! {
             enc.decode_block(&acc, rb, &mut y);
         }
         prop_assert_eq!(y, matvec_reference(&w, &x, ni, no));
+    }
+}
+
+// The packing's no-collision claim, over many more cases than the block
+// above: each case is a handful of small products.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn packed_conv_encoding_matches_direct_conv(
+        c in 1usize..6,
+        h in 3usize..9,
+        w_dim in 3usize..9,
+        m in 1usize..8,
+        k in 1usize..4,
+        pad in 0usize..2,
+        stride in 1usize..3,
+        log_n in 4u32..9,
+        pick in any::<u64>(),
+        seed in any::<u64>(),
+    ) {
+        // A random layer, folded when strided (the shapes `StrideFold`
+        // hands the encoder), under a random one of its partitions.
+        let padded = ConvShape { c, h: h + 2 * pad, w: w_dim + 2 * pad, m, k };
+        prop_assume!(k <= padded.h.min(padded.w));
+        let fold = StrideFold::new(padded, stride);
+        let shape = fold.shape();
+        let n = 1usize << log_n;
+        prop_assume!(shape.k * shape.w <= n);
+        let (x, f) = rand_tensors(&ConvShape { h, w: w_dim, ..padded }, seed);
+        let xp = pad_input(&x, c, h, w_dim, pad);
+        let (x, f) = (fold.activation(&xp), fold.kernel(&f));
+        let base = ConvEncoder::new(shape, n);
+        let partitions: Vec<(usize, usize)> = base.partitions().collect();
+        prop_assert_eq!(partitions[0], (base.channels_per_group(), 1));
+        let (cw, mw) = partitions[(pick % partitions.len() as u64) as usize];
+        let enc = base.with_partition(cw, mw);
+        prop_assert_eq!(enc.packs(), shape.m.div_ceil(mw));
+        prop_assert!(mw == 1 || (enc.bands() == 1 && mw * cw * shape.h * shape.w <= n));
+        prop_assert_eq!(
+            packed_conv(&enc, &x, &f),
+            direct_conv_stride1(&x, &f, &shape),
+            "{} N={} ({}, {})", shape, n, cw, mw
+        );
+    }
+
+    #[test]
+    fn packed_conv_encoding_holds_at_the_wrap_boundary(
+        log_h in 1u32..4,
+        log_w in 1u32..4,
+        log_cw in 0u32..3,
+        log_mw in 1u32..4,
+        k in 1usize..4,
+        short_group in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        // `M_w·C_w·CS = N` exactly: the last slot's product terms wrap
+        // past N onto slot 0's side. Two groups, the second one short
+        // when `short_group`, and a partial last pack (`M_w ≥ 2`).
+        let (h, w_dim) = (1usize << log_h, 1usize << log_w);
+        prop_assume!(k <= h.min(w_dim));
+        let (cw, mw) = (1usize << log_cw, 1usize << log_mw);
+        let n = mw * cw * h * w_dim;
+        prop_assume!(n >= 16);
+        let c = 2 * cw - usize::from(short_group && cw > 1);
+        let shape = ConvShape { c, h, w: w_dim, m: 2 * mw - 1, k };
+        let (x, f) = rand_tensors(&shape, seed);
+        let enc = ConvEncoder::new(shape, n).with_partition(cw, mw);
+        prop_assert_eq!((enc.groups(), enc.packs()), (2, 2));
+        prop_assert_eq!(enc.pack_channels(1).len(), mw - 1);
+        prop_assert_eq!(
+            packed_conv(&enc, &x, &f),
+            direct_conv_stride1(&x, &f, &shape),
+            "{} N={} ({}, {})", shape, n, cw, mw
+        );
     }
 }

@@ -1,6 +1,6 @@
 //! The convolution protocol must not depend on the runtime's worker
 //! count: the client's chunked, batched key products and the server's
-//! per-channel fan-out produce the same shares, the same bytes on the
+//! per-pack fan-out produce the same shares, the same bytes on the
 //! wire and the same accounting at `FLASH_THREADS` 1 and 2.
 //!
 //! Single test function: the thread override is process-global.
@@ -13,9 +13,10 @@ use rand::{Rng, SeedableRng};
 
 #[test]
 fn run_shared_is_bit_identical_at_one_and_two_threads() {
-    // 20 responses and 3 uploads per run: several `KEY_BATCH` chunks
-    // (with a remainder) on the download side, so two workers really
-    // split the client's decrypt.
+    // The planner packs two output channels a response ((C_w, M_w) =
+    // (1, 2)): 10 responses and 6 uploads per run, so several
+    // `KEY_BATCH` chunks (with a remainder) on the download side and two
+    // workers really split the client's decrypt and the server's packs.
     let shape = ConvShape {
         c: 6,
         h: 10,
@@ -47,7 +48,8 @@ fn run_shared_is_bit_identical_at_one_and_two_threads() {
                 proto.reconstruct(&shares),
                 flash_2pc::expected_conv_mod(&x, &w, &shape, ring)
             );
-            assert_eq!(stats.ciphertexts_down, 20);
+            assert_eq!((stats.ciphertexts_up, stats.ciphertexts_down), (6, 10));
+            assert!(stats.ciphertexts_down > flash_he::keys::KEY_BATCH);
             results.push((shares, stats));
         }
         assert_eq!(

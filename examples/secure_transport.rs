@@ -132,7 +132,7 @@ fn main() {
     );
 
     // --- 5. The noise guard: shrinking the margin to zero makes every
-    // band's composed bound look unsafe, so each (oc, band) job re-runs
+    // band's composed bound look unsafe, so each (pack, band) unit re-runs
     // on the exact NTT backend — decryption stays exact and telemetry
     // records the fallbacks.
     let mut acfg =

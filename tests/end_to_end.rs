@@ -153,7 +153,7 @@ fn stride2_communication_accounting() {
     let (_, stats) = engine.run_layer(&sk, &layer, &x, &w, &mut rng).unwrap();
     // 4 phases folded into one stride-1 conv: one upload per tile of
     // its plan
-    let enc = flash_he::encoding::ConvEncoder::new(layer.encoded_shape(), cfg.he.n);
+    let enc = engine.encoder(&layer);
     assert_eq!(stats.ciphertexts_up, enc.activation_polys());
     assert_eq!(stats.ciphertexts_down, enc.result_polys());
     assert!(stats.upload_bytes > 0 && stats.download_bytes > 0);
