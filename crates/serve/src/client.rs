@@ -12,7 +12,7 @@ use crate::server::InferenceServer;
 use crate::{wire, ServeError};
 use flash_2pc::transport::TransportConfig;
 use flash_2pc::{HconvLayer, ShareRing, SharedTransport, Transport};
-use flash_he::encoding::ConvShape;
+use flash_he::encoding::{ConvEncoder, ConvShape};
 use flash_he::{HeParams, SecretKey};
 use rand::Rng;
 use std::convert::Infallible;
@@ -52,14 +52,15 @@ impl Client {
     /// Opens a session against an in-process server: builds the two
     /// links from `cfg_up`/`cfg_down` (fault plans included — this is
     /// where chaos tests attach their per-session schedules), sends
-    /// HELLO, drives [`InferenceServer::accept`], and verifies the
-    /// negotiated parameters against the locally derived tiling.
+    /// HELLO, drives [`InferenceServer::accept`], and plans the layer at
+    /// the partition and truncation the server announced.
     ///
     /// # Errors
     ///
     /// Wire failures during the handshake, [`ServeError::UnknownModel`],
     /// or [`ServeError::Malformed`] when the server's negotiated
-    /// parameters disagree with the local plan.
+    /// parameters disagree with `params` and `shape`, or announce a
+    /// partition that does not fit the shape.
     #[allow(clippy::too_many_arguments)]
     pub fn connect<R: Rng>(
         server: &InferenceServer,
@@ -75,20 +76,29 @@ impl Client {
         let uplink = SharedTransport::with_timeout(cfg_up, recv_timeout);
         let downlink = SharedTransport::with_timeout(cfg_down, recv_timeout);
         let sk = SecretKey::generate(&params, rng);
-        // The truncation pair is the server's to announce; the rest of
-        // the layer context is derived locally and checked against it.
-        let layer = HconvLayer::new(params, shape, None);
 
         uplink
             .clone()
             .send(&wire::encode_hello(model_id, client_tag))?;
         server.accept(uplink.clone(), downlink.clone())?;
         let ack = wire::decode_ack(&downlink.clone().recv()?)?;
-        let (p, encoder) = (layer.params(), layer.encoder());
-        if ack.n as usize != p.n
-            || ack.t != p.t
-            || ack.c_polys as usize != encoder.activation_polys()
+        // The partition and the truncation pair are the server's to
+        // announce (the partition depends on the weights' noise); the
+        // client plans at them when the partition fits the shape, and
+        // checks the counts echoed with them.
+        let partition = (ack.c_w as usize, ack.m_w as usize);
+        if ack.n as usize != params.n
+            || ack.t != params.t
             || ack.m as usize != shape.m
+            || !ConvEncoder::new(shape, params.n)
+                .partitions()
+                .any(|fits| fits == partition)
+        {
+            return Err(ServeError::Malformed("negotiated parameters"));
+        }
+        let layer = HconvLayer::with_partition(params, shape, ack.truncation, partition);
+        let encoder = layer.encoder();
+        if ack.c_polys as usize != encoder.activation_polys()
             || ack.bands as usize != encoder.bands()
         {
             return Err(ServeError::Malformed("negotiated parameters"));
@@ -96,7 +106,7 @@ impl Client {
         Ok(Client {
             session_id: ack.session_id,
             sk,
-            layer: HconvLayer::new(p.clone(), shape, ack.truncation),
+            layer,
             uplink,
             downlink,
         })

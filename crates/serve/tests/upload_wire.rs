@@ -53,11 +53,12 @@ fn a_mutated_upload_fails_its_request_typed_with_one_terminal_outcome() {
         SharedTransport::with_timeout(TransportConfig::default(), Duration::from_millis(500));
     uplink.clone().send(&wire::encode_hello(MODEL, 1)).unwrap();
     let sid = server.accept(uplink.clone(), downlink.clone()).unwrap();
-    let _ack = downlink.clone().recv().unwrap();
+    let ack = wire::decode_ack(&downlink.clone().recv().unwrap()).unwrap();
 
     let mut rng = StdRng::seed_from_u64(11);
     let sk = SecretKey::generate(&params, &mut rng);
-    let layer = HconvLayer::new(params.clone(), s, None);
+    let partition = (ack.c_w as usize, ack.m_w as usize);
+    let layer = HconvLayer::with_partition(params.clone(), s, ack.truncation, partition);
     let client_share = vec![1u64; s.input_len()];
     let mut blobs = Vec::new();
     let sealed = layer.seal(&sk, &client_share, &mut rng, |b| {

@@ -35,16 +35,19 @@ fn arb_ack() -> impl Strategy<Value = SessionAck> {
     (
         (any::<u32>(), any::<u32>(), any::<u64>()),
         (any::<u32>(), any::<u32>(), any::<u32>()),
+        (any::<u32>(), any::<u32>()),
         (any::<bool>(), any::<u32>(), any::<u32>()),
     )
         .prop_map(
-            |((session_id, n, t), (c_polys, m, bands), (trunc, d0, d1))| SessionAck {
+            |((session_id, n, t), (c_polys, m, bands), (c_w, m_w), (trunc, d0, d1))| SessionAck {
                 session_id,
                 n,
                 t,
                 c_polys,
                 m,
                 bands,
+                c_w,
+                m_w,
                 truncation: trunc.then_some((d0, d1)),
             },
         )
