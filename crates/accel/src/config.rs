@@ -46,10 +46,12 @@ impl FlashConfig {
         }
     }
 
-    /// A small configuration for functional tests (`N = 256`), with wide
-    /// numerics so HConv results stay kernel-exact.
+    /// A small configuration for functional tests (`N = 256`,
+    /// `q = 2^62`, `t = 2^16`: [`HeParams::pow2_test_256`], the ring the
+    /// approximate weight transform runs on), with wide numerics so HConv
+    /// results stay kernel-exact.
     pub fn test_small() -> Self {
-        let he = HeParams::test_256();
+        let he = HeParams::pow2_test_256();
         let mut numerics = ApproxFftConfig::uniform(he.n, FxpFormat::new(18, 34), 30);
         numerics.max_shift = 30;
         Self {

@@ -29,15 +29,27 @@ pub struct FlashHconv {
 }
 
 impl FlashHconv {
-    /// Builds the engine with the configuration's approximate backend.
+    /// Builds the engine with the configuration's approximate backend: the
+    /// paper's fixed-point weight transform, on the power-of-two ring.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the "backend/ring mismatch" message on a prime-modulus
+    /// configuration ([`PolyMulBackend::assert_ring`]).
     pub fn new(cfg: FlashConfig) -> Self {
         let backend = PolyMulBackend::approx(cfg.numerics.clone());
         Self::with_backend(cfg, backend)
     }
 
-    /// Builds the engine with an explicit backend (e.g. the exact NTT for
-    /// baseline comparison).
+    /// Builds the engine with an explicit backend (e.g. the exact NTT on a
+    /// prime-modulus configuration for baseline comparison).
+    ///
+    /// # Panics
+    ///
+    /// Panics on a backend/ring mismatch
+    /// ([`PolyMulBackend::assert_ring`]).
     pub fn with_backend(cfg: FlashConfig, backend: PolyMulBackend) -> Self {
+        backend.assert_ring(&cfg.he);
         Self {
             cfg,
             backend,
@@ -271,7 +283,12 @@ mod tests {
 
     #[test]
     fn approx_backend_agrees_with_ntt_backend() {
+        // Each backend on its own ring: the approximate one on
+        // `test_small`'s q = 2^62, the exact NTT on the prime `test_256`.
+        // Both reconstruct the conv mod t = 2^16.
         let cfg = FlashConfig::test_small();
+        let mut prime = cfg.clone();
+        prime.he = flash_he::HeParams::test_256();
         let spec = ConvLayerSpec {
             name: "x".into(),
             c: 2,
@@ -283,16 +300,17 @@ mod tests {
             pad: 0,
         };
         let mut rng = rand::rngs::StdRng::seed_from_u64(5);
-        let sk = SecretKey::generate(&cfg.he, &mut rng);
         let x = spec.sample_input(Quantizer::a4(), &mut rng);
         let w = spec.sample_weights(Quantizer::w4(), &mut rng);
 
         let approx = FlashHconv::new(cfg.clone());
-        let exact = FlashHconv::with_backend(cfg.clone(), PolyMulBackend::Ntt);
+        let exact = FlashHconv::with_backend(prime.clone(), PolyMulBackend::Ntt);
+        let sk_a = SecretKey::generate(&cfg.he, &mut rng);
+        let sk_b = SecretKey::generate(&prime.he, &mut rng);
         let mut rng_a = rand::rngs::StdRng::seed_from_u64(6);
         let mut rng_b = rand::rngs::StdRng::seed_from_u64(6);
-        let (ya, _) = approx.run_layer(&sk, &spec, &x, &w, &mut rng_a).unwrap();
-        let (yb, _) = exact.run_layer(&sk, &spec, &x, &w, &mut rng_b).unwrap();
+        let (ya, _) = approx.run_layer(&sk_a, &spec, &x, &w, &mut rng_a).unwrap();
+        let (yb, _) = exact.run_layer(&sk_b, &spec, &x, &w, &mut rng_b).unwrap();
         assert_eq!(ya, yb);
     }
 }

@@ -3,9 +3,12 @@
 //! Orthogonal to the per-stage width/twiddle search over the approximate
 //! weight FFT ([`crate::space`]): which MAC lane the ciphertext datapath
 //! instantiates for the spectral multiply-accumulate. The software
-//! workspace exposes the same axis as `PolyMulBackend` (exact Harvey/
-//! Shoup NTT on a prime modulus vs the FFT-lifted path on a power-of-two
-//! modulus with wrapping reduction); this module prices the hardware
+//! workspace exposes the same axis as `PolyMulBackend`, one transform
+//! family per ring: the exact Harvey/Shoup NTT (`Ntt`) on a prime
+//! modulus vs the FFT-lifted path on a power-of-two modulus with
+//! wrapping reduction, whose weight transform is `f64` (`Pow2`) or the
+//! fixed-point one this crate's [`crate::space`] searches (`ApproxFft`);
+//! this module prices the hardware
 //! consequence of that choice with the calibrated cost model of
 //! `flash-hw`, so a DSE sweep can weigh "free reduction but a wider
 //! word" against "narrow word but a reduction datapath" on the same axis

@@ -19,7 +19,7 @@ use crate::dft::Direction;
 use crate::fft64::FftPlan;
 use crate::simd::{self, tile, C64x, F64x, SimdLevel};
 use flash_math::bitrev::bit_reverse as bitrev;
-use flash_math::modular::{center_lift, Barrett};
+use flash_math::modular::{center_lift, from_signed_i128};
 use flash_math::C64;
 use flash_runtime::{CacheStats, Interner, F64_SCRATCH};
 use std::sync::Arc;
@@ -649,9 +649,8 @@ impl NegacyclicFft {
         }
         let mut prod = F64_SCRATCH.take(self.n);
         self.polymul_f64_into(&af, &bf, &mut prod);
-        let br = Barrett::new(q);
         prod.iter()
-            .map(|&x| br.from_signed_i128(x.round_ties_even() as i128))
+            .map(|&x| from_signed_i128(x.round_ties_even() as i128, q))
             .collect()
     }
 }

@@ -1,28 +1,28 @@
 //! Pluggable negacyclic multipliers for ciphertext × plaintext products.
 //!
-//! The choice of backend is exactly the design axis of the paper:
+//! The backend follows the ring: one transform family per modulus family.
 //!
-//! * [`PolyMulBackend::Ntt`] — the exact modular datapath of baseline
-//!   accelerators (CHAM, F1, …).
-//! * [`PolyMulBackend::FftF64`] — Figure 4(b): transforms in floating
-//!   point; exact in practice at FLASH's parameters (Klemsa's error-free
-//!   regime), standing in for a wide (39-bit-mantissa) FP datapath.
-//! * [`PolyMulBackend::ApproxFft`] — FLASH's approximate fixed-point
-//!   *weight* transform; the ciphertext-side transform, point-wise product
-//!   and inverse stay in floating point, as in the FLASH architecture.
-//! * [`PolyMulBackend::Pow2`] — Jaguar's axis: the ciphertext modulus is
-//!   a power of two, so coefficient-domain reduction is free (wrapping
-//!   arithmetic plus one mask, zero Barrett/Shoup/Montgomery work).
-//!   Products lift through the same `f64` transform machinery as the FFT
-//!   backends — SIMD batching and sparse tapes compose unchanged — and
-//!   the result wraps into `Z_{2^l}` by truncation. At `q = 2^62` the
+//! * [`PolyMulBackend::Ntt`] — prime `q`: the exact modular datapath of
+//!   baseline accelerators (CHAM, F1, …).
+//! * [`PolyMulBackend::Pow2`] — `q = 2^l`, Jaguar's axis: coefficient-domain
+//!   reduction is free (wrapping arithmetic plus one mask, zero
+//!   Barrett/Shoup/Montgomery work). Products lift through the `f64`
+//!   negacyclic FFT — SIMD batching and sparse tapes compose unchanged —
+//!   and the result wraps into `Z_{2^l}` by truncation. At `q = 2^62` the
 //!   lifted magnitudes exceed the 53-bit mantissa, so this backend is
 //!   *approximate* and carries an [`ApproxErrorModel`] for the runtime
 //!   noise guard; its exact fallback is the wrapping schoolbook over the
 //!   band's sparse taps (bit-exact, still reduction-free).
+//! * [`PolyMulBackend::ApproxFft`] — `q = 2^l`: FLASH's approximate
+//!   fixed-point *weight* transform in place of `Pow2`'s `f64` one; the
+//!   ciphertext-side transform, point-wise product and inverse are the
+//!   same `f64` code as `Pow2`'s, so its error model is `Pow2`'s plus the
+//!   fixed transform's.
 //!
-//! For the approximate backends the *plaintext* operand must be small and
-//! signed (quantized weights); the ciphertext operand is center-lifted.
+//! Every entry point checks the pairing ([`PolyMulBackend::assert_ring`])
+//! and panics with one named message on a mismatch. For the FFT family
+//! the *plaintext* operand must be small and signed (quantized weights);
+//! the ciphertext operand is center-lifted.
 
 use crate::cipher::Ciphertext;
 use crate::params::HeParams;
@@ -39,29 +39,39 @@ use std::sync::Arc;
 /// The negacyclic multiplier used for `ct ⊠ pt` products.
 #[derive(Debug, Clone)]
 pub enum PolyMulBackend {
-    /// Exact number-theoretic transform.
+    /// Exact number-theoretic transform (prime `q`).
     Ntt,
-    /// `f64` negacyclic FFT (exact at FLASH parameters).
-    FftF64,
-    /// Approximate fixed-point FFT for the plaintext (weight) transform.
+    /// Approximate fixed-point FFT for the plaintext (weight) transform
+    /// (`q = 2^l`).
     ApproxFft(Arc<FixedNegacyclicFft>),
     /// Power-of-two ciphertext modulus: free wrapping reduction on the
     /// coefficient path, `f64` FFT lift on the transform path.
     Pow2,
 }
 
-/// Analytic error model of an approximate weight-transform backend,
-/// queried by the runtime noise guard on the protocol hot path.
+/// Analytic error model of an approximate backend, queried by the runtime
+/// noise guard on the protocol hot path.
 ///
-/// The per-group spectrum error power of the fixed-point transform is
-/// affine in the weight coefficient variance, `p0 + slope·Var(w)`
-/// ([`FixedNegacyclicFft::spectrum_error_power_coeffs`]), so one cached
-/// pair of coefficients prices every band of a layer without touching the
-/// twiddle tables again.
+/// Two terms, each a per-group spectrum error power affine in the weight
+/// coefficient variance, `p0 + slope·Var(w)`:
+///
+/// * the fixed-point weight transform's
+///   ([`FixedNegacyclicFft::spectrum_error_power_coeffs`], zero for the
+///   `f64` weight transform), so one cached pair prices every band of a
+///   layer without touching the twiddle tables again;
+/// * the `f64` lift's rounding: the center-lifted ciphertext coefficients
+///   reach `q/2 ≈ 2^61`, beyond the 53-bit mantissa, so the lifted product
+///   carries `O(ε·N·log₂N)` relative error — `p0 = 0` (zero weights are
+///   exact) and `slope = (4·ε·N·log₂N)²`, the standard FFT
+///   forward/inverse error-growth bound with a safety factor 4.
+///
+/// The phase bound is the sum of the two terms' bounds: conservative with
+/// no independence argument.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ApproxErrorModel {
     p0: f64,
     slope: f64,
+    rounding_slope: f64,
     n: f64,
 }
 
@@ -70,22 +80,24 @@ impl ApproxErrorModel {
     /// accumulated approximate products with total weight energy
     /// `w_sq_sum = Σ_g Σ_i w_{g,i}²`.
     ///
-    /// Per-coefficient product error variance is `power(Var(w_g))·σ_x²`
-    /// with ciphertext operands center-lifted to `(−q/2, q/2]`
-    /// (`σ_x² = q²/12`); summing the affine power over groups gives
-    /// `(G·p0 + slope·Σw²/N)·σ_x²` per component. The `c1` component's
-    /// error passes through the `c1·s` product of the decryption phase
-    /// (ternary key, `E[s²] = 2/3`), inflating the phase variance by
-    /// `2N/3`, and the tail factor 6 matches [`NoiseBound::fresh`]'s
-    /// convention.
+    /// Per term, the per-coefficient product error variance is
+    /// `power(Var(w_g))·σ_x²` with ciphertext operands center-lifted to
+    /// `(−q/2, q/2]` (`σ_x² = q²/12`); summing the affine power over groups
+    /// gives `(G·p0 + slope·Σw²/N)·σ_x²` per component. The `c1`
+    /// component's error passes through the `c1·s` product of the
+    /// decryption phase (ternary key, `E[s²] = 2/3`), inflating the phase
+    /// variance by `2N/3`, and the tail factor 6 matches
+    /// [`NoiseBound::fresh`]'s convention.
     ///
     /// [`NoiseBound::fresh`]: crate::noise::NoiseBound::fresh
     pub fn phase_error_bound(&self, params: &HeParams, w_sq_sum: f64, groups: usize) -> f64 {
         let q = params.q as f64;
         let act_var = q * q / 12.0;
-        let component_var = (groups as f64 * self.p0 + self.slope * w_sq_sum / self.n) * act_var;
-        let phase_var = component_var * (1.0 + 2.0 * self.n / 3.0);
-        6.0 * phase_var.sqrt()
+        let term = |p0: f64, slope: f64| {
+            let component_var = (groups as f64 * p0 + slope * w_sq_sum / self.n) * act_var;
+            6.0 * (component_var * (1.0 + 2.0 * self.n / 3.0)).sqrt()
+        };
+        term(self.p0, self.slope) + term(0.0, self.rounding_slope)
     }
 }
 
@@ -95,40 +107,50 @@ impl PolyMulBackend {
         PolyMulBackend::ApproxFft(FixedNegacyclicFft::shared(&cfg))
     }
 
-    /// The analytic error model of this backend, or `None` for the
-    /// backends that are exact in the protocol's operating regime (`Ntt`
-    /// by construction, `FftF64` at FLASH parameters).
+    /// The one ring/backend check: `Ntt` runs on a prime `q`, `Pow2` and
+    /// `ApproxFft` on `q = 2^l`.
     ///
-    /// `Pow2` is approximate for a different reason than `ApproxFft`:
-    /// the weight transform itself is full-precision `f64`, but the
-    /// center-lifted ciphertext coefficients reach `q/2 ≈ 2^61`, beyond
-    /// the 53-bit mantissa, so the transform-lifted product carries
-    /// `O(ε·N·log₂N)` relative rounding error. The model prices that as
-    /// a spectrum error power affine in the weight variance with
-    /// `p0 = 0` (no weight-independent quantization floor — zero
-    /// weights are exact) and `slope = (4·ε·N·log₂N)²`, the standard
-    /// FFT forward/inverse error-growth bound with a safety factor 4.
-    pub fn error_model(&self, params: &HeParams) -> Option<ApproxErrorModel> {
+    /// # Panics
+    ///
+    /// Panics with a "backend/ring mismatch" message naming both rules
+    /// when the backend and the ring family of `params` disagree.
+    pub fn assert_ring(&self, params: &HeParams) {
+        let wants_pow2 = !matches!(self, PolyMulBackend::Ntt);
+        assert!(
+            wants_pow2 == params.is_pow2(),
+            "backend/ring mismatch: Ntt needs a prime ciphertext modulus, Pow2 and \
+             ApproxFft a power-of-two ciphertext modulus (got {} at q = {})",
+            self.name(),
+            params.q
+        );
+    }
+
+    /// The variant's name, for messages.
+    fn name(&self) -> &'static str {
         match self {
-            PolyMulBackend::Ntt | PolyMulBackend::FftF64 => None,
-            PolyMulBackend::ApproxFft(fixed) => {
-                let (p0, slope) = fixed.spectrum_error_power_coeffs();
-                Some(ApproxErrorModel {
-                    p0,
-                    slope,
-                    n: fixed.config().degree() as f64,
-                })
-            }
-            PolyMulBackend::Pow2 => {
-                let n = params.n as f64;
-                let per = 4.0 * f64::EPSILON * n * n.log2();
-                Some(ApproxErrorModel {
-                    p0: 0.0,
-                    slope: per * per,
-                    n,
-                })
-            }
+            PolyMulBackend::Ntt => "Ntt",
+            PolyMulBackend::ApproxFft(_) => "ApproxFft",
+            PolyMulBackend::Pow2 => "Pow2",
         }
+    }
+
+    /// The analytic error model of this backend, or `None` for the exact
+    /// `Ntt`. `ApproxFft` composes the fixed transform's term with
+    /// `Pow2`'s `f64`-rounding term (see [`ApproxErrorModel`]).
+    pub fn error_model(&self, params: &HeParams) -> Option<ApproxErrorModel> {
+        let n = params.n as f64;
+        let per = 4.0 * f64::EPSILON * n * n.log2();
+        let (p0, slope) = match self {
+            PolyMulBackend::Ntt => return None,
+            PolyMulBackend::ApproxFft(fixed) => fixed.spectrum_error_power_coeffs(),
+            PolyMulBackend::Pow2 => (0.0, 0.0),
+        };
+        Some(ApproxErrorModel {
+            p0,
+            slope,
+            rounding_slope: per * per,
+            n,
+        })
     }
 }
 
@@ -161,6 +183,10 @@ impl PolyMulBackend {
     /// polynomials in one batched sweep
     /// ([`flash_fft::NegacyclicFft::forward_batch_into`] or
     /// [`flash_ntt::transform::forward_batch`], `W` lanes per twiddle).
+    ///
+    /// # Panics
+    ///
+    /// Panics on a backend/ring mismatch ([`PolyMulBackend::assert_ring`]).
     pub fn activation_spectra(&self, cts: &[Ciphertext], params: &HeParams) -> ActivationSpectra {
         self.activation_spectra_multi(&[cts], params)
     }
@@ -177,11 +203,16 @@ impl PolyMulBackend {
     /// several sessions addresses request `r`'s ciphertext `c` as
     /// `idx = offset_of(r) + c` in [`ActivationSpectra::mac_fft`] /
     /// [`ActivationSpectra::mac_ntt_shoup_lazy_into`].
+    ///
+    /// Every product of the tree passes here, so this is where a
+    /// backend/ring mismatch panics ([`PolyMulBackend::assert_ring`]) —
+    /// an FFT-family product would otherwise mask-reduce a prime residue.
     pub fn activation_spectra_multi(
         &self,
         spans: &[&[Ciphertext]],
         params: &HeParams,
     ) -> ActivationSpectra {
+        self.assert_ring(params);
         let n = params.n;
         let q = params.q;
         let total: usize = spans.iter().map(|s| s.len()).sum();
@@ -232,7 +263,7 @@ impl PolyMulBackend {
         assert_eq!(out.len(), ws.len() * (n / 2), "spectra length mismatch");
         match self {
             PolyMulBackend::Ntt => panic!("weight spectra require an FFT-family backend"),
-            PolyMulBackend::FftF64 | PolyMulBackend::Pow2 => {
+            PolyMulBackend::Pow2 => {
                 let mut staged = F64_SCRATCH.take(ws.len() * n);
                 for (chunk, w) in staged.chunks_exact_mut(n).zip(ws) {
                     for (slot, &x) in chunk.iter_mut().zip(*w) {
@@ -372,11 +403,18 @@ pub fn weight_residue_shoups(ws: &[&[i64]], ntt: &NttTables) -> WeightShoups {
 impl BandAccumulator {
     /// Closes many accumulators at once: every component of every band
     /// goes through **one** batched inverse call (`2·k` lanes). The
-    /// accumulated spectrum rounds once instead of per group, which is
-    /// exact in the protocol's error-free operating regime.
+    /// accumulated spectrum rounds once instead of per group; its error is
+    /// what [`PolyMulBackend::error_model`] prices.
+    ///
+    /// Each coefficient then reduces into `Z_{2^l}` by a round, a
+    /// truncating cast and a mask — the "free reduction" of the
+    /// power-of-two ring (`i128 → u64` truncation *is* reduction mod
+    /// `2^64`, and `2^l | 2^64` finishes the job). Accumulators only come
+    /// from FFT-domain spectra, whose sweep checked the ring.
     pub fn finish_bands(accs: Vec<BandAccumulator>, params: &HeParams) -> Vec<Ciphertext> {
         let n = params.n;
         let q = params.q;
+        let mask = q - 1;
         let mut spec = C64_SCRATCH.take(accs.len() * n);
         for (chunk, acc) in spec.chunks_exact_mut(n).zip(&accs) {
             chunk.copy_from_slice(&acc.0);
@@ -386,13 +424,9 @@ impl BandAccumulator {
             let _t = flash_telemetry::span!("hconv.inverse_fft");
             params.fft().inverse_batch_into(&spec, &mut prod);
         }
-        // One division-free reducer for every coefficient of the batch:
-        // the naive `rem_euclid` here is an i128 libcall that used to
-        // dominate the whole inverse-transform cost. (On a power-of-two
-        // ring the reducer degenerates to a truncating cast and a mask.)
-        let red = Reducer::new(q);
-        let to_poly =
-            |xs: &[f64]| Poly::from_coeffs(xs.iter().map(|&x| red.reduce_f64(x)).collect(), q);
+        // Products reach ~2^76 at q = 2^62 — beyond i64, within i128.
+        let reduce = |x: f64| (x.round_ties_even() as i128) as u64 & mask;
+        let to_poly = |xs: &[f64]| Poly::from_coeffs(xs.iter().map(|&x| reduce(x)).collect(), q);
         prod.chunks_exact(2 * n)
             .map(|pair| Ciphertext::new(to_poly(&pair[..n]), to_poly(&pair[n..])))
             .collect()
@@ -429,43 +463,16 @@ impl BandAccumulator {
     }
 }
 
-/// Rounds an `f64` product coefficient into `[0, q)`, dispatching on the
-/// modulus family once per call batch: primes reduce through one Barrett
-/// pass, powers of two through a truncating cast plus a mask — the
-/// "free reduction" of the `Pow2` datapath (`i128 → u64` truncation *is*
-/// reduction mod `2^64`, and `2^l | 2^64` finishes the job).
-enum Reducer {
-    Barrett(Barrett),
-    Mask(u64),
-}
-
-impl Reducer {
-    fn new(q: u64) -> Self {
-        // A prime modulus (> 2) is never a power of two, so the existing
-        // backends always take the Barrett arm bit-identically.
-        if q.is_power_of_two() {
-            Reducer::Mask(q - 1)
-        } else {
-            Reducer::Barrett(Barrett::new(q))
-        }
-    }
-
-    #[inline]
-    fn reduce_f64(&self, x: f64) -> u64 {
-        match self {
-            // Products reach ~2^76 at q = 2^62 — beyond i64, within i128.
-            Reducer::Mask(m) => (x.round_ties_even() as i128) as u64 & m,
-            Reducer::Barrett(br) => br.from_signed_i128(x.round_ties_even() as i128),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::keys::SecretKey;
+    use crate::noise::NoiseBound;
     use crate::params::HeParams;
     use flash_fft::ApproxFftConfig;
     use flash_math::fixed::FxpFormat;
+    use flash_math::pow2::negacyclic_mul_wrapping;
+    use flash_ntt::polymul::negacyclic_mul_naive;
     use rand::{Rng, SeedableRng};
 
     fn small_weights(n: usize, nnz: usize, rng: &mut impl Rng) -> Vec<i64> {
@@ -485,42 +492,104 @@ mod tests {
             .clone()
     }
 
-    #[test]
-    fn fft_backend_matches_ntt_backend() {
-        let p = HeParams::test_256();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+    /// An approximate backend at `FxpFormat(int, frac)`, twiddle level `k`
+    /// and shift cap `shift`.
+    fn approx(int: u32, frac: u32, k: usize, shift: u32) -> PolyMulBackend {
+        let mut cfg = ApproxFftConfig::uniform(256, FxpFormat::new(int, frac), k);
+        cfg.max_shift = shift;
+        PolyMulBackend::approx(cfg)
+    }
+
+    /// The wide datapath: error far below 0.5 per coefficient of the
+    /// fixed transform alone.
+    fn wide() -> PolyMulBackend {
+        approx(20, 60, 60, 55)
+    }
+
+    /// `w` as residues mod `m`.
+    fn residues(w: &[i64], m: u64) -> Vec<u64> {
+        w.iter().map(|&x| from_signed(x, m)).collect()
+    }
+
+    /// `(measured, bound)`: the worst raw `c0` error of `b`'s product of a
+    /// uniform (≈2^61) polynomial by 9-tap weights on `pow2_test_256`,
+    /// against the exact wrapping schoolbook, and `b`'s modelled phase
+    /// bound for those weights.
+    fn raw_error_and_bound(b: &PolyMulBackend, seed: u64) -> (u64, f64) {
+        let p = HeParams::pow2_test_256();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let a = Poly::uniform(p.n, p.q, &mut rng);
         let w = small_weights(p.n, 9, &mut rng);
-        let exact = mul(&PolyMulBackend::Ntt, &a, &w, &p);
-        let viaf = mul(&PolyMulBackend::FftF64, &a, &w, &p);
-        assert_eq!(exact, viaf);
+        let got = mul(b, &a, &w, &p);
+        let want = negacyclic_mul_wrapping(a.coeffs(), &residues(&w, p.q), p.q);
+        let err = got
+            .coeffs()
+            .iter()
+            .zip(&want)
+            .map(|(&g, &e)| center_lift(g.wrapping_sub(e) & (p.q - 1), p.q).unsigned_abs())
+            .max()
+            .unwrap();
+        let sq: f64 = w.iter().map(|&x| (x * x) as f64).sum();
+        let bound = b.error_model(&p).unwrap().phase_error_bound(&p, sq, 1);
+        (err, bound)
+    }
+
+    /// `b` on `pow2_test_256` decrypts `ct ⊠ w` to what `Ntt` on
+    /// `test_256` does — the product mod `t = 2^16` on both rings — and
+    /// its raw product error stays under its composed bound.
+    fn decrypts_like_ntt(b: &PolyMulBackend, seed: u64) {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let prime = HeParams::test_256();
+        let m = Poly::uniform(prime.n, prime.t, &mut rng);
+        let w = small_weights(prime.n, 9, &mut rng);
+        let decrypted = [
+            (prime, &PolyMulBackend::Ntt),
+            (HeParams::pow2_test_256(), b),
+        ]
+        .map(|(p, backend)| {
+            let sk = SecretKey::generate(&p, &mut rng);
+            let ct = sk.encrypt(&m, &mut rng).mul_plain_signed(&w, &p, backend);
+            sk.decrypt(&ct)
+        });
+        let t = decrypted[0].modulus();
+        let want = negacyclic_mul_naive(m.coeffs(), &residues(&w, t), t);
+        assert_eq!(decrypted[0].coeffs(), &want[..]);
+        assert_eq!(decrypted[0], decrypted[1]);
+        let (err, bound) = raw_error_and_bound(b, seed);
+        assert!((err as f64) < bound, "err {err} above the bound {bound}");
+    }
+
+    #[test]
+    fn fft_backend_matches_ntt_backend() {
+        decrypts_like_ntt(&PolyMulBackend::Pow2, 3);
     }
 
     #[test]
     fn wide_approx_backend_matches_ntt() {
-        let p = HeParams::test_256();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
-        let a = Poly::uniform(p.n, p.q, &mut rng);
-        let w = small_weights(p.n, 9, &mut rng);
-        // Very wide fixed-point datapath: error far below 0.5 per coeff
-        // even against ciphertext coefficients of magnitude q/2 ≈ 2^35.
-        let mut cfg = ApproxFftConfig::uniform(p.n, FxpFormat::new(20, 60), 60);
-        cfg.max_shift = 55;
-        let b = PolyMulBackend::approx(cfg);
-        let exact = mul(&PolyMulBackend::Ntt, &a, &w, &p);
-        let approx = mul(&b, &a, &w, &p);
-        assert_eq!(exact, approx);
+        decrypts_like_ntt(&wide(), 5);
+    }
+
+    #[test]
+    fn approx_error_model_composes_fixed_and_f64_bounds() {
+        // On q = 2^62 the wide fixed transform's own term (2^13.0) sits
+        // below the product's measured error (2^15.0, the f64 lift's
+        // rounding), so a model of the fixed transform alone under-prices
+        // it; the composed model adds Pow2's term (2^27.4).
+        let (err, bound) = raw_error_and_bound(&wide(), 17);
+        assert!(
+            (err as f64) <= bound,
+            "measured {err} above the composed bound {bound}"
+        );
+        let (_, pow2_bound) = raw_error_and_bound(&PolyMulBackend::Pow2, 17);
+        assert!(bound >= pow2_bound, "{bound} below Pow2's {pow2_bound}");
     }
 
     #[test]
     fn error_model_exists_only_for_the_approximate_backends() {
-        let p = HeParams::test_256();
+        let p = HeParams::pow2_test_256();
         assert!(PolyMulBackend::Ntt.error_model(&p).is_none());
-        assert!(PolyMulBackend::FftF64.error_model(&p).is_none());
-        let cfg = ApproxFftConfig::uniform(p.n, FxpFormat::new(18, 34), 30);
-        assert!(PolyMulBackend::approx(cfg).error_model(&p).is_some());
-        let p2 = HeParams::pow2_test_256();
-        assert!(PolyMulBackend::Pow2.error_model(&p2).is_some());
+        assert!(approx(18, 34, 30, 30).error_model(&p).is_some());
+        assert!(PolyMulBackend::Pow2.error_model(&p).is_some());
     }
 
     #[test]
@@ -529,29 +598,8 @@ mod tests {
         // differs from the exact wrapping schoolbook by far less than the
         // model's phase bound, even against full-magnitude (≈2^61)
         // ciphertext coefficients.
-        use flash_math::pow2::negacyclic_mul_wrapping;
         let p = HeParams::pow2_test_256();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(17);
-        let a = Poly::uniform(p.n, p.q, &mut rng);
-        let w = small_weights(p.n, 9, &mut rng);
-        let got = mul(&PolyMulBackend::Pow2, &a, &w, &p);
-        let w_res: Vec<u64> = w
-            .iter()
-            .map(|&x| flash_math::modular::from_signed(x, p.q))
-            .collect();
-        let want = negacyclic_mul_wrapping(a.coeffs(), &w_res, p.q);
-        let sq: f64 = w.iter().map(|&x| (x * x) as f64).sum();
-        let bound = PolyMulBackend::Pow2
-            .error_model(&p)
-            .unwrap()
-            .phase_error_bound(&p, sq, 1);
-        let err = got
-            .coeffs()
-            .iter()
-            .zip(&want)
-            .map(|(&g, &e)| center_lift(g.wrapping_sub(e) & (p.q - 1), p.q).unsigned_abs())
-            .max()
-            .unwrap();
+        let (err, bound) = raw_error_and_bound(&PolyMulBackend::Pow2, 17);
         assert!(err > 0, "2^61 magnitudes must exceed f64 exactness");
         assert!(
             (err as f64) < bound,
@@ -566,27 +614,19 @@ mod tests {
         // chain + model term) dominates the measured decryption-phase
         // noise of an approximate product, for both a narrow and a wide
         // datapath.
-        use crate::keys::SecretKey;
-        use crate::noise::NoiseBound;
-        let p = HeParams::test_256();
+        let p = HeParams::pow2_test_256();
         for (frac, k, shift) in [(30u32, 24usize, 26u32), (34, 30, 30)] {
             let mut rng = rand::rngs::StdRng::seed_from_u64(13);
             let sk = SecretKey::generate(&p, &mut rng);
             let m = Poly::uniform(p.n, p.t, &mut rng);
             let ct = sk.encrypt(&m, &mut rng);
             let w = small_weights(p.n, 9, &mut rng);
-            let mut cfg = ApproxFftConfig::uniform(p.n, FxpFormat::new(16, frac), k);
-            cfg.max_shift = shift;
-            let b = PolyMulBackend::approx(cfg);
+            let b = approx(16, frac, k, shift);
             let model = b.error_model(&p).unwrap();
 
             let ct2 = ct.mul_plain_signed(&w, &p, &b);
-            let w_t: Vec<u64> = w
-                .iter()
-                .map(|&x| flash_math::modular::from_signed(x, p.t))
-                .collect();
             let mw = Poly::from_coeffs(
-                flash_ntt::polymul::negacyclic_mul_naive(m.coeffs(), &w_t, p.t),
+                negacyclic_mul_naive(m.coeffs(), &residues(&w, p.t), p.t),
                 p.t,
             );
             let measured = sk.noise(&ct2, &mw).inf_norm() as f64;
@@ -610,15 +650,10 @@ mod tests {
         // products accumulated in the spectral domain and rounded by one
         // inverse, the sequence `respond` runs. Measured decryption noise
         // must stay under the composed exact chain plus the model term.
-        use crate::keys::SecretKey;
-        use crate::noise::NoiseBound;
-        use flash_ntt::polymul::negacyclic_mul_naive;
-        let p = HeParams::test_256();
+        let p = HeParams::pow2_test_256();
         let half = p.n / 2;
         for (frac, k, shift) in [(30u32, 24usize, 26u32), (34, 30, 30)] {
-            let mut cfg = ApproxFftConfig::uniform(p.n, FxpFormat::new(16, frac), k);
-            cfg.max_shift = shift;
-            let b = PolyMulBackend::approx(cfg);
+            let b = approx(16, frac, k, shift);
             let model = b.error_model(&p).unwrap();
             for groups in [2usize, 4, 8] {
                 let mut rng = rand::rngs::StdRng::seed_from_u64(19 + groups as u64);
@@ -645,8 +680,7 @@ mod tests {
                 let mut exact: Option<NoiseBound> = None;
                 let mut sq = 0.0;
                 for (m, w) in ms.iter().zip(&ws) {
-                    let w_t: Vec<u64> = w.iter().map(|&x| from_signed(x, p.t)).collect();
-                    let mw = negacyclic_mul_naive(m.coeffs(), &w_t, p.t);
+                    let mw = negacyclic_mul_naive(m.coeffs(), &residues(w, p.t), p.t);
                     want = want.add(&Poly::from_coeffs(mw, p.t));
                     let l1: f64 = w.iter().map(|&x| x.abs() as f64).sum();
                     sq += w.iter().map(|&x| (x * x) as f64).sum::<f64>();
@@ -668,23 +702,15 @@ mod tests {
 
     #[test]
     fn narrow_approx_backend_errs_within_budget() {
-        let p = HeParams::test_256();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-        let a = Poly::uniform(p.n, p.q, &mut rng);
-        let w = small_weights(p.n, 9, &mut rng);
-        let mut cfg = ApproxFftConfig::uniform(p.n, FxpFormat::new(16, 30), 24);
-        cfg.max_shift = 26;
-        let b = PolyMulBackend::approx(cfg);
-        let exact = mul(&PolyMulBackend::Ntt, &a, &w, &p);
-        let approx = mul(&b, &a, &w, &p);
+        let p = HeParams::pow2_test_256();
+        let (err, bound) = raw_error_and_bound(&approx(16, 30, 24, 26), 7);
         // errors exist but are small relative to the noise ceiling
-        let diff = exact.sub(&approx);
-        let err = diff.inf_norm();
         assert!(err > 0, "narrow datapath should introduce some error");
         assert!(
             err < p.noise_ceiling() / 4,
             "error {err} must stay within the kernel-level budget {}",
             p.noise_ceiling()
         );
+        assert!((err as f64) < bound, "error {err} above the bound {bound}");
     }
 }

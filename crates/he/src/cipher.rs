@@ -174,6 +174,11 @@ impl Ciphertext {
     /// one-request, one-unit, one-group case of the batched HConv stages
     /// (activation spectra, weight preparation, MAC, one inverse), so a
     /// single product rounds exactly as a served response does.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a backend/ring mismatch
+    /// ([`PolyMulBackend::assert_ring`]).
     pub fn mul_plain_signed(
         &self,
         w_signed: &[i64],
@@ -200,8 +205,9 @@ impl Ciphertext {
     }
 
     /// Exact `acc ⊞= self ⊠ w` for the noise guard's fallback path,
-    /// dispatched on the ring family: the NTT product on a prime ring,
-    /// the wrapping schoolbook over the weight's nonzero taps on a
+    /// dispatched on the ring family: the NTT product on a prime ring
+    /// (for a unit whose group count would wrap the lazy Shoup
+    /// accumulator), the wrapping schoolbook over the weight's nonzero taps on a
     /// power-of-two ring (where the prime NTT does not exist — and where
     /// the schoolbook keeps the datapath's zero-reduction property while
     /// being **bit-exact**). Quantized conv bands carry a handful of
@@ -315,13 +321,23 @@ mod tests {
             let i = rng.gen_range(0..p.n);
             w[i] = rng.gen_range(-8..8);
         }
-        for backend in [PolyMulBackend::Ntt, PolyMulBackend::FftF64] {
-            let ct = sk.encrypt(&m, &mut rng).mul_plain_signed(&w, &p, &backend);
-            // expected: m * w in the plaintext ring Z_t[X]/(X^N+1)
-            let w_t: Vec<u64> = w.iter().map(|&x| from_signed(x, p.t)).collect();
-            let expected = flash_ntt::polymul::negacyclic_mul_naive(m.coeffs(), &w_t, p.t);
-            assert_eq!(sk.decrypt(&ct).coeffs(), &expected[..]);
-        }
+        let ct = sk
+            .encrypt(&m, &mut rng)
+            .mul_plain_signed(&w, &p, &PolyMulBackend::Ntt);
+        // expected: m * w in the plaintext ring Z_t[X]/(X^N+1)
+        let w_t: Vec<u64> = w.iter().map(|&x| from_signed(x, p.t)).collect();
+        let expected = flash_ntt::polymul::negacyclic_mul_naive(m.coeffs(), &w_t, p.t);
+        assert_eq!(sk.decrypt(&ct).coeffs(), &expected[..]);
+    }
+
+    #[test]
+    #[should_panic(expected = "backend/ring mismatch")]
+    fn fft_family_product_rejects_a_prime_ring() {
+        // Mask-reducing a prime residue would decrypt to garbage; the
+        // product path refuses the pairing by name instead.
+        let (p, sk, mut rng) = setup();
+        let ct = sk.encrypt(&Poly::zero(p.n, p.t), &mut rng);
+        ct.mul_plain_signed(&[1], &p, &PolyMulBackend::Pow2);
     }
 
     #[test]

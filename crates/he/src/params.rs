@@ -9,12 +9,12 @@
 //! Two ring families are supported:
 //!
 //! * **Prime** — `q` an NTT-friendly prime; exact arithmetic via the
-//!   Shoup NTT, approximate arithmetic via the `f64` FFT backends.
+//!   Shoup NTT (the `Ntt` backend).
 //! * **Power-of-two** — `q = 2^l` (Jaguar-style): modular reduction on
 //!   the MAC path is a single AND and all accumulation is native
 //!   wrapping arithmetic, at the price of losing the ring's own NTT.
-//!   Both the hot path and the exact key operations run on the shared
-//!   `f64` FFT; key products split the dense operand into two limbs so
+//!   Both the hot path (the `Pow2` and `ApproxFft` backends) and the
+//!   exact key operations run on the shared `f64` FFT; key products split the dense operand into two limbs so
 //!   every rounded coefficient is provably exact. Because both `t`
 //!   and `q` are powers of two, `Δ = q/t` is exact and plaintext-ring
 //!   wraparound carries vanish entirely (`q ≡ 0 (mod t)`).

@@ -125,17 +125,25 @@ proptest! {
 
     #[test]
     fn ntt_and_fft_backends_always_agree(seed in any::<u64>(), nnz in 1usize..16) {
-        let p = HeParams::test_256();
+        // Each backend on its own ring (t = 2^16 on both): `Ntt` on the
+        // prime ring and `Pow2` on q = 2^62 decrypt `ct ⊠ w` to the same
+        // plaintext-ring product.
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         use rand::Rng;
-        let a = Poly::uniform(p.n, p.q, &mut rng);
-        let mut w = vec![0i64; p.n];
+        let prime = HeParams::test_256();
+        let m = Poly::uniform(prime.n, prime.t, &mut rng);
+        let mut w = vec![0i64; prime.n];
         for _ in 0..nnz {
-            let i = rng.gen_range(0..p.n);
+            let i = rng.gen_range(0..prime.n);
             w[i] = rng.gen_range(-8..8);
         }
-        let x = mul(&PolyMulBackend::Ntt, &a, &w, &p);
-        let y = mul(&PolyMulBackend::FftF64, &a, &w, &p);
+        let mut decrypt = |p: &HeParams, backend: &PolyMulBackend| {
+            let sk = SecretKey::generate(p, &mut rng);
+            sk.decrypt(&sk.encrypt(&m, &mut rng).mul_plain_signed(&w, p, backend))
+        };
+        let x = decrypt(&prime, &PolyMulBackend::Ntt);
+        let y = decrypt(&HeParams::pow2_test_256(), &PolyMulBackend::Pow2);
+        prop_assert_eq!(x.coeffs(), &signed_reference_conv(m.coeffs(), &w, prime.t, prime.t)[..]);
         prop_assert_eq!(x, y);
     }
 

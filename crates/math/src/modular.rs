@@ -136,21 +136,22 @@ pub fn from_signed_i128(a: i128, q: u64) -> u64 {
 /// any `u64` into `[0, q)` with three wide multiplies and no hardware
 /// division (Lemire's "fastmod" in its 64-bit form). This matters on the
 /// paths that reduce *arbitrary* integers rather than products of
-/// already-reduced residues — above all the FFT rounding step, where a
-/// naive `i128::rem_euclid` per coefficient compiles to a libcall
-/// (`__umodti3`) and dominates the inverse-transform cost.
+/// already-reduced residues — the drain of the NTT path's lazy MAC sums,
+/// where a `%` per coefficient would be a hardware division.
 ///
-/// Every method is bit-identical to the corresponding
-/// `rem_euclid`-based helper for every input; this is a speed change
-/// only, and the unit tests pin that equivalence across the edge cases.
+/// Every method is bit-identical to `%` for every input; this is a
+/// speed change only, and the unit tests pin that equivalence across the
+/// edge cases.
 ///
 /// # Examples
 ///
 /// ```
-/// use flash_math::modular::{from_signed_i128, Barrett};
+/// use flash_math::modular::Barrett;
 /// let b = Barrett::new(0x0000_000F_FFFF_FFEF);
 /// assert_eq!(b.reduce(u64::MAX), u64::MAX % 0x0000_000F_FFFF_FFEF);
-/// assert_eq!(b.from_signed_i128(-5), from_signed_i128(-5, b.modulus()));
+/// let mut xs = [0, 0x0000_000F_FFFF_FFEF, u64::MAX];
+/// b.reduce_slice(&mut xs);
+/// assert_eq!(xs, [0, 0, u64::MAX % 0x0000_000F_FFFF_FFEF]);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Barrett {
@@ -213,40 +214,6 @@ impl Barrett {
     pub fn reduce_slice(&self, xs: &mut [u64]) {
         for x in xs {
             *x = self.reduce(*x);
-        }
-    }
-
-    /// Reduces a signed 64-bit integer into `[0, q)`; the division-free
-    /// twin of [`from_signed`].
-    #[inline]
-    pub fn from_signed(&self, a: i64) -> u64 {
-        let r = self.reduce(a.unsigned_abs());
-        if a < 0 && r != 0 {
-            self.q - r
-        } else {
-            r
-        }
-    }
-
-    /// Reduces a signed 128-bit integer into `[0, q)`; the division-free
-    /// twin of [`from_signed_i128`].
-    ///
-    /// Magnitudes that fit in a `u64` — every value the FFT rounding
-    /// paths produce within their proven coefficient bounds — take the
-    /// fast path; wider magnitudes fall back to the exact library
-    /// remainder so the function stays total.
-    #[inline]
-    pub fn from_signed_i128(&self, a: i128) -> u64 {
-        match u64::try_from(a.unsigned_abs()) {
-            Ok(mag) => {
-                let r = self.reduce(mag);
-                if a < 0 && r != 0 {
-                    self.q - r
-                } else {
-                    r
-                }
-            }
-            Err(_) => from_signed_i128(a, self.q),
         }
     }
 }
@@ -435,37 +402,6 @@ mod tests {
             ] {
                 assert_eq!(b.reduce(a), a % q, "reduce({a}) mod {q}");
             }
-            // `from_signed` itself casts `q` to `i64`, so its contract
-            // (and this comparison) stops at `2^63 - 1`.
-            if q < 1 << 63 {
-                for a in [
-                    0i64,
-                    1,
-                    -1,
-                    i64::MAX,
-                    i64::MIN,
-                    -(q.min(1 << 62) as i64),
-                    (q % (1 << 62)) as i64 + 7,
-                ] {
-                    assert_eq!(b.from_signed(a), from_signed(a, q), "signed {a} mod {q}");
-                }
-            }
-            for a in [
-                0i128,
-                -1,
-                i128::from(i64::MAX) + 1,
-                i128::from(i64::MIN) - 1,
-                1 << 100,
-                -(1 << 100),
-                i128::MAX,
-                i128::MIN,
-            ] {
-                assert_eq!(
-                    b.from_signed_i128(a),
-                    from_signed_i128(a, q),
-                    "signed wide {a} mod {q}"
-                );
-            }
         }
     }
 
@@ -486,10 +422,6 @@ mod tests {
             for _ in 0..256 {
                 let a = next();
                 assert_eq!(b.reduce(a), a % b.modulus());
-                let s = a as i64;
-                assert_eq!(b.from_signed(s), from_signed(s, b.modulus()));
-                let w = ((next() as u128) << 64 | next() as u128) as i128;
-                assert_eq!(b.from_signed_i128(w), from_signed_i128(w, b.modulus()));
             }
         }
     }

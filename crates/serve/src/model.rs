@@ -179,7 +179,7 @@ impl ModelPlan {
 mod tests {
     use super::*;
 
-    fn toy_spec(backend: PolyMulBackend) -> ModelSpec {
+    fn toy_spec(params: HeParams, backend: PolyMulBackend) -> ModelSpec {
         let shape = ConvShape {
             c: 2,
             h: 6,
@@ -190,47 +190,43 @@ mod tests {
         let weights: Vec<i64> = (0..shape.m * shape.kernel_len())
             .map(|i| ((i as i64 * 3) % 15) - 7)
             .collect();
-        ModelSpec::new(1, HeParams::test_256(), shape, backend, weights)
+        ModelSpec::new(1, params, shape, backend, weights)
+    }
+
+    fn approx() -> PolyMulBackend {
+        let mut cfg =
+            flash_fft::ApproxFftConfig::uniform(256, flash_math::fixed::FxpFormat::new(18, 34), 30);
+        cfg.max_shift = 30;
+        PolyMulBackend::approx(cfg)
+    }
+
+    fn all_spectral(plan: &ModelPlan) -> bool {
+        plan.units
+            .iter()
+            .all(|u| matches!(u, UnitWeights::Fft(s) if !s.is_empty()))
     }
 
     #[test]
     fn plan_precomputes_every_unit() {
-        let plan = ModelPlan::build(toy_spec(PolyMulBackend::FftF64)).unwrap();
+        // The paper's fixed-point weight transform on q = 2^62: every
+        // unit's spectra are prepared once, none falls back.
+        let plan = ModelPlan::build(toy_spec(HeParams::pow2_test_256(), approx())).unwrap();
         assert_eq!(plan.units.len(), plan.result_polys());
         assert!(plan.sparse_units() > 0, "toy layer patterns are sparse");
         assert_eq!(plan.fallback_units(), 0);
-        assert!(plan
-            .units
-            .iter()
-            .all(|u| matches!(u, UnitWeights::Fft(s) if !s.is_empty())));
+        assert!(all_spectral(&plan));
     }
 
     #[test]
     fn ntt_plan_stores_residues() {
-        let plan = ModelPlan::build(toy_spec(PolyMulBackend::Ntt)).unwrap();
+        let plan = ModelPlan::build(toy_spec(HeParams::test_256(), PolyMulBackend::Ntt)).unwrap();
         assert_eq!(plan.sparse_units(), 0);
         assert!(plan.units.iter().all(|u| matches!(u, UnitWeights::Ntt(r)
                 if !r.w.is_empty() && r.shoup.len() == r.w.len())));
     }
 
     fn toy_spec_pow2() -> ModelSpec {
-        let shape = ConvShape {
-            c: 2,
-            h: 6,
-            w: 6,
-            m: 2,
-            k: 3,
-        };
-        let weights: Vec<i64> = (0..shape.m * shape.kernel_len())
-            .map(|i| ((i as i64 * 3) % 15) - 7)
-            .collect();
-        ModelSpec::new(
-            2,
-            HeParams::pow2_test_256(),
-            shape,
-            PolyMulBackend::Pow2,
-            weights,
-        )
+        toy_spec(HeParams::pow2_test_256(), PolyMulBackend::Pow2)
     }
 
     #[test]
@@ -242,10 +238,7 @@ mod tests {
         assert_eq!(plan.units.len(), plan.result_polys());
         assert!(plan.sparse_units() > 0);
         assert_eq!(plan.fallback_units(), 0);
-        assert!(plan
-            .units
-            .iter()
-            .all(|u| matches!(u, UnitWeights::Fft(s) if !s.is_empty())));
+        assert!(all_spectral(&plan));
     }
 
     #[test]
@@ -257,26 +250,26 @@ mod tests {
     #[test]
     #[should_panic(expected = "power-of-two ciphertext modulus")]
     fn pow2_backend_rejects_prime_ring_at_registration() {
-        let _ = ModelPlan::build(toy_spec(PolyMulBackend::Pow2));
+        let caught =
+            std::panic::catch_unwind(|| ModelPlan::build(toy_spec(HeParams::test_256(), approx())))
+                .expect_err("ApproxFft on a prime ring must panic");
+        let msg = caught
+            .downcast_ref::<String>()
+            .expect("a formatted message");
+        assert!(msg.contains("backend/ring mismatch"), "{msg}");
+        let _ = ModelPlan::build(toy_spec(HeParams::test_256(), PolyMulBackend::Pow2));
     }
 
     #[test]
     fn zero_margin_pins_every_approx_unit_to_fallback() {
-        let params = HeParams::test_256();
-        let mut cfg = flash_fft::ApproxFftConfig::uniform(
-            params.n,
-            flash_math::fixed::FxpFormat::new(18, 34),
-            30,
-        );
-        cfg.max_shift = 30;
-        let spec = toy_spec(PolyMulBackend::approx(cfg)).with_noise_margin(0.0);
+        let spec = toy_spec(HeParams::pow2_test_256(), approx()).with_noise_margin(0.0);
         let plan = ModelPlan::build(spec).unwrap();
         assert_eq!(plan.fallback_units(), plan.result_polys());
     }
 
     #[test]
     fn unsafe_truncation_is_refused_at_registration() {
-        let spec = toy_spec(PolyMulBackend::Ntt).with_truncation(30, 25);
+        let spec = toy_spec(HeParams::test_256(), PolyMulBackend::Ntt).with_truncation(30, 25);
         let err = ModelPlan::build(spec).unwrap_err();
         assert!(matches!(
             err,

@@ -970,18 +970,19 @@ fn run_group(core: &Arc<ServerCore>, mut tickets: Vec<Ticket>, chaos: Option<&Ch
 fn compute_group(core: &Arc<ServerCore>, model: &ModelPlan, tickets: &[Ticket]) -> Vec<Response> {
     let _t = flash_telemetry::span!("serve.respond");
     let requests: Vec<&[Ciphertext]> = tickets.iter().map(|t| t.cts.as_slice()).collect();
-    let act = model.server.spectra(&requests);
     // Occupancy accounting mirrors the pipeline's batched kernel calls:
     // the forward sweep, and the inverse over the group's spectral units
-    // (one domain per model — the backend's).
-    core.record_kernel(2 * requests.iter().map(|r| r.len()).sum::<usize>());
+    // (one domain per model — the backend's). A model the guard pinned
+    // to the exact fallback throughout runs neither.
     let spectral_units = model.units.len() - model.fallback_units();
-    if spectral_units > 0 {
+    let act = (spectral_units > 0).then(|| {
+        core.record_kernel(2 * requests.iter().map(|r| r.len()).sum::<usize>());
         core.record_kernel(2 * tickets.len() * spectral_units);
-    }
+        model.server.spectra(&requests)
+    });
     model
         .server
-        .respond(&act, &requests, 0, &model.units, |ri, u| {
+        .respond(act.as_ref(), &requests, 0, &model.units, |ri, u| {
             mask_seed(core.seed, tickets[ri].session.id, tickets[ri].req_id, u)
         })
 }

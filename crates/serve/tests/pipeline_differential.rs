@@ -24,7 +24,7 @@ use flash_2pc::{
 };
 use flash_he::encoding::{ConvEncoder, ConvShape};
 use flash_he::{Ciphertext, HeParams, PolyMulBackend, SecretKey};
-use flash_serve::{wire, BatchPolicy, Client, InferenceServer, ModelPlan, ModelSpec};
+use flash_serve::{wire, BatchPolicy, Client, InferenceServer, ModelPlan, ModelSpec, ServerStats};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::Duration;
@@ -43,16 +43,15 @@ fn approx(params: &HeParams) -> PolyMulBackend {
     PolyMulBackend::approx(cfg)
 }
 
-/// `(name, params, backend, noise margin)`; margin 0 pins every unit of
-/// an approximate backend to the exact fallback.
+/// `(name, params, backend, noise margin)`, each backend on its ring;
+/// margin 0 pins every unit of an approximate backend to the exact
+/// fallback.
 fn backends() -> Vec<(&'static str, HeParams, PolyMulBackend, f64)> {
-    let prime = HeParams::test_256();
     let pow2 = HeParams::pow2_test_256();
     vec![
-        ("ntt", prime.clone(), PolyMulBackend::Ntt, 1.0),
-        ("fft-f64", prime.clone(), PolyMulBackend::FftF64, 1.0),
-        ("approx", prime.clone(), approx(&prime), 1.0),
-        ("approx-fallback", prime.clone(), approx(&prime), 0.0),
+        ("ntt", HeParams::test_256(), PolyMulBackend::Ntt, 1.0),
+        ("approx", pow2.clone(), approx(&pow2), 1.0),
+        ("approx-fallback", pow2.clone(), approx(&pow2), 0.0),
         ("pow2-fallback", pow2.clone(), PolyMulBackend::Pow2, 0.0),
         ("pow2", pow2, PolyMulBackend::Pow2, 1.0),
     ]
@@ -143,7 +142,7 @@ fn respond_one_shot(
     for pack in 0..enc.packs() {
         let (units, _) = server.prepare_units(weights, pack).unwrap();
         let part = server
-            .respond(&act, &requests, pack * enc.bands(), &units, |_, u| {
+            .respond(Some(&act), &requests, pack * enc.bands(), &units, |_, u| {
                 seed_of(u)
             })
             .pop()
@@ -258,7 +257,7 @@ fn served_bytes_equal_one_shot_respond_and_every_width_agrees() {
                     let requests: Vec<&[Ciphertext]> =
                         opened[..w].iter().map(Vec::as_slice).collect();
                     let act = reused.spectra(&requests);
-                    reused.respond(&act, &requests, 0, &units, |ri, u| {
+                    reused.respond(Some(&act), &requests, 0, &units, |ri, u| {
                         mask_seed(SERVER_SEED, sid, ri as u64, u)
                     })
                 };
@@ -380,8 +379,8 @@ fn the_benchmark_layers_keep_their_unpacked_partitions() {
 
 /// Registers `spec`, connects a client, and checks that one request
 /// through it reconstructs to the plaintext convolution. Returns the
-/// partition the session runs at.
-fn round_trip(spec: ModelSpec) -> (usize, usize) {
+/// partition the session runs at and the server's accounting.
+fn round_trip(spec: ModelSpec) -> ((usize, usize), ServerStats) {
     let (params, shape, weights) = (spec.params.clone(), spec.shape, spec.weights.clone());
     let server = InferenceServer::start(BatchPolicy::batched(), SERVER_SEED, 1);
     let plan = server.register_model(spec).unwrap();
@@ -411,9 +410,10 @@ fn round_trip(spec: ModelSpec) -> (usize, usize) {
         ring.reconstruct_vec(&y_client, &y_server),
         expected_conv_mod(&x, &weights, &shape, ring)
     );
+    let stats = server.stats();
     server.shutdown();
     let enc = plan.encoder();
-    (enc.channels_per_group(), enc.channels_per_pack())
+    ((enc.channels_per_group(), enc.channels_per_pack()), stats)
 }
 
 #[test]
@@ -437,7 +437,27 @@ fn a_client_plans_at_the_partition_the_server_announces() {
     assert_eq!(planned(&params, shape, truncation), (2, 1));
     let weights = weights_for(&shape);
     let spec = ModelSpec::new(MODEL_ID, params, shape, PolyMulBackend::Pow2, weights);
-    assert_eq!(round_trip(spec), (2, 1));
+    assert_eq!(round_trip(spec).0, (2, 1));
+}
+
+#[test]
+fn an_all_fallback_model_runs_no_activation_sweep() {
+    // Margin 0 pins every unit of the registered plan to the wrapping
+    // schoolbook, which reads the ciphertexts themselves: the server
+    // feeds no polynomial to the spectral kernels, forward or inverse.
+    let params = HeParams::pow2_test_256();
+    for backend in [approx(&params), PolyMulBackend::Pow2] {
+        let spec = ModelSpec::new(
+            MODEL_ID,
+            params.clone(),
+            PACKED,
+            backend.clone(),
+            weights_for(&PACKED),
+        );
+        assert!(round_trip(spec.clone()).1.kernel_polys > 0);
+        let (_, stats) = round_trip(spec.with_noise_margin(0.0));
+        assert_eq!((stats.requests_ok, stats.kernel_polys), (1, 0));
+    }
 }
 
 #[test]
@@ -461,5 +481,5 @@ fn a_model_whose_packed_plan_overflows_is_served_unpacked() {
     assert!(!overflows(&unpacked, &weights));
     let spec = ModelSpec::new(MODEL_ID, params, PACKED, PolyMulBackend::Ntt, weights)
         .with_truncation(8, 2);
-    assert_eq!(round_trip(spec), (4, 1));
+    assert_eq!(round_trip(spec).0, (4, 1));
 }

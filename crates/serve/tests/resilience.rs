@@ -51,7 +51,7 @@ fn start_server(policy: BatchPolicy, workers: usize) -> InferenceServer {
             MODEL,
             HeParams::test_256(),
             shape(),
-            PolyMulBackend::FftF64,
+            PolyMulBackend::Ntt,
             weights(),
         ))
         .unwrap();

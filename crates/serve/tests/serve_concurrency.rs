@@ -58,7 +58,7 @@ fn register_models(server: &InferenceServer) {
                 MODEL_A,
                 params.clone(),
                 shape_a(),
-                PolyMulBackend::FftF64,
+                PolyMulBackend::Ntt,
                 weights_for(&shape_a(), 1),
             )
             .with_truncation(8, 2),

@@ -42,7 +42,7 @@ fn a_mutated_upload_fails_its_request_typed_with_one_terminal_outcome() {
             MODEL,
             params.clone(),
             s,
-            PolyMulBackend::FftF64,
+            PolyMulBackend::Ntt,
             weights,
         ))
         .unwrap();

@@ -432,21 +432,11 @@ impl HconvServer {
     ///
     /// # Panics
     ///
-    /// Panics if the backend and the ring family disagree (the `Pow2`
-    /// backend needs a power-of-two ciphertext modulus; the exact NTT
-    /// backend needs a prime one).
+    /// Panics if the backend and the ring family disagree
+    /// ([`PolyMulBackend::assert_ring`]: `Ntt` needs a prime ciphertext
+    /// modulus, `Pow2` and `ApproxFft` a power-of-two one).
     pub fn new(layer: HconvLayer, backend: PolyMulBackend, noise_margin: f64) -> Self {
-        match backend {
-            PolyMulBackend::Pow2 => assert!(
-                layer.params.is_pow2(),
-                "Pow2 backend requires a power-of-two ciphertext modulus"
-            ),
-            PolyMulBackend::Ntt => assert!(
-                !layer.params.is_pow2(),
-                "exact NTT backend requires a prime ciphertext modulus"
-            ),
-            _ => {}
-        }
+        backend.assert_ring(&layer.params);
         let enc = &layer.encoder;
         let taped = !matches!(backend, PolyMulBackend::Ntt);
         let band_plans = (0..enc.bands())
@@ -539,21 +529,40 @@ impl HconvServer {
         }
     }
 
+    /// The guard's verdict on every unit of the layer, in unit order
+    /// (see [`HconvServer::falls_back`]); pricing runs no transform, and
+    /// packs are encoded only as far as the iterator is drawn.
+    fn unit_verdicts<'a>(
+        &'a self,
+        weights: &'a [i64],
+    ) -> impl Iterator<Item = Result<bool, HeError>> + 'a {
+        let enc = &self.layer.encoder;
+        (0..enc.packs()).flat_map(move |pack| {
+            let w_polys = enc.encode_pack(weights, pack);
+            (0..enc.bands())
+                .map(|b| self.falls_back(&w_polys, b))
+                .collect::<Vec<_>>()
+        })
+    }
+
     /// The guard's worst verdict over every unit of the layer.
     fn verdict(&self, weights: &[i64]) -> Verdict {
-        let enc = &self.layer.encoder;
-        let mut worst = Verdict::Spectral;
-        for pack in 0..enc.packs() {
-            let w_polys = enc.encode_pack(weights, pack);
-            for b in 0..enc.bands() {
-                match self.falls_back(&w_polys, b) {
-                    Err(_) => return Verdict::Overflow,
-                    Ok(true) => worst = Verdict::Fallback,
-                    Ok(false) => {}
-                }
-            }
-        }
-        worst
+        self.unit_verdicts(weights)
+            .map(|unit| match unit {
+                Err(_) => Verdict::Overflow,
+                Ok(true) => Verdict::Fallback,
+                Ok(false) => Verdict::Spectral,
+            })
+            .max()
+            .unwrap_or(Verdict::Spectral)
+    }
+
+    /// Whether the guard keeps some unit of the layer on the spectral
+    /// path for `weights` — when none, [`HconvServer::respond`] needs no
+    /// activation spectra and the caller skips the sweep.
+    pub fn any_spectral(&self, weights: &[i64]) -> bool {
+        self.unit_verdicts(weights)
+            .any(|unit| matches!(unit, Ok(false)))
     }
 
     /// All weight-only work of output-channel pack `pack`: encodes its
@@ -621,7 +630,9 @@ impl HconvServer {
     /// Server **respond**: answers every request of the batch for the
     /// consecutive units `first_unit .. first_unit + units.len()` (unit
     /// `u = pack·bands + b`). `act` is [`HconvServer::spectra`] of the same
-    /// `requests`; `seed_of(request, unit)` names the output-mask seed.
+    /// `requests`, or `None` when no unit is spectral (every unit answers
+    /// on the exact fallback, which reads the ciphertexts themselves);
+    /// `seed_of(request, unit)` names the output-mask seed.
     ///
     /// Spectral units accumulate request → group → unit-innermost: one
     /// ciphertext slice of the shared batch stays cache-hot while every
@@ -651,11 +662,11 @@ impl HconvServer {
     /// # Panics
     ///
     /// Panics if a request's ciphertext count is not
-    /// [`ConvEncoder::activation_polys`] or `act` is of another domain
-    /// than the units.
+    /// [`ConvEncoder::activation_polys`], or `act` is `None` while a unit
+    /// is spectral or of another domain than the units.
     pub fn respond(
         &self,
-        act: &ActivationSpectra,
+        act: Option<&ActivationSpectra>,
         requests: &[&[Ciphertext]],
         first_unit: usize,
         units: &[UnitWeights],
@@ -666,6 +677,7 @@ impl HconvServer {
         let (n, bands, groups) = (p.n, enc.bands(), enc.groups());
         let two_n = 2 * n;
         let band_of = |slot: usize| (first_unit + slot) % bands;
+        let act = || act.expect("a spectral unit needs the activation spectra");
 
         let ntt_slots: Vec<usize> = (0..units.len())
             .filter(|&s| matches!(units[s], UnitWeights::Ntt(_)))
@@ -700,7 +712,7 @@ impl HconvServer {
                     let UnitWeights::Ntt(r) = &units[slot] else {
                         unreachable!("ntt_slots holds only NTT units");
                     };
-                    act.mac_ntt_shoup_lazy_into(
+                    act().mac_ntt_shoup_lazy_into(
                         idx,
                         &r.w[g * n..][..n],
                         &r.shoup[g * n..][..n],
@@ -713,9 +725,9 @@ impl HconvServer {
                 let UnitWeights::Fft(spectra) = &units[slot] else {
                     unreachable!("fft_slots holds only FFT units");
                 };
-                let mut acc = act.accumulator(n);
+                let mut acc = act().accumulator(n);
                 for (g, fw) in spectra.chunks_exact(n / 2).enumerate() {
-                    act.mac_fft(offset + g * bands + band_of(slot), fw, &mut acc);
+                    act().mac_fft(offset + g * bands + band_of(slot), fw, &mut acc);
                 }
                 fft_accs.push(acc);
             }

@@ -53,7 +53,8 @@ pub struct ProtocolStats {
     /// tape instead of the dense butterfly network.
     pub sparse_weight_transforms: usize,
     /// Forward transforms of activation (ciphertext) polynomials — two
-    /// per uploaded ciphertext (`c0` and `c1`).
+    /// per uploaded ciphertext (`c0` and `c1`), or none when the guard
+    /// pins every unit to the exact fallback.
     pub activation_transforms: usize,
     /// Inverse transforms — two per spectral unit's returned ciphertext
     /// (the exact fallback answers in the coefficient domain).
@@ -72,7 +73,8 @@ pub struct ProtocolStats {
     /// Retransmissions the transports requested.
     pub frames_retried: usize,
     /// `(pack, band)` units the noise guard re-ran on the exact NTT
-    /// backend (prime-modulus rings).
+    /// product (prime-modulus rings): units whose group count would wrap
+    /// the lazy Shoup accumulator.
     pub ntt_fallbacks: usize,
     /// `(pack, band)` units the noise guard re-ran on the exact wrapping
     /// schoolbook (power-of-two-modulus rings).
@@ -104,9 +106,8 @@ impl ConvProtocol {
     /// # Panics
     ///
     /// Panics if `t` is not a power of two ≥ 4 (share/plaintext rings must
-    /// coincide), or if the backend and the ring family disagree (the
-    /// `Pow2` backend needs a power-of-two ciphertext modulus; the exact
-    /// NTT backend needs a prime one).
+    /// coincide), or if the backend and the ring family disagree
+    /// ([`PolyMulBackend::assert_ring`]).
     pub fn new(params: HeParams, shape: ConvShape, backend: PolyMulBackend) -> Self {
         let truncation = planned_truncation(&params);
         Self {
@@ -151,7 +152,8 @@ impl ConvProtocol {
     /// Overrides the noise-guard margin (default:
     /// [`DEFAULT_NOISE_MARGIN`]). A margin of `0.0` forces the exact
     /// fallback for every band of an approximate backend — a
-    /// deterministic test hook.
+    /// deterministic test hook; the run then skips the activation sweep
+    /// (`activation_transforms` reads 0).
     pub fn with_noise_margin(mut self, margin: f64) -> Self {
         self.server.noise_margin = margin;
         self
@@ -261,7 +263,6 @@ impl ConvProtocol {
         let uploads = (0..stats.ciphertexts_up).map(|_| up.recv().map_err(FlashError::from));
         let cts = layer.open(&xs_signed, uploads)?;
         stats.upload_bytes = up.stats().payload_bytes as usize;
-        stats.activation_transforms = 2 * cts.len();
 
         // One mask seed per (pack, band) unit, drawn sequentially up
         // front, so the parallel fan-out below produces the same masks for
@@ -269,15 +270,21 @@ impl ConvProtocol {
         let (bands, groups) = (enc.bands(), enc.groups());
         let mask_seeds: Vec<u64> = (0..enc.result_polys()).map(|_| rng.next_u64()).collect();
 
-        // --- Server: one activation sweep shared by every pack, then each
+        // --- Server: one activation sweep shared by every pack (none when
+        // the guard pins every unit to the exact fallback), then each
         // output-channel pack prepares its units, responds at width 1 and
         // drops them.
         let requests = [cts.as_slice()];
-        let act = server.spectra(&requests);
+        let act = server.any_spectral(weights).then(|| {
+            stats.activation_transforms = 2 * cts.len();
+            server.spectra(&requests)
+        });
         let per_pack = flash_runtime::parallel_gen(enc.packs(), |pack| {
             let (units, counts) = server.prepare_units(weights, pack)?;
             let response = server
-                .respond(&act, &requests, pack * bands, &units, |_, u| mask_seeds[u])
+                .respond(act.as_ref(), &requests, pack * bands, &units, |_, u| {
+                    mask_seeds[u]
+                })
                 .pop()
                 .expect("one request in, one response out");
             Ok::<_, FlashError>((response, counts))
@@ -418,6 +425,8 @@ mod tests {
 
     #[test]
     fn single_tile_protocol_fft() {
+        // The FFT family runs on q = 2^l: the fixed-point weight transform
+        // at the wide datapath (FxpFormat(20, 60), k = 60).
         let shape = ConvShape {
             c: 2,
             h: 6,
@@ -425,7 +434,14 @@ mod tests {
             m: 2,
             k: 3,
         };
-        run_case(shape, HeParams::test_256(), PolyMulBackend::FftF64, 2);
+        let params = HeParams::pow2_test_256();
+        let mut cfg = flash_fft::ApproxFftConfig::uniform(
+            params.n,
+            flash_math::fixed::FxpFormat::new(20, 60),
+            60,
+        );
+        cfg.max_shift = 55;
+        run_case(shape, params, PolyMulBackend::approx(cfg), 2);
     }
 
     #[test]
@@ -452,7 +468,7 @@ mod tests {
             m: 1,
             k: 3,
         };
-        run_case(shape, HeParams::test_256(), PolyMulBackend::FftF64, 4);
+        run_case(shape, HeParams::pow2_test_256(), PolyMulBackend::Pow2, 4);
     }
 
     #[test]
@@ -466,14 +482,8 @@ mod tests {
             m: 2,
             k: 3,
         };
-        let params = HeParams::test_256();
-        let mut cfg = flash_fft::ApproxFftConfig::uniform(
-            params.n,
-            flash_math::fixed::FxpFormat::new(18, 34),
-            30,
-        );
-        cfg.max_shift = 30;
-        run_case(shape, params, PolyMulBackend::approx(cfg), 5);
+        let params = HeParams::pow2_test_256();
+        run_case(shape, params.clone(), approx_backend(&params), 5);
     }
 
     #[test]
@@ -488,7 +498,7 @@ mod tests {
             m: 2,
             k: 3,
         };
-        let params = HeParams::test_256();
+        let params = HeParams::pow2_test_256();
         let mut rng = rand::rngs::StdRng::seed_from_u64(23);
         let sk = SecretKey::generate(&params, &mut rng);
         let x: Vec<i64> = (0..shape.input_len())
@@ -498,7 +508,7 @@ mod tests {
             .map(|i| ((i as i64 * 3) % 15) - 7)
             .collect();
 
-        let sparse = ConvProtocol::new(params, shape, PolyMulBackend::FftF64);
+        let sparse = ConvProtocol::new(params, shape, PolyMulBackend::Pow2);
         let mut r1 = rand::rngs::StdRng::seed_from_u64(9);
         let (shares_s, stats_s) = sparse.run(&sk, &x, &w, &mut r1).unwrap();
 
@@ -633,7 +643,7 @@ mod tests {
             m: 2,
             k: 3,
         };
-        let params = HeParams::test_256();
+        let params = HeParams::pow2_test_256();
         let mut rng = rand::rngs::StdRng::seed_from_u64(31);
         let sk = SecretKey::generate(&params, &mut rng);
         let proto = ConvProtocol::new(params.clone(), shape, approx_backend(&params));
@@ -644,7 +654,7 @@ mod tests {
             .map(|i| (i as i64 % 13) - 6)
             .collect();
         let (shares, stats) = proto.run(&sk, &x, &w, &mut rng).unwrap();
-        assert_eq!(stats.ntt_fallbacks, 0);
+        assert_eq!(stats.pow2_fallbacks, 0);
         assert!(stats.sparse_weight_transforms > 0, "hot path undisturbed");
         assert_eq!(
             proto.reconstruct(&shares),
@@ -655,8 +665,8 @@ mod tests {
     #[test]
     fn zero_margin_forces_exact_fallback_on_every_band() {
         // margin 0 makes any nonzero analytical error bound trip the
-        // guard: every (pack, band) unit must re-run on the NTT backend and
-        // decryption must still be exact.
+        // guard: every (pack, band) unit must re-run on the exact wrapping
+        // schoolbook and decryption must still be exact.
         let shape = ConvShape {
             c: 2,
             h: 6,
@@ -664,7 +674,7 @@ mod tests {
             m: 2,
             k: 3,
         };
-        let params = HeParams::test_256();
+        let params = HeParams::pow2_test_256();
         let mut rng = rand::rngs::StdRng::seed_from_u64(37);
         let sk = SecretKey::generate(&params, &mut rng);
         let proto = ConvProtocol::new(params.clone(), shape, approx_backend(&params))
@@ -676,20 +686,22 @@ mod tests {
             .map(|i| (i as i64 % 11) - 5)
             .collect();
         let (shares, stats) = proto.run(&sk, &x, &w, &mut rng).unwrap();
-        assert_eq!(stats.ntt_fallbacks, stats.ciphertexts_down);
+        assert_eq!(stats.pow2_fallbacks, stats.ciphertexts_down);
         assert_eq!(
             stats.sparse_weight_transforms, 0,
             "tapes produce FFT spectra"
         );
-        // The fallback answers in the coefficient domain: no weight
-        // transform, no MAC against spectra, no batched inverse.
+        // The fallback answers in the coefficient domain: no activation
+        // sweep, no weight transform, no MAC against spectra, no batched
+        // inverse.
         assert_eq!(
             (
+                stats.activation_transforms,
                 stats.weight_transforms,
                 stats.pointwise_muls,
                 stats.inverse_transforms
             ),
-            (0, 0, 0)
+            (0, 0, 0, 0)
         );
         assert_eq!(
             proto.reconstruct(&shares),
@@ -829,9 +841,11 @@ mod tests {
         assert_eq!(g_shares, h_shares);
     }
 
-    #[test]
-    #[should_panic(expected = "power-of-two ciphertext modulus")]
-    fn pow2_backend_rejects_prime_ring() {
+    /// Builds a protocol on `params` with `backend`, expecting the named
+    /// ring-mismatch panic: an approximate backend on a prime ring is
+    /// checked here, caught, before the caller's own case panics for its
+    /// `should_panic`.
+    fn rejects(params: HeParams, backend: PolyMulBackend) {
         let shape = ConvShape {
             c: 1,
             h: 5,
@@ -839,20 +853,27 @@ mod tests {
             m: 1,
             k: 3,
         };
-        ConvProtocol::new(HeParams::test_256(), shape, PolyMulBackend::Pow2);
+        let prime = HeParams::test_256();
+        let approx = approx_backend(&prime);
+        let caught = std::panic::catch_unwind(|| ConvProtocol::new(prime, shape, approx))
+            .expect_err("ApproxFft on a prime ring must panic");
+        let msg = caught
+            .downcast_ref::<String>()
+            .expect("a formatted message");
+        assert!(msg.contains("backend/ring mismatch"), "{msg}");
+        ConvProtocol::new(params, shape, backend);
+    }
+
+    #[test]
+    #[should_panic(expected = "power-of-two ciphertext modulus")]
+    fn pow2_backend_rejects_prime_ring() {
+        rejects(HeParams::test_256(), PolyMulBackend::Pow2);
     }
 
     #[test]
     #[should_panic(expected = "prime ciphertext modulus")]
     fn ntt_backend_rejects_pow2_ring() {
-        let shape = ConvShape {
-            c: 1,
-            h: 5,
-            w: 5,
-            m: 1,
-            k: 3,
-        };
-        ConvProtocol::new(HeParams::pow2_test_256(), shape, PolyMulBackend::Ntt);
+        rejects(HeParams::pow2_test_256(), PolyMulBackend::Ntt);
     }
 
     #[test]

@@ -113,7 +113,7 @@ fn thousand_seeded_fault_schedules_recover_or_fail_typed() {
 /// counter, and the reconstruction must still be exact.
 #[test]
 fn shrunken_margin_records_fallbacks_in_telemetry() {
-    let params = HeParams::test_256();
+    let params = HeParams::pow2_test_256();
     let shape = ConvShape {
         c: 2,
         h: 5,
@@ -137,22 +137,22 @@ fn shrunken_margin_records_fallbacks_in_telemetry() {
     // Counters are process-global (other tests in this binary may also
     // bump them), so only the delta across this run is meaningful and
     // only a `>=` comparison is sound.
-    let before = flash_telemetry::counter!("hconv.ntt_fallbacks").get();
+    let before = flash_telemetry::counter!("hconv.pow2_fallbacks").get();
     let (shares, stats) = proto.run(&sk, &x, &w, &mut rng).unwrap();
-    let after = flash_telemetry::counter!("hconv.ntt_fallbacks").get();
+    let after = flash_telemetry::counter!("hconv.pow2_fallbacks").get();
 
-    assert!(stats.ntt_fallbacks > 0, "zero margin must force fallbacks");
+    assert!(stats.pow2_fallbacks > 0, "zero margin must force fallbacks");
     assert_eq!(
-        stats.ntt_fallbacks, stats.ciphertexts_down,
+        stats.pow2_fallbacks, stats.ciphertexts_down,
         "every (oc, band) job must have fallen back"
     );
     assert!(
-        after - before >= stats.ntt_fallbacks as u64,
+        after - before >= stats.pow2_fallbacks as u64,
         "telemetry counter missed fallbacks: {before} -> {after}"
     );
     assert_eq!(
         proto.reconstruct(&shares),
         expected_conv_mod(&x, &w, proto.encoder().shape(), proto.ring()),
-        "exact-NTT fallback must keep decryption exact"
+        "the wrapping-schoolbook fallback must keep decryption exact"
     );
 }

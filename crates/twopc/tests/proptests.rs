@@ -40,11 +40,11 @@ proptest! {
     /// Full protocol correctness over random small convolution geometry.
     #[test]
     fn conv_protocol_correct(seed in 0u64..1000, m_ch in 1usize..3, k in 1usize..3) {
-        let params = HeParams::test_256();
+        let params = HeParams::pow2_test_256();
         let shape = ConvShape { c: 2, h: 5, w: 5, m: m_ch, k };
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let sk = SecretKey::generate(&params, &mut rng);
-        let proto = ConvProtocol::new(params, shape, PolyMulBackend::FftF64);
+        let proto = ConvProtocol::new(params, shape, PolyMulBackend::Pow2);
         use rand::Rng;
         let x: Vec<i64> = (0..shape.input_len()).map(|_| rng.gen_range(-8..8)).collect();
         let w: Vec<i64> = (0..shape.m * shape.kernel_len()).map(|_| rng.gen_range(-8..8)).collect();

@@ -7,9 +7,10 @@
 //!
 //! The client secret-shares a small activation tensor, encrypts its
 //! share, and the server convolves it with quantized weights using the
-//! hybrid HE/2PC protocol — with the polynomial products running on
-//! FLASH's fixed-point approximate FFT. The reconstructed result is
-//! checked against a cleartext convolution.
+//! hybrid HE/2PC protocol — with the weight transforms running on
+//! FLASH's fixed-point approximate FFT, on the power-of-two ciphertext
+//! ring `q = 2^62`. The reconstructed result is checked against a
+//! cleartext convolution.
 
 use flash_accel::config::FlashConfig;
 use flash_accel::hconv::FlashHconv;
@@ -19,14 +20,13 @@ use flash_nn::quant::Quantizer;
 use rand::SeedableRng;
 
 fn main() {
-    // A functional-test-scale configuration (N = 256; the paper's point
-    // is N = 4096 — see FlashConfig::paper_default()).
+    // A functional-test-scale configuration (N = 256, q = 2^62; the
+    // paper's point is N = 4096 — see FlashConfig::paper_default()).
     let cfg = FlashConfig::test_small();
     println!(
-        "BFV: N = {}, q = {} ({} bits), t = 2^{}",
+        "BFV: N = {}, q = 2^{}, t = 2^{}",
         cfg.he.n,
-        cfg.he.q,
-        64 - cfg.he.q.leading_zeros(),
+        cfg.he.q.trailing_zeros(),
         cfg.he.t.trailing_zeros()
     );
 

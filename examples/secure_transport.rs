@@ -1,7 +1,8 @@
 //! The wire view of the protocol: serialization, response truncation,
 //! the resulting traffic, and what happens when the wire misbehaves —
 //! checksum-detected faults, retransmission, and the noise-guard
-//! fallback to the exact NTT backend.
+//! fallback of the approximate weight transform to the exact wrapping
+//! schoolbook of the power-of-two ring.
 //!
 //! ```text
 //! cargo run --release -p flash-accel --example secure_transport
@@ -61,12 +62,11 @@ fn main() {
         .map(|i| ((i as i64 * 3) % 15) - 7)
         .collect();
 
-    let plain =
-        ConvProtocol::new(params.clone(), shape, PolyMulBackend::FftF64).with_truncation(0, 0);
+    let plain = ConvProtocol::new(params.clone(), shape, PolyMulBackend::Ntt).with_truncation(0, 0);
     let mut r = rand::rngs::StdRng::seed_from_u64(1);
     let (_, base) = plain.run(&sk, &x, &w, &mut r).expect("protocol run failed");
 
-    let compressed = ConvProtocol::new(params, shape, PolyMulBackend::FftF64);
+    let compressed = ConvProtocol::new(params, shape, PolyMulBackend::Ntt);
     let mut r = rand::rngs::StdRng::seed_from_u64(1);
     let (shares, stats) = compressed
         .run(&sk, &x, &w, &mut r)
@@ -131,24 +131,28 @@ fn main() {
         fstats.upload_wire_bytes + fstats.download_wire_bytes,
     );
 
-    // --- 5. The noise guard: shrinking the margin to zero makes every
-    // band's composed bound look unsafe, so each (pack, band) unit re-runs
-    // on the exact NTT backend — decryption stays exact and telemetry
-    // records the fallbacks.
+    // --- 5. The noise guard: the approximate weight transform runs on
+    // the power-of-two ring (q = 2^62). Shrinking the margin to zero makes
+    // every band's composed bound look unsafe, so each (pack, band) unit
+    // re-runs on the exact wrapping schoolbook — decryption stays exact
+    // and telemetry records the fallbacks.
+    let p5 = HeParams::pow2_test_256();
+    let sk5 = SecretKey::generate(&p5, &mut rng);
     let mut acfg =
-        flash_fft::ApproxFftConfig::uniform(p4.n, flash_math::fixed::FxpFormat::new(18, 34), 30);
+        flash_fft::ApproxFftConfig::uniform(p5.n, flash_math::fixed::FxpFormat::new(18, 34), 30);
     acfg.max_shift = 30;
     let guarded =
-        ConvProtocol::new(p4, shape4, PolyMulBackend::approx(acfg)).with_noise_margin(0.0);
+        ConvProtocol::new(p5, shape4, PolyMulBackend::approx(acfg)).with_noise_margin(0.0);
     let mut r = rand::rngs::StdRng::seed_from_u64(3);
-    let (gshares, gstats) = guarded.run(&sk, &x4, &w4, &mut r).expect("guarded run");
+    let (gshares, gstats) = guarded.run(&sk5, &x4, &w4, &mut r).expect("guarded run");
     assert_eq!(
         guarded.reconstruct(&gshares),
         expected_conv_mod(&x4, &w4, &shape4, guarded.ring())
     );
+    assert_eq!(gstats.pow2_fallbacks, gstats.ciphertexts_down);
     println!(
-        "noise guard: margin 0.0 forced {} exact-NTT fallbacks across {} responses, \
-         output still exact",
-        gstats.ntt_fallbacks, gstats.ciphertexts_down
+        "noise guard: margin 0.0 forced {} wrapping-schoolbook fallbacks across {} \
+         responses, output still exact",
+        gstats.pow2_fallbacks, gstats.ciphertexts_down
     );
 }

@@ -96,10 +96,16 @@ fi
 # (`M_w` output-channel kernels a weight polynomial: encode → negacyclic
 # product → group accumulation → decode ≡ the direct convolution over
 # random shapes, partitions and `StrideFold` shapes, and at the wrap-around
-# boundary `M_w·C_w·CS = N` with a partial last pack). The key-product,
-# wire, lane, planner, headroom, mask, expander, upload and packing tests
-# run one exact name at a time, so a renamed test fails the job instead
-# of matching nothing.
+# boundary `M_w·C_w·CS = N` with a partial last pack), the error-model
+# composition (`ApproxFft`'s phase bound = the fixed transform's plus
+# `Pow2`'s f64-rounding bound, covering the measured product error on
+# q = 2^62) and the ring agreement (one named "backend/ring mismatch"
+# panic for `Pow2` or `ApproxFft` on a prime ring and `Ntt` on a
+# power-of-two ring, at the product, the protocol and the model
+# registration). The key-product, wire, lane, planner, headroom, mask,
+# expander, upload, packing, composition and ring-agreement tests run
+# one exact name at a time, so a renamed test fails the job instead of
+# matching nothing.
 if [[ "${1:-}" == "--backends" ]]; then
     echo "==> ciphertext-backend suite"
     filtered -p flash-math pow2
@@ -132,14 +138,20 @@ if [[ "${1:-}" == "--backends" ]]; then
         serialize::tests::upload_rejects_short_and_trailing_buffers \
         serialize::tests::upload_rejects_an_unreduced_c0_on_a_prime_ring \
         serialize::tests::upload_rejects_a_set_pad_bit_on_a_pow2_ring \
-        serialize::tests::upload_decoder_never_panics_on_arbitrary_bytes; do
+        serialize::tests::upload_decoder_never_panics_on_arbitrary_bytes \
+        backend::tests::approx_error_model_composes_fixed_and_f64_bounds \
+        cipher::tests::fft_family_product_rejects_a_prime_ring; do
         filtered -p flash-he --lib "$t" -- --exact
     done
     for t in hconv::tests::mask_at_reads_the_sequential_stream_at_every_position \
         hconv::tests::every_upload_seed_is_fresh_within_and_across_seals \
-        hconv::tests::open_refuses_a_mutated_upload_typed; do
+        hconv::tests::open_refuses_a_mutated_upload_typed \
+        protocol::tests::pow2_backend_rejects_prime_ring \
+        protocol::tests::ntt_backend_rejects_pow2_ring; do
         filtered -p flash-2pc --lib "$t" -- --exact
     done
+    filtered -p flash-serve --lib \
+        model::tests::pow2_backend_rejects_prime_ring_at_registration -- --exact
     filtered -p flash-accel --lib \
         e2e::tests::resnet18_planned_truncation_keeps_a_bit_of_headroom -- --exact
     filtered -p flash-he --test key_batch pow2_8192_ciphertext_bytes_and_phases_match_the_crt_lift

@@ -3,7 +3,7 @@
 
 use flash_accel::config::FlashConfig;
 use flash_accel::hconv::FlashHconv;
-use flash_he::{Poly, PolyMulBackend, SecretKey};
+use flash_he::{HeParams, Poly, PolyMulBackend, SecretKey};
 use flash_nn::layers::{conv_reference, ConvLayerSpec};
 use flash_nn::quant::{Quantizer, Requantizer};
 use rand::SeedableRng;
@@ -21,22 +21,27 @@ fn spec(c: usize, h: usize, m: usize, k: usize, stride: usize, pad: usize) -> Co
     }
 }
 
-/// All three backends agree bit-for-bit on a full protocol run.
+/// All three backends, each on its own ring, agree on a full protocol
+/// run: `Ntt` on the prime `test_256`, `Pow2` and the approximate FXP
+/// weight transform on `test_small`'s q = 2^62 — the reconstructed
+/// outputs are the conv mod t = 2^16 on both rings.
 #[test]
 fn backends_agree_on_protocol_outputs() {
     let cfg = FlashConfig::test_small();
+    let mut prime = cfg.clone();
+    prime.he = HeParams::test_256();
     let layer = spec(2, 6, 2, 3, 1, 1);
     let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-    let sk = SecretKey::generate(&cfg.he, &mut rng);
     let x = layer.sample_input(Quantizer::a4(), &mut rng);
     let w = layer.sample_weights(Quantizer::w4(), &mut rng);
 
     let mut outs = Vec::new();
-    for backend in [
-        PolyMulBackend::Ntt,
-        PolyMulBackend::FftF64,
-        PolyMulBackend::approx(cfg.numerics.clone()),
+    for (cfg, backend) in [
+        (&prime, PolyMulBackend::Ntt),
+        (&cfg, PolyMulBackend::Pow2),
+        (&cfg, PolyMulBackend::approx(cfg.numerics.clone())),
     ] {
+        let sk = SecretKey::generate(&cfg.he, &mut rng);
         let engine = FlashHconv::with_backend(cfg.clone(), backend);
         let mut r = rand::rngs::StdRng::seed_from_u64(99);
         let (y, _) = engine.run_layer(&sk, &layer, &x, &w, &mut r).unwrap();

@@ -117,7 +117,7 @@ proptest! {
     /// algebra with small weights.
     #[test]
     fn he_algebra_random(seed in 0u64..100, w1 in -8i64..8, idx in 0usize..256) {
-        let p = flash_he::HeParams::test_256();
+        let p = flash_he::HeParams::pow2_test_256();
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let sk = SecretKey::generate(&p, &mut rng);
         let m = Poly::uniform(p.n, p.t, &mut rng);
@@ -127,7 +127,7 @@ proptest! {
         let ct = sk
             .encrypt(&m, &mut rng)
             .add_plain(&add, &p)
-            .mul_plain_signed(&w, &p, &flash_he::PolyMulBackend::FftF64);
+            .mul_plain_signed(&w, &p, &flash_he::PolyMulBackend::Pow2);
         let w_t: Vec<u64> = w.iter().map(|&x| flash_math::modular::from_signed(x, p.t)).collect();
         let want = Poly::from_coeffs(
             flash_ntt::polymul::negacyclic_mul_naive(m.add(&add).coeffs(), &w_t, p.t),
