@@ -692,22 +692,126 @@ mod tests {
             for pack in 0..enc.packs() {
                 let (_, counts) = server.prepare_units(&kernel, pack).expect("guard");
                 assert_eq!(counts.fallback, 0, "{} pack={pack}", unit.spec.name);
-                let w_polys = enc.encode_pack(&kernel, pack);
-                for b in 0..enc.bands() {
-                    let (noise, err) = server.band_noise(&w_polys, b);
-                    let composed = noise.bound() + err.expect("Pow2 has an error model");
-                    assert!(
-                        composed.log2() <= noise.ceiling().log2() - 1.0,
-                        "{} pack={pack} b={b}: 2^{:.2} vs ceiling 2^{:.2}",
-                        unit.spec.name,
-                        composed.log2(),
-                        noise.ceiling().log2()
-                    );
-                    units += 1;
-                }
+                let (noise, err) = server.pack_noise(&kernel, pack);
+                let composed = noise.bound() + err.expect("Pow2 has an error model");
+                assert!(
+                    composed.log2() <= noise.ceiling().log2() - 1.0,
+                    "{} pack={pack}: 2^{:.2} vs ceiling 2^{:.2}",
+                    unit.spec.name,
+                    composed.log2(),
+                    noise.ceiling().log2()
+                );
+                units += enc.bands();
             }
         }
         assert!(units > 0);
+    }
+
+    /// The guard's pricing from the encoded polynomials, kept as the
+    /// reference for [`flash_he::encoding::ConvEncoder::pack_norms`]:
+    /// band `b`'s exact-pipeline bound and `Σw²` summed in `f64` over
+    /// every coefficient of every group's polynomial.
+    fn polynomial_noise_bound(
+        params: &flash_he::HeParams,
+        w_polys: &[Vec<Vec<i64>>],
+        b: usize,
+        truncation: Option<(u32, u32)>,
+    ) -> (flash_he::noise::NoiseBound, f64) {
+        use flash_he::noise::NoiseBound;
+        let base = NoiseBound::fresh(params).after_plain_add();
+        let mut acc: Option<NoiseBound> = None;
+        let mut w_sq = 0.0;
+        for w_poly in w_polys {
+            let band = &w_poly[b];
+            let l1: f64 = band.iter().map(|&v| (v as f64).abs()).sum();
+            w_sq += band.iter().map(|&v| (v as f64) * (v as f64)).sum::<f64>();
+            let nb = base.after_plain_mul(l1);
+            acc = Some(match acc {
+                None => nb,
+                Some(a) => a.after_ct_add(&nb),
+            });
+        }
+        let mut nb = acc.unwrap_or(base).after_plain_add();
+        if let Some((d0, d1)) = truncation {
+            let pow = |d: u32| {
+                if d == 0 {
+                    0.0
+                } else {
+                    (2.0f64).powi(d as i32 - 1)
+                }
+            };
+            nb = nb.after_computation_error(pow(d0) + pow(d1) * params.n as f64);
+        }
+        (nb, w_sq)
+    }
+
+    /// `(bound, Σw²)` from the kernel norms equals the polynomial form on
+    /// every band of every pack of `server`'s layer, bit for bit.
+    fn assert_norms_price_like_polynomials(server: &flash_2pc::HconvServer, kernel: &[i64]) {
+        let layer = server.layer();
+        let enc = layer.encoder();
+        for pack in 0..enc.packs() {
+            let norms = enc.pack_norms(kernel, pack);
+            let (bound, w_sq) =
+                flash_2pc::hconv::conv_pack_noise_bound(layer.params(), &norms, layer.truncation());
+            let w_polys = enc.encode_pack(kernel, pack);
+            for b in 0..enc.bands() {
+                let (want, want_sq) =
+                    polynomial_noise_bound(layer.params(), &w_polys, b, layer.truncation());
+                assert_eq!(
+                    (bound.bound().to_bits(), w_sq.to_bits()),
+                    (want.bound().to_bits(), want_sq.to_bits()),
+                    "{} at {:?}, pack {pack} band {b}",
+                    enc.shape(),
+                    layer.partition()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn kernel_norms_price_the_guard_like_the_encoded_polynomials() {
+        // Every reduced-ResNet-18 unit at its planned and its unpacked
+        // partition, and the 64×32×32 → 32 layer at N = 4096.
+        use flash_2pc::hconv::DEFAULT_NOISE_MARGIN;
+        use flash_2pc::{ConvProtocol, HconvServer};
+        let he = e2e_config().he;
+        let mut rng = StdRng::seed_from_u64(24);
+        let net = QuantResnet::reduced_resnet18(8, 32, 10, &mut rng);
+        let mut packed = 0;
+        for unit in net.units_in_order() {
+            let fold = unit.spec.fold();
+            let (shape, kernel) = (fold.shape(), fold.kernel(&unit.weights));
+            let proto = ConvProtocol::new(he.clone(), shape, PolyMulBackend::Pow2);
+            let server = proto.server();
+            assert_norms_price_like_polynomials(server, &kernel);
+            let unpacked = HconvServer::new(
+                server.layer().unpacked(),
+                PolyMulBackend::Pow2,
+                DEFAULT_NOISE_MARGIN,
+            );
+            assert_norms_price_like_polynomials(&unpacked, &kernel);
+            packed += usize::from(server.layer().partition() != unpacked.layer().partition());
+        }
+        assert!(packed > 0, "some planned partition packs output channels");
+        let wide = ConvLayerSpec {
+            name: "wide".into(),
+            c: 64,
+            h: 32,
+            w: 32,
+            m: 32,
+            k: 3,
+            stride: 1,
+            pad: 1,
+        };
+        let fold = wide.fold();
+        let kernel = fold.kernel(&wide.sample_weights(Quantizer::w4(), &mut rng));
+        let proto = ConvProtocol::new(
+            flash_he::HeParams::flash_pow2(),
+            fold.shape(),
+            PolyMulBackend::Pow2,
+        );
+        assert_norms_price_like_polynomials(proto.server(), &kernel);
     }
 
     #[test]
@@ -723,7 +827,11 @@ mod tests {
         // channels: packed layers draw one mask seed per (pack, band)
         // unit instead of per (channel, band), and upload more tiles,
         // so the stream moves again; the per-unit reconstruction is
-        // still asserted unedited.
+        // still asserted unedited. Re-pinned a third time when the key
+        // and error samplers began drawing one word per coefficient
+        // instead of two: the table Gaussian with a second word drawn
+        // and discarded reproduced the previous digest, so the move is
+        // the stream shift alone.
         let mut h = 0xcbf2_9ce4_8422_2325u64;
         for run in resnet18_private_units() {
             for v in run.shares.0.iter().chain(&run.shares.1) {
@@ -733,7 +841,7 @@ mod tests {
                 }
             }
         }
-        assert_eq!(h, 0x8547_4d49_5e8e_cdfb);
+        assert_eq!(h, 0xe59e_7b0f_ecca_f546);
     }
 
     #[test]

@@ -19,7 +19,7 @@ use crate::dft::Direction;
 use crate::fft64::FftPlan;
 use crate::simd::{self, tile, C64x, F64x, SimdLevel};
 use flash_math::bitrev::bit_reverse as bitrev;
-use flash_math::modular::{center_lift, from_signed_i128};
+use flash_math::modular::center_lift;
 use flash_math::C64;
 use flash_runtime::{CacheStats, Interner, F64_SCRATCH};
 use std::sync::Arc;
@@ -631,28 +631,6 @@ impl NegacyclicFft {
         self.polymul_f64_into(&af, &bf, &mut prod);
         prod.iter().map(|&x| x.round_ties_even() as i128).collect()
     }
-
-    /// Negacyclic product of two ring elements mod `q`, computed through
-    /// the FFT with center-lifted operands. Rounding errors below the
-    /// noise budget are tolerated by BFV decryption (the paper's
-    /// kernel-level robustness); for small operands the result is exact.
-    pub fn polymul_mod(&self, a: &[u64], b: &[u64], q: u64) -> Vec<u64> {
-        assert_eq!(a.len(), self.n, "polynomial length must equal degree");
-        assert_eq!(b.len(), self.n, "polynomial length must equal degree");
-        let mut af = F64_SCRATCH.take(self.n);
-        let mut bf = F64_SCRATCH.take(self.n);
-        for (o, &x) in af.iter_mut().zip(a) {
-            *o = center_lift(x, q) as f64;
-        }
-        for (o, &x) in bf.iter_mut().zip(b) {
-            *o = center_lift(x, q) as f64;
-        }
-        let mut prod = F64_SCRATCH.take(self.n);
-        self.polymul_f64_into(&af, &bf, &mut prod);
-        prod.iter()
-            .map(|&x| from_signed_i128(x.round_ties_even() as i128, q))
-            .collect()
-    }
 }
 
 /// Fully register-resident boundary transposes for the `W = 8`
@@ -854,8 +832,6 @@ mod fused8 {
 mod tests {
     use super::*;
     use flash_math::prime::ntt_prime;
-    use flash_ntt::polymul::negacyclic_mul_naive;
-    use flash_ntt::NttTables;
     use rand::{Rng, SeedableRng};
 
     #[test]
@@ -919,44 +895,6 @@ mod tests {
                 assert_eq!(g.im.to_bits(), w.im.to_bits(), "q={q}");
             }
         }
-    }
-
-    #[test]
-    fn matches_ntt_over_small_modulus() {
-        let n = 64usize;
-        let q = ntt_prime(20, n as u64).unwrap();
-        let plan = NegacyclicFft::new(n);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
-        for _ in 0..5 {
-            let a: Vec<u64> = (0..n).map(|_| rng.gen_range(0..q)).collect();
-            let b: Vec<u64> = (0..n).map(|_| rng.gen_range(0..128)).collect();
-            let got = plan.polymul_mod(&a, &b, q);
-            let want = negacyclic_mul_naive(&a, &b, q);
-            assert_eq!(got, want);
-        }
-    }
-
-    #[test]
-    fn matches_ntt_at_n4096_small_weights() {
-        // The FLASH operating point: N = 4096, ~39-bit ciphertext modulus,
-        // 4-bit weights. f64 FFT must land within the noise budget; for
-        // this magnitude regime it is exact.
-        let n = 4096usize;
-        let q = ntt_prime(36, n as u64).unwrap();
-        let t = NttTables::new(n, q).unwrap();
-        let plan = NegacyclicFft::new(n);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
-        let a: Vec<u64> = (0..n).map(|_| rng.gen_range(0..q)).collect();
-        // sparse small weights (4-bit signed)
-        let mut b = vec![0u64; n];
-        for _ in 0..9 {
-            let idx = rng.gen_range(0..n);
-            let w: i64 = rng.gen_range(-8..8);
-            b[idx] = flash_math::modular::from_signed(w, q);
-        }
-        let got = plan.polymul_mod(&a, &b, q);
-        let want = flash_ntt::polymul::negacyclic_mul_ntt(&a, &b, &t);
-        assert_eq!(got, want);
     }
 
     #[test]

@@ -27,6 +27,7 @@
 use crate::cipher::Ciphertext;
 use crate::params::HeParams;
 use crate::poly::Poly;
+use crate::pow2::round_to_u64;
 use flash_fft::fixed_fft::FixedNegacyclicFft;
 use flash_fft::C64_SCRATCH;
 use flash_math::modular::{center_lift, from_signed, Barrett};
@@ -406,11 +407,13 @@ impl BandAccumulator {
     /// accumulated spectrum rounds once instead of per group; its error is
     /// what [`PolyMulBackend::error_model`] prices.
     ///
-    /// Each coefficient then reduces into `Z_{2^l}` by a round, a
-    /// truncating cast and a mask — the "free reduction" of the
-    /// power-of-two ring (`i128 → u64` truncation *is* reduction mod
-    /// `2^64`, and `2^l | 2^64` finishes the job). Accumulators only come
-    /// from FFT-domain spectra, whose sweep checked the ring.
+    /// Each coefficient then reduces into `Z_{2^l}` by an exact round
+    /// modulo `2^64` and a mask — the "free reduction" of the
+    /// power-of-two ring (`2^l | 2^64`). Products reach `~2^76` at
+    /// `q = 2^62`, beyond `i64`; the wrap shifts their mantissa into
+    /// place natively instead of converting through `i128`.
+    /// Accumulators only come from FFT-domain spectra, whose sweep
+    /// checked the ring.
     pub fn finish_bands(accs: Vec<BandAccumulator>, params: &HeParams) -> Vec<Ciphertext> {
         let n = params.n;
         let q = params.q;
@@ -424,8 +427,7 @@ impl BandAccumulator {
             let _t = flash_telemetry::span!("hconv.inverse_fft");
             params.fft().inverse_batch_into(&spec, &mut prod);
         }
-        // Products reach ~2^76 at q = 2^62 — beyond i64, within i128.
-        let reduce = |x: f64| (x.round_ties_even() as i128) as u64 & mask;
+        let reduce = |x: f64| round_to_u64(x) & mask;
         let to_poly = |xs: &[f64]| Poly::from_coeffs(xs.iter().map(|&x| reduce(x)).collect(), q);
         prod.chunks_exact(2 * n)
             .map(|pair| Ciphertext::new(to_poly(&pair[..n]), to_poly(&pair[n..])))

@@ -442,6 +442,39 @@ impl ConvEncoder {
         self.encode_kernels(&kernels)
     }
 
+    /// Per channel group of pack `pack`, the `(ℓ1, Σw²)` of its weight
+    /// polynomial — of every band's, since each band's polynomial holds
+    /// the same taps — read straight off the `m×c×k×k` tensor where
+    /// [`ConvEncoder::encode_pack`] takes them (the pack's output
+    /// channels, the group's channels below `c`, all `k²` taps) without
+    /// building a polynomial. Each sum is an exact integer, so below
+    /// `2^53` it equals the `f64` sum over the encoded polynomial bit for
+    /// bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `weights.len()` differs from `m·c·k²` or `pack` is out
+    /// of range.
+    pub fn pack_norms(&self, weights: &[i64], pack: usize) -> Vec<(f64, f64)> {
+        let s = &self.shape;
+        let (klen, kk) = (s.kernel_len(), s.k * s.k);
+        assert_eq!(weights.len(), s.m * klen, "weight size mismatch");
+        assert!(pack < self.packs, "pack out of range");
+        (0..self.groups)
+            .map(|g| {
+                let taps = g * self.cg * kk..((g + 1) * self.cg).min(s.c) * kk;
+                let (l1, sq) = self
+                    .pack_channels(pack)
+                    .flat_map(|oc| &weights[oc * klen..][taps.clone()])
+                    .fold((0u128, 0u128), |(l1, sq), &w| {
+                        let a = u128::from(w.unsigned_abs());
+                        (l1 + a, sq + a * a)
+                    });
+                (l1 as f64, sq as f64)
+            })
+            .collect()
+    }
+
     /// `[group][band] -> poly` holding each `(slot, kernel)`.
     fn encode_kernels(&self, kernels: &[(usize, &[i64])]) -> Vec<Vec<Vec<i64>>> {
         let s = &self.shape;

@@ -18,6 +18,16 @@
 //! same emulation-grade generator that drew `a` before; a deployment
 //! would expand `a` with an XOF such as SHAKE-128 or AES-CTR.
 //!
+//! **Secrets and errors.** Keys and the public-key randomness `u` are
+//! exactly uniform ternary ([`Poly::ternary`]); every error polynomial
+//! comes from the parameter set's [`crate::poly::ErrorSampler`], a
+//! constant-time table sampler of the rounded Gaussian clipped at
+//! `⌊6σ⌋` — the clip moves `≈ 10⁻⁹` of the mass at σ = 3.2 onto
+//! `±⌊6σ⌋` and makes [`crate::noise::NoiseBound::fresh`]'s `6σ` the
+//! support. Both draw from the caller's RNG, which in this workspace is
+//! the same emulation-grade xoshiro256** generator; a deployment would
+//! draw them from a cryptographic PRG.
+//!
 //! Every encryption and decryption is one exact key product `c1·s`, and
 //! `s` is fixed for the life of the key, so [`SecretKey::generate`]
 //! stores it in the ring's transform domain once
@@ -38,7 +48,7 @@
 use crate::cipher::Ciphertext;
 use crate::error::HeError;
 use crate::params::{HeParams, KeyOperand};
-use crate::poly::Poly;
+use crate::poly::{uniform_below, Poly};
 use flash_math::modular::{add_mod, center_lift, sub_mod, Shoup};
 use flash_runtime::U64_SCRATCH;
 use rand::rngs::StdRng;
@@ -57,8 +67,9 @@ pub const SEED_BYTES: usize = 32;
 /// The RLWE mask `a` a seed stands for: `N` exactly uniform residues of
 /// `Z_q`, drawn from the vendored `StdRng` keyed by `seed`. On a
 /// power-of-two `q` each value is the top `log2 q` bits of one draw;
-/// otherwise Lemire's multiply-shift, whose high word is exactly uniform
-/// once draws with a low word below `2^64 mod q` are rejected. Both cost
+/// otherwise Lemire's multiply-shift (the one `Poly::ternary` uses),
+/// whose high word is exactly uniform once draws with a low word below
+/// `2^64 mod q` are rejected. Both cost
 /// a shift or a multiply per value, not the `u128 %` of `gen_range`. The
 /// one expander of the tree: the client's
 /// [`SecretKey::encrypt_batch_seeded`] and the server's
@@ -76,12 +87,7 @@ pub fn expand_a(seed: &[u8; SEED_BYTES], n: usize, q: u64) -> Poly {
     } else {
         let threshold = q.wrapping_neg() % q;
         (0..n)
-            .map(|_| loop {
-                let wide = u128::from(rng.next_u64()) * u128::from(q);
-                if wide as u64 >= threshold {
-                    break (wide >> 64) as u64;
-                }
-            })
+            .map(|_| uniform_below(&mut rng, q, threshold))
             .collect()
     };
     Poly::from_coeffs(coeffs, q)
@@ -246,8 +252,8 @@ impl PublicKey {
         assert_eq!(m.len(), p.n, "plaintext length must be N");
         let (n, q) = (p.n, p.q);
         let u = Poly::ternary(n, q, rng);
-        let e1 = Poly::gaussian(n, q, p.noise_std, rng);
-        let e2 = Poly::gaussian(n, q, p.noise_std, rng);
+        let e1 = Poly::gaussian(n, q, p.error_sampler(), rng);
+        let e2 = Poly::gaussian(n, q, p.error_sampler(), rng);
         let u = p
             .prepare_key_operand(u.coeffs())
             .expect("a ternary polynomial is within every ring's exactness bound");
@@ -298,7 +304,7 @@ impl SecretKey {
     pub fn public_key<R: Rng>(&self, rng: &mut R) -> PublicKey {
         let p = &self.params;
         let a = Poly::uniform(p.n, p.q, rng);
-        let e = Poly::gaussian(p.n, p.q, p.noise_std, rng);
+        let e = Poly::gaussian(p.n, p.q, p.error_sampler(), rng);
         let mut p0 = e.coeffs().to_vec();
         key_mul(p, &mut p0, a.coeffs(), &self.s, |prod, e| {
             sub_mod(e, prod, p.q)
@@ -387,7 +393,7 @@ impl SecretKey {
             assert_eq!(m.modulus(), p.t, "plaintext must be mod t");
             assert_eq!(m.len(), n, "plaintext length must be N");
             draw_a(rng, a_k);
-            let e = Poly::gaussian(n, q, p.noise_std, rng);
+            let e = Poly::gaussian(n, q, p.error_sampler(), rng);
             for ((c, &m), &e) in c0_k.iter_mut().zip(m.coeffs()).zip(e.coeffs()) {
                 *c = add_mod(scale_plain(m, &delta, p.t, q), e, q);
             }

@@ -17,20 +17,23 @@ pub struct NoiseBound {
 }
 
 impl NoiseBound {
-    /// Noise bound of a fresh symmetric encryption: `B = 6σ` (a
-    /// ~`erfc`-negligible tail for rounded Gaussians).
+    /// Noise bound of a fresh symmetric encryption: `B = 6σ`, which
+    /// covers the sampler's support — [`crate::poly::ErrorSampler`]
+    /// clips every error coefficient at `⌊6σ⌋`, so this is a worst
+    /// case, not a tail estimate.
     pub fn fresh(params: &HeParams) -> Self {
         Self {
-            bound: 6.0 * params.noise_std,
+            bound: 6.0 * params.noise_std(),
             ceiling: params.noise_ceiling() as f64,
         }
     }
 
     /// Noise bound of a fresh public-key encryption:
-    /// `B = 6σ·(2N·‖u‖_∞ + 1) ≈ 6σ(2N + 1)` for ternary `u`.
+    /// `B = 6σ·(2N·‖u‖_∞ + 1) ≈ 6σ(2N + 1)` for ternary `u` — again over
+    /// the sampler's support (`|e|, |e1|, |e2| ≤ ⌊6σ⌋`), so a worst case.
     pub fn fresh_public(params: &HeParams) -> Self {
         Self {
-            bound: 6.0 * params.noise_std * (2.0 * params.n as f64 + 1.0),
+            bound: 6.0 * params.noise_std() * (2.0 * params.n as f64 + 1.0),
             ceiling: params.noise_ceiling() as f64,
         }
     }
@@ -128,7 +131,7 @@ pub fn hconv_budget_bits(params: &HeParams, w_l1: f64, groups: u32) -> f64 {
 /// parameter selection uses — worst-case 1-norm bounds are vacuously
 /// loose for Gaussian noise against signed weights.
 pub fn hconv_budget_bits_avg(params: &HeParams, w_l2: f64, groups: u32) -> f64 {
-    let sigma_out = params.noise_std * w_l2 * (groups as f64).sqrt();
+    let sigma_out = params.noise_std() * w_l2 * (groups as f64).sqrt();
     let bound = 6.0 * sigma_out + 2.0; // plain add/sub residues
     (params.noise_ceiling() as f64).log2() - bound.max(1.0).log2()
 }

@@ -24,6 +24,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use crate::error::HeError;
+use crate::poly::ErrorSampler;
 use crate::pow2::SplitLimb;
 use flash_fft::negacyclic::NegacyclicFft;
 use flash_math::C64;
@@ -51,8 +52,8 @@ pub struct HeParams {
     pub q: u64,
     /// Plaintext modulus `t` (a power of two, matching the 2PC share ring).
     pub t: u64,
-    /// Standard deviation of the encryption error.
-    pub noise_std: f64,
+    /// The encryption-error sampler, built once from `σ`.
+    errors: Arc<ErrorSampler>,
     ring: RingCtx,
     fft: Arc<NegacyclicFft>,
 }
@@ -63,7 +64,7 @@ impl fmt::Debug for HeParams {
             .field("n", &self.n)
             .field("q", &self.q)
             .field("t", &self.t)
-            .field("noise_std", &self.noise_std)
+            .field("noise_std", &self.noise_std())
             .field("pow2", &self.is_pow2())
             .finish()
     }
@@ -106,7 +107,7 @@ impl HeParams {
             n,
             q,
             t,
-            noise_std,
+            errors: Arc::new(ErrorSampler::new(noise_std)),
             ring: RingCtx::Prime(ntt),
             fft,
         }
@@ -140,7 +141,7 @@ impl HeParams {
             n,
             q,
             t,
-            noise_std,
+            errors: Arc::new(ErrorSampler::new(noise_std)),
             ring: RingCtx::Pow2(SplitLimb::new(n, l)),
             fft: NegacyclicFft::shared(n),
         }
@@ -173,6 +174,20 @@ impl HeParams {
     /// The power-of-two twin of [`HeParams::test_256`] (`q = 2^62`).
     pub fn pow2_test_256() -> Self {
         Self::new_pow2(256, 62, 1 << 16, 3.2)
+    }
+
+    /// Standard deviation `σ` of the encryption error.
+    #[inline]
+    pub fn noise_std(&self) -> f64 {
+        self.errors.std()
+    }
+
+    /// The encryption-error sampler: the rounded Gaussian of standard
+    /// deviation [`HeParams::noise_std`] clipped at `⌊6σ⌋`, its table
+    /// built when the parameter set was.
+    #[inline]
+    pub fn error_sampler(&self) -> &ErrorSampler {
+        &self.errors
     }
 
     /// `Δ = ⌊q/t⌋`, the plaintext scaling factor.

@@ -69,12 +69,40 @@ const BETA: f64 = 8.0 * EPS;
 /// to the nearest integer (ties to even), left in the low mantissa bits.
 const ROUND: f64 = 6_755_399_441_055_744.0;
 
-/// `round(x)` as a two's-complement `u64`, for `|x| < 2^51`: the rounding
-/// mantissa trick, which unlike `f64::round_ties_even` needs no libm call
-/// on baseline x86-64.
+/// `round(x)` (ties to even) modulo `2^64` as a two's-complement `u64`,
+/// exact for every finite `x` — the wrap both `f64` product paths of the
+/// power-of-two ring end in, since `2^l | 2^64`. No libm call and no
+/// `i128` conversion on baseline x86-64:
+///
+/// * `|x| < 2^51`: the rounding mantissa trick;
+/// * `|x| < 2^63`: a native `i64` conversion — every `f64` from `2^52`
+///   on is an integer, and below that adding and removing `2^52` rounds;
+/// * beyond: the 53-bit mantissa shifted into place (nothing is left
+///   once the shift reaches 64), negated for negative `x`.
 #[inline]
-fn round_to_u64(x: f64) -> u64 {
-    (x + ROUND).to_bits().wrapping_sub(ROUND.to_bits())
+pub(crate) fn round_to_u64(x: f64) -> u64 {
+    const TWO_51: f64 = 2_251_799_813_685_248.0;
+    const TWO_52: f64 = 4_503_599_627_370_496.0;
+    const TWO_63: f64 = 9_223_372_036_854_775_808.0;
+    let a = x.abs();
+    if a < TWO_51 {
+        return (x + ROUND).to_bits().wrapping_sub(ROUND.to_bits());
+    }
+    let magnitude = if a < TWO_63 {
+        let r = if a < TWO_52 { (a + TWO_52) - TWO_52 } else { a };
+        r as i64 as u64
+    } else {
+        let bits = a.to_bits();
+        let mantissa = (bits & ((1 << 52) - 1)) | (1 << 52);
+        mantissa
+            .checked_shl((bits >> 52) as u32 - 1075)
+            .unwrap_or(0)
+    };
+    if x < 0.0 {
+        magnitude.wrapping_neg()
+    } else {
+        magnitude
+    }
 }
 
 /// `E(N)` of the module docs: the worst-case error of one product through
@@ -193,6 +221,84 @@ mod tests {
     use super::*;
     use crate::params::HeParams;
     use flash_math::pow2::negacyclic_mul_wrapping;
+
+    /// The wrap `round_to_u64` replaces: round, convert through `i128`,
+    /// truncate to the low 64 bits.
+    fn wrap_via_i128(x: f64) -> u64 {
+        (x.round_ties_even() as i128) as u64
+    }
+
+    #[test]
+    fn round_to_u64_wraps_edge_values_like_the_i128_cast() {
+        let mut xs = vec![
+            0.0,
+            -0.0,
+            0.5,
+            -0.5,
+            1.5,
+            -1.5,
+            2.5,
+            -2.5,
+            0.49999999999999994,
+        ];
+        for j in 0..100 {
+            let p = 2f64.powi(j);
+            xs.extend([
+                p,
+                -p,
+                p + 0.5,
+                -(p + 0.5),
+                p - 0.5,
+                -(p - 0.5),
+                p * 1.5,
+                -p * 1.5,
+            ]);
+            // the f64 neighbours of 2^j
+            for q in [p, -p] {
+                xs.extend([
+                    f64::from_bits(q.to_bits() - 1),
+                    f64::from_bits(q.to_bits() + 1),
+                ]);
+            }
+        }
+        // ties between 2^51 and 2^52, where the ulp is 1/2
+        for k in [0u64, 1, 2, 3, (1 << 51) - 1] {
+            let tie = (1u64 << 51) as f64 + k as f64 + 0.5;
+            xs.extend([tie, -tie]);
+        }
+        xs.extend([
+            u64::MAX as f64,
+            -(u64::MAX as f64),
+            2f64.powi(64) * 3.0,
+            2f64.powi(99) * 1.75,
+        ]);
+        for x in xs {
+            assert!(x.abs() < 2f64.powi(100));
+            assert_eq!(
+                round_to_u64(x),
+                wrap_via_i128(x),
+                "x = {x:e} ({:#x})",
+                x.to_bits()
+            );
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(4096))]
+
+        /// Any `f64` of magnitude below `2^100`: a 53-bit mantissa at a
+        /// scale from `2^−60` (fractions, ties) to `2^47` (beyond `2^64`).
+        #[test]
+        fn round_to_u64_wraps_like_the_i128_cast(
+            mantissa in proptest::prelude::any::<u64>(),
+            scale in -60i32..48,
+            negative in proptest::prelude::any::<bool>(),
+        ) {
+            let x = (mantissa >> 11) as f64 * 2f64.powi(scale);
+            let x = if negative { -x } else { x };
+            proptest::prop_assert_eq!(round_to_u64(x), wrap_via_i128(x));
+        }
+    }
 
     fn mul_small(p: &HeParams, a: &[u64], b: &[u64]) -> Vec<u64> {
         let mut out = vec![0u64; a.len()];

@@ -124,12 +124,6 @@ pub fn from_signed(a: i64, q: u64) -> u64 {
     r as u64
 }
 
-/// Reduces a signed 128-bit integer into `[0, q)`.
-#[inline]
-pub fn from_signed_i128(a: i128, q: u64) -> u64 {
-    a.rem_euclid(q as i128) as u64
-}
-
 /// Barrett-style division-free reduction for a fixed modulus.
 ///
 /// Precomputes `m = ⌊2^128 / q⌋ + 1` once; [`Barrett::reduce`] then maps
@@ -471,14 +465,6 @@ mod tests {
             assert!(c > -(q as i64) / 2 - 1 && c <= q as i64 / 2);
             assert_eq!(from_signed(c, q), a);
         }
-    }
-
-    #[test]
-    fn from_signed_i128_handles_extremes() {
-        let q = 0x0FFF_F001u64;
-        assert_eq!(from_signed_i128(-1, q), q - 1);
-        assert_eq!(from_signed_i128(q as i128, q), 0);
-        assert_eq!(from_signed_i128(-(q as i128) * 7 - 3, q), q - 3);
     }
 
     #[test]

@@ -3,9 +3,11 @@
 //! A [`ModelSpec`] is what an operator registers: parameters, layer
 //! shape, backend, plaintext weights, and the protocol knobs of
 //! [`flash_2pc::ConvProtocol`]. Registration compiles it into a
-//! [`ModelPlan`]: [`HconvServer::prepare_units`] — the weight-only half of
-//! the pipeline's **respond** stage (encode, the noise-guard verdict, the
-//! forward weight transforms) — runs once for every output-channel pack,
+//! [`ModelPlan`]: [`HconvServer::guarded`] picks the partition and
+//! [`HconvServer::prepare_units`] — the weight-only half of the
+//! pipeline's **respond** stage (the noise-guard verdict priced from the
+//! pack's kernel norms, encode, the forward weight transforms) — runs
+//! once for every output-channel pack,
 //! and the units are shared by every session and request against the model.
 //! A model whose exact-path bound overflows the decryption ceiling is
 //! refused here, before any session can name it.

@@ -65,15 +65,21 @@
 //!
 //! # Noise guard
 //!
-//! [`HconvServer::prepare_units`] composes, per `(pack, band)` unit, the
+//! [`HconvServer::prepare_units`] composes, per output-channel pack, the
 //! worst-case decryption-noise bound of the exact pipeline
-//! ([`conv_band_noise_bound`]) and, on an approximate backend, adds the
+//! ([`conv_pack_noise_bound`]) and, on an approximate backend, adds the
 //! analytical error bound of the transform
-//! ([`flash_he::backend::ApproxErrorModel`]). A unit whose total crosses
-//! `margin × q/(2t)` becomes [`UnitWeights::Fallback`] and is answered on
-//! the exact coefficient-domain path of its ring family; if even the
-//! exact bound overflows the ceiling, preparation fails with
+//! ([`flash_he::backend::ApproxErrorModel`]). The bound is priced from
+//! kernel norms ([`ConvEncoder::pack_norms`]: `ℓ1` and `Σw²` per channel
+//! group, integer sums over the pack's `M_w·C_w·k²` taps, no polynomial
+//! built), and every band of a pack holds the same taps, so the verdict
+//! is one per pack. A pack whose total crosses `margin × q/(2t)` has
+//! every unit become [`UnitWeights::Fallback`], answered on the exact
+//! coefficient-domain path of its ring family; if even the exact bound
+//! overflows the ceiling, preparation fails with
 //! [`HeError::NoiseOverflow`] instead of decrypting garbage.
+//! [`HconvServer::guarded`] and [`HconvServer::any_spectral`] read the
+//! same per-pack verdicts.
 
 use crate::error::FlashError;
 use crate::shares::ShareRing;
@@ -459,29 +465,36 @@ impl HconvServer {
         &self.layer
     }
 
-    /// The composed noise of unit `(pack, b)`: the exact-pipeline bound
-    /// and, on an approximate backend, the transform's phase-error bound
-    /// on top (`None` for the backends that are exact in the protocol's
-    /// regime). `w_polys` is the pack's [`ConvEncoder::encode_pack`].
-    pub fn band_noise(&self, w_polys: &[Vec<Vec<i64>>], b: usize) -> (NoiseBound, Option<f64>) {
+    /// The composed noise of every unit of pack `pack` (`weights` is the
+    /// full `m×c×k×k` tensor): the exact-pipeline bound and, on an
+    /// approximate backend, the transform's phase-error bound on top
+    /// (`None` for the backends that are exact in the protocol's regime).
+    /// Priced from the pack's kernel norms ([`ConvEncoder::pack_norms`]);
+    /// every band of the pack shares it.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a weight-size mismatch with the planned shape.
+    pub fn pack_noise(&self, weights: &[i64], pack: usize) -> (NoiseBound, Option<f64>) {
         let p = &self.layer.params;
-        let (noise, w_sq) = conv_band_noise_bound(p, w_polys, b, self.layer.truncation);
+        let norms = self.layer.encoder.pack_norms(weights, pack);
+        let (noise, w_sq) = conv_pack_noise_bound(p, &norms, self.layer.truncation);
         let err = self
             .backend
             .error_model(p)
-            .map(|model| model.phase_error_bound(p, w_sq, w_polys.len()));
+            .map(|model| model.phase_error_bound(p, w_sq, norms.len()));
         (noise, err)
     }
 
-    /// The guard's verdict on band `b` of the pack encoded as `w_polys`:
-    /// `Ok(true)` when the unit must take the exact fallback.
+    /// The guard's verdict on pack `pack`: `Ok(true)` when its units
+    /// must take the exact fallback.
     ///
     /// # Errors
     ///
     /// [`HeError::NoiseOverflow`] when even the exact-path bound
     /// overflows the decryption ceiling.
-    fn falls_back(&self, w_polys: &[Vec<Vec<i64>>], b: usize) -> Result<bool, HeError> {
-        let (noise, err) = self.band_noise(w_polys, b);
+    fn falls_back(&self, weights: &[i64], pack: usize) -> Result<bool, HeError> {
+        let (noise, err) = self.pack_noise(weights, pack);
         noise.check()?;
         // An NTT unit accumulates one lazy (unreduced, < 2q) Shoup
         // product per group before its single Barrett drain, so the
@@ -489,7 +502,8 @@ impl HconvServer {
         // Unreachable for any practical q, but a violation would wrap
         // silently, so such a unit takes the exact fallback too.
         let is_ntt = matches!(self.backend, PolyMulBackend::Ntt);
-        let lazy_wraps = w_polys.len() as u128 * 2 * self.layer.params.q as u128 > u64::MAX as u128;
+        let groups = self.layer.encoder.groups() as u128;
+        let lazy_wraps = groups * 2 * self.layer.params.q as u128 > u64::MAX as u128;
         let approx_trips =
             err.is_some_and(|e| noise.bound() + e >= self.noise_margin * noise.ceiling());
         Ok(approx_trips || (is_ntt && lazy_wraps))
@@ -529,25 +543,19 @@ impl HconvServer {
         }
     }
 
-    /// The guard's verdict on every unit of the layer, in unit order
-    /// (see [`HconvServer::falls_back`]); pricing runs no transform, and
-    /// packs are encoded only as far as the iterator is drawn.
-    fn unit_verdicts<'a>(
+    /// The guard's verdict on every pack of the layer, in pack order
+    /// (see [`HconvServer::falls_back`]); pricing reads kernel norms only,
+    /// as far as the iterator is drawn.
+    fn pack_verdicts<'a>(
         &'a self,
         weights: &'a [i64],
     ) -> impl Iterator<Item = Result<bool, HeError>> + 'a {
-        let enc = &self.layer.encoder;
-        (0..enc.packs()).flat_map(move |pack| {
-            let w_polys = enc.encode_pack(weights, pack);
-            (0..enc.bands())
-                .map(|b| self.falls_back(&w_polys, b))
-                .collect::<Vec<_>>()
-        })
+        (0..self.layer.encoder.packs()).map(move |pack| self.falls_back(weights, pack))
     }
 
     /// The guard's worst verdict over every unit of the layer.
     fn verdict(&self, weights: &[i64]) -> Verdict {
-        self.unit_verdicts(weights)
+        self.pack_verdicts(weights)
             .map(|unit| match unit {
                 Err(_) => Verdict::Overflow,
                 Ok(true) => Verdict::Fallback,
@@ -561,14 +569,15 @@ impl HconvServer {
     /// path for `weights` — when none, [`HconvServer::respond`] needs no
     /// activation spectra and the caller skips the sweep.
     pub fn any_spectral(&self, weights: &[i64]) -> bool {
-        self.unit_verdicts(weights)
-            .any(|unit| matches!(unit, Ok(false)))
+        self.pack_verdicts(weights)
+            .any(|pack| matches!(pack, Ok(false)))
     }
 
-    /// All weight-only work of output-channel pack `pack`: encodes its
-    /// kernels ([`ConvEncoder::encode_pack`]; `weights` is the full
-    /// `m×c×k×k` tensor), runs the noise guard per band on the packed
-    /// polynomials, and transforms each band's group polynomials —
+    /// All weight-only work of output-channel pack `pack`: runs the noise
+    /// guard on the pack's kernel norms (`weights` is the full `m×c×k×k`
+    /// tensor), encodes its kernels ([`ConvEncoder::encode_pack`]) and,
+    /// unless the guard pins the pack to the exact fallback, transforms
+    /// each band's group polynomials —
     /// through the band's interned sparse tape when
     /// [`SparsePlan::worthwhile`], the dense batched kernels otherwise.
     /// Returns the pack's units in band order.
@@ -588,13 +597,14 @@ impl HconvServer {
     ) -> Result<(Vec<UnitWeights>, UnitCounts), HeError> {
         let p = &self.layer.params;
         let enc = &self.layer.encoder;
+        let fallback = self.falls_back(weights, pack)?;
         let mut w_polys = enc.encode_pack(weights, pack);
         let groups = w_polys.len();
         let is_ntt = matches!(self.backend, PolyMulBackend::Ntt);
         let mut counts = UnitCounts::default();
         let mut units = Vec::with_capacity(enc.bands());
         for b in 0..enc.bands() {
-            if self.falls_back(&w_polys, b)? {
+            if fallback {
                 counts.fallback += 1;
                 let polys = w_polys.iter_mut().map(|wp| std::mem::take(&mut wp[b]));
                 units.push(UnitWeights::Fallback(polys.collect()));
@@ -788,30 +798,27 @@ impl HconvServer {
     }
 }
 
-/// The worst-case decryption-noise bound of one `(pack, band)` response on
-/// the exact pipeline — fresh encryption, server share fold, one weight
-/// multiply per channel group accumulated into the response, the output
-/// mask, and the agreed truncation — plus the total `Σw²` of the band's
-/// weights (the input to [`flash_he::backend::ApproxErrorModel`]).
+/// The worst-case decryption-noise bound of every `(pack, band)` response
+/// of one pack on the exact pipeline — fresh encryption, server share
+/// fold, one weight multiply per channel group accumulated into the
+/// response, the output mask, and the agreed truncation — plus the total
+/// `Σw²` of the pack's weights (the input to
+/// [`flash_he::backend::ApproxErrorModel`]).
 ///
-/// `w_polys` is one pack's encoding ([`ConvEncoder::encode_pack`]):
-/// `w_polys[group][band]` is a length-`N` polynomial holding every kernel
-/// of the pack, so `ℓ1` and `Σw²` are the packed polynomial's. The bound
-/// depends only on the weights, which is why the guard sits in
-/// [`HconvServer::prepare_units`].
-pub fn conv_band_noise_bound(
+/// `norms` is the pack's [`ConvEncoder::pack_norms`]: per channel group,
+/// the `(ℓ1, Σw²)` of the polynomial holding every kernel of the pack, so
+/// both grow with `M_w`. The bound depends only on the weights, which is
+/// why the guard sits in [`HconvServer::prepare_units`].
+pub fn conv_pack_noise_bound(
     params: &HeParams,
-    w_polys: &[Vec<Vec<i64>>],
-    b: usize,
+    norms: &[(f64, f64)],
     truncation: Option<(u32, u32)>,
 ) -> (NoiseBound, f64) {
     let base = NoiseBound::fresh(params).after_plain_add();
     let mut acc: Option<NoiseBound> = None;
     let mut w_sq = 0.0;
-    for w_poly in w_polys {
-        let band = &w_poly[b];
-        let l1: f64 = band.iter().map(|&v| (v as f64).abs()).sum();
-        w_sq += band.iter().map(|&v| (v as f64) * (v as f64)).sum::<f64>();
+    for &(l1, sq) in norms {
+        w_sq += sq;
         let nb = base.after_plain_mul(l1);
         acc = Some(match acc {
             None => nb,

@@ -123,7 +123,7 @@ impl ConvProtocol {
     /// Overrides the planned response truncation: the server drops `d0`
     /// low bits of `c0` and `d1` of `c1` before download; `(0, 0)` sends
     /// them whole. The layer's partition is re-planned at the pair, and
-    /// the noise guard still prices it per unit (see
+    /// the noise guard still prices it per pack (see
     /// [`flash_he::truncate::safe_truncation`] to choose one).
     pub fn with_truncation(mut self, d0: u32, d1: u32) -> Self {
         let server = &self.server;

@@ -99,13 +99,23 @@ fi
 # boundary `M_w·C_w·CS = N` with a partial last pack), the error-model
 # composition (`ApproxFft`'s phase bound = the fixed transform's plus
 # `Pow2`'s f64-rounding bound, covering the measured product error on
-# q = 2^62) and the ring agreement (one named "backend/ring mismatch"
+# q = 2^62), the ring agreement (one named "backend/ring mismatch"
 # panic for `Pow2` or `ApproxFft` on a prime ring and `Ntt` on a
 # power-of-two ring, at the product, the protocol and the model
-# registration). The key-product, wire, lane, planner, headroom, mask,
-# expander, upload, packing, composition and ring-agreement tests run
-# one exact name at a time, so a renamed test fails the job instead of
-# matching nothing.
+# registration), the samplers (the error sampler never leaving ⌊6σ⌋ on
+# scripted all-zero/all-one words and seeded streams, χ², mean and
+# variance against the clipped rounded-Gaussian masses over 2^20
+# draws, its `erfc` against reference values; ternary χ² on
+# {−1, 0, 1} at one word a coefficient), the native ring wrap
+# (`round_to_u64` ≡ the `i128` cast over |x| < 2^100: ±0, ties, powers
+# of two, values ≥ 2^64, and a proptest) and the guard's norm pricing
+# (`(bound, Σw²)` from kernel norms ≡ the encoded polynomials' on every
+# reduced-ResNet-18 unit at its planned and unpacked partition and on
+# the 64×32×32 → 32 layer at N = 4096). The key-product, wire, lane,
+# planner, headroom, mask, expander, upload, packing, composition,
+# ring-agreement, sampler, wrap and norm-pricing tests run one exact
+# name at a time, so a renamed test fails the job instead of matching
+# nothing.
 if [[ "${1:-}" == "--backends" ]]; then
     echo "==> ciphertext-backend suite"
     filtered -p flash-math pow2
@@ -140,7 +150,13 @@ if [[ "${1:-}" == "--backends" ]]; then
         serialize::tests::upload_rejects_a_set_pad_bit_on_a_pow2_ring \
         serialize::tests::upload_decoder_never_panics_on_arbitrary_bytes \
         backend::tests::approx_error_model_composes_fixed_and_f64_bounds \
-        cipher::tests::fft_family_product_rejects_a_prime_ring; do
+        cipher::tests::fft_family_product_rejects_a_prime_ring \
+        poly::tests::erfc_matches_reference_values \
+        poly::tests::error_sampler_never_leaves_six_sigma \
+        poly::tests::error_sampler_matches_the_clipped_rounded_gaussian \
+        poly::tests::ternary_is_uniform_on_minus_one_zero_one \
+        pow2::tests::round_to_u64_wraps_edge_values_like_the_i128_cast \
+        pow2::tests::round_to_u64_wraps_like_the_i128_cast; do
         filtered -p flash-he --lib "$t" -- --exact
     done
     for t in hconv::tests::mask_at_reads_the_sequential_stream_at_every_position \
@@ -152,8 +168,10 @@ if [[ "${1:-}" == "--backends" ]]; then
     done
     filtered -p flash-serve --lib \
         model::tests::pow2_backend_rejects_prime_ring_at_registration -- --exact
-    filtered -p flash-accel --lib \
-        e2e::tests::resnet18_planned_truncation_keeps_a_bit_of_headroom -- --exact
+    for t in e2e::tests::resnet18_planned_truncation_keeps_a_bit_of_headroom \
+        e2e::tests::kernel_norms_price_the_guard_like_the_encoded_polynomials; do
+        filtered -p flash-accel --lib "$t" -- --exact
+    done
     filtered -p flash-he --test key_batch pow2_8192_ciphertext_bytes_and_phases_match_the_crt_lift
     cargo test -q -p flash-he --test proptests
     for t in packed_conv_encoding_matches_direct_conv \
