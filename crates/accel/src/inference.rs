@@ -104,7 +104,7 @@ pub fn run_network(net: &Network, cfg: &FlashConfig) -> NetworkRun {
     let mut weight_cycles_sum = 0u64;
     let mut fp_cycles_sum = 0u64;
     // conv layers plus the final fully-connected layer: workload
-    // extraction (symbolic sparsity analysis) and the per-layer
+    // extraction (the interned sparse plans' counts) and the per-layer
     // perf/energy models are independent across layers, so both fan out;
     // the totals fold below stays sequential in layer order.
     let mut workloads: Vec<LayerWorkload> =

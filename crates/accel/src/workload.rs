@@ -22,8 +22,6 @@ use flash_he::encoding::{ConvEncoder, TileAlignment};
 use flash_hw::energy::HconvOps;
 use flash_nn::layers::ConvLayerSpec;
 use flash_ntt::ops::negacyclic_fft_ops;
-use flash_sparse::pattern::SparsityPattern;
-use flash_sparse::symbolic::{analyze_cached, twist_mults};
 
 /// The transform/operation inventory of one convolution layer.
 #[derive(Debug, Clone, PartialEq)]
@@ -119,14 +117,11 @@ pub fn layer_workload(spec: &ConvLayerSpec, n: usize) -> LayerWorkload {
     let m_out = shape.m as u64;
 
     // Sparse dataflow cost of one weight transform (band-0 geometry; other
-    // bands only shrink the pattern).
-    let idx = enc.weight_indices(0);
-    let poly_pattern = SparsityPattern::from_indices(n, idx.iter().copied());
-    let folded = fold_pattern(&poly_pattern);
-    // Layers of one stage share a fold pattern, so the memoized analysis
-    // runs once per distinct geometry per process.
-    let counts = analyze_cached(&folded.bit_reversed()).0;
-    let sparse_each = counts.mults() + twist_mults(&folded);
+    // bands only shrink the pattern), read off the interned plan the
+    // protocol runs for this encoder. Layers of one stage share a fold
+    // pattern, so the tape compiles once per distinct geometry per process.
+    let sparse_each = flash_2pc::conv_band_plan(&enc, n, 0).paper_muls();
+    let live = enc.weight_indices(0).len();
     let dense = negacyclic_fft_ops(n);
     let dense_each = dense.mults;
 
@@ -146,7 +141,7 @@ pub fn layer_workload(spec: &ConvLayerSpec, n: usize) -> LayerWorkload {
         inverse_transforms: 2 * packed_cts,
         pointwise: groups * bands * m_out * n as u64,
         accum_adds: (groups - 1) * bands * m_out * n as u64,
-        sparsity: poly_pattern.sparsity(),
+        sparsity: 1.0 - live as f64 / n as f64,
     }
 }
 
@@ -169,14 +164,6 @@ pub fn fc_workload(ni: usize, no: usize, n: usize) -> LayerWorkload {
         accum_adds: (enc.col_chunks() as u64 - 1) * (enc.row_blocks() * n) as u64,
         sparsity: 0.0,
     }
-}
-
-/// Folds a degree-`n` coefficient pattern into the `n/2` complex FFT
-/// slots.
-fn fold_pattern(p: &SparsityPattern) -> SparsityPattern {
-    let n = p.len();
-    let half = n / 2;
-    SparsityPattern::from_mask((0..half).map(|j| p.get(j) || p.get(j + half)).collect())
 }
 
 #[cfg(test)]

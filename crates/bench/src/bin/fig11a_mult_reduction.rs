@@ -13,20 +13,13 @@
 use flash_accel::workload::layer_workload;
 use flash_bench::{banner, pct, subhead};
 use flash_nn::resnet::resnet50_conv_layers;
-use flash_sparse::pattern::SparsityPattern;
-use flash_sparse::symbolic::{analyze, twist_mults};
+use flash_sparse::{SparsePlan, SparsityPattern};
 
 const N: usize = 4096;
 
 fn sparse_mults(natural: &SparsityPattern) -> u64 {
     // fold to the FFT's half domain
-    let half = natural.len() / 2;
-    let folded = SparsityPattern::from_mask(
-        (0..half)
-            .map(|j| natural.get(j) || natural.get(j + half))
-            .collect(),
-    );
-    analyze(&folded.bit_reversed()).mults() + twist_mults(&folded)
+    SparsePlan::compile(&SparsityPattern::folded(natural.len(), natural.indices())).paper_muls()
 }
 
 fn main() {

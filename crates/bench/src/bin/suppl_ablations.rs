@@ -15,8 +15,7 @@ use flash_dse::pareto::{hypervolume, pareto_front};
 use flash_dse::space::DesignSpace;
 use flash_he::encoding::{ConvEncoder, ConvShape, TileAlignment};
 use flash_ntt::ops::{fft_complex_ops, radix4_fft_ops};
-use flash_sparse::pattern::SparsityPattern;
-use flash_sparse::symbolic::{analyze, twist_mults};
+use flash_sparse::{SparsePlan, SparsityPattern};
 use rand::SeedableRng;
 
 fn main() {
@@ -107,17 +106,8 @@ fn main() {
         ("pow2", TileAlignment::PowerOfTwo),
     ] {
         let enc = ConvEncoder::with_alignment(shape, 4096, align);
-        let idx = enc.weight_indices(0);
-        let half = 2048;
-        let natural = SparsityPattern::from_indices(4096, idx.iter().copied());
-        let folded = SparsityPattern::from_mask(
-            (0..half)
-                .map(|j| natural.get(j) || natural.get(j + half))
-                .collect(),
-        );
-        let counts = analyze(&folded.bit_reversed());
-        let sparse = counts.mults() + twist_mults(&folded);
-        let dense = counts.dense_mults() + half as u64;
+        let plan = SparsePlan::compile(&SparsityPattern::folded(4096, enc.weight_indices(0)));
+        let (sparse, dense) = (plan.paper_muls(), plan.dense_muls());
         println!(
             "{name:>12} {:>10} {:>12} {:>14} {:>12}",
             enc.activation_polys(),

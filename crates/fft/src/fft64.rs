@@ -2,7 +2,7 @@
 //!
 //! This is the full-precision dataflow of Figure 3: bit-reverse the input,
 //! then `log2 m` stages of CT butterflies. The same stage structure is
-//! reused by the fixed-point simulator and the sparse symbolic executor,
+//! reused by the fixed-point simulator and the sparse µop-tape compiler,
 //! so the twiddle indexing here is the reference for both.
 
 use crate::dft::Direction;

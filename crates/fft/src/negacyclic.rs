@@ -96,8 +96,8 @@ impl NegacyclicFft {
         self.n
     }
 
-    /// The underlying `N/2`-point FFT plan (shared with the fixed-point
-    /// and sparse executors so all dataflows agree on stage structure).
+    /// The underlying `N/2`-point FFT plan (the fixed-point transform and
+    /// the sparse µop tapes follow its stage structure).
     #[inline]
     pub fn plan(&self) -> &FftPlan {
         &self.plan

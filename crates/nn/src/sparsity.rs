@@ -3,8 +3,7 @@
 //! After Cheetah encoding, a weight polynomial carries at most `k²` valid
 //! coefficients per `H·W` span — more than 90 % of coefficients are zero
 //! for every ResNet layer. These helpers compute the exact patterns per
-//! layer, feed them to the sparse-dataflow analyzer, and summarize the
-//! statistics the figures plot.
+//! layer and summarize the statistics the figures plot.
 
 use crate::layers::ConvLayerSpec;
 use flash_he::encoding::ConvEncoder;
@@ -47,14 +46,6 @@ pub fn layer_weight_sparsity(spec: &ConvLayerSpec, n: usize) -> LayerSparsity {
         weight_polys: enc.groups() * shape.m,
         pattern,
     }
-}
-
-/// The *folded* (half-size) pattern entering the negacyclic FFT of degree
-/// `n`, in natural order.
-pub fn folded_fft_pattern(layer: &LayerSparsity) -> SparsityPattern {
-    let mask = layer.pattern.mask();
-    let half = layer.n / 2;
-    SparsityPattern::from_mask((0..half).map(|j| mask[j] || mask[j + half]).collect())
 }
 
 #[cfg(test)]
@@ -115,7 +106,7 @@ mod tests {
             .find(|l| l.k == 3 && l.stride == 1)
             .unwrap();
         let s = layer_weight_sparsity(l, N);
-        let folded = folded_fft_pattern(&s);
+        let folded = SparsityPattern::folded(N, s.pattern.indices());
         assert_eq!(folded.len(), N / 2);
         assert!(folded.count() <= s.valid_per_poly);
         assert!(folded.count() >= s.valid_per_poly / 2);

@@ -3,7 +3,7 @@
 //! Every layer of the FLASH stack runs data-parallel loops (per-layer
 //! workload extraction, per-channel weight transforms, Monte-Carlo
 //! trials, DSE candidate batches) and rebuilds transform plans (NTT
-//! tables, FFT twiddle/twist tables, symbolic sparsity analyses) on hot
+//! tables, FFT twiddle/twist tables, sparse µop plans) on hot
 //! paths. This crate provides the two shared levers:
 //!
 //! * [`parallel_map`] / [`parallel_map_with`] — a `std::thread::scope`
@@ -17,7 +17,7 @@
 //!   process-wide caches live next to the types they cache
 //!   (`flash_ntt::NttTables::shared`, `flash_fft::NegacyclicFft::shared`,
 //!   `flash_fft::fixed_fft::FixedNegacyclicFft::shared`,
-//!   `flash_sparse::symbolic::analyze_cached`) so the dependency graph
+//!   `flash_sparse::SparsePlan::shared`) so the dependency graph
 //!   stays acyclic; this crate depends only on `std`.
 //! * [`ScratchPool`] — thread-local, size-classed buffer pools with RAII
 //!   checkout ([`Scratch`]), making the transform hot paths

@@ -46,10 +46,12 @@ pub fn simulate_pe(profile: &StageProfile, pe: &PeModel) -> PipelineTrace {
 mod tests {
     use super::*;
     use crate::pattern::SparsityPattern;
-    use crate::symbolic::{analyze_with_profile, DataflowCounts};
+    use crate::plan::SparsePlan;
+    use crate::symbolic::DataflowCounts;
 
     fn profile_of(m: usize, idx: &[usize]) -> (DataflowCounts, StageProfile) {
-        analyze_with_profile(&SparsityPattern::from_indices(m, idx.iter().copied()).bit_reversed())
+        let plan = SparsePlan::compile(&SparsityPattern::from_indices(m, idx.iter().copied()));
+        (*plan.counts(), plan.profile().clone())
     }
 
     #[test]
@@ -91,7 +93,7 @@ mod tests {
     #[test]
     fn dense_pattern_simulation_matches_formula() {
         let pe = PeModel::default();
-        let (counts, profile) = analyze_with_profile(&SparsityPattern::dense(256));
+        let (counts, profile) = profile_of(256, &(0..256).collect::<Vec<_>>());
         let sim = simulate_pe(&profile, &pe);
         // dense: every stage runs m/2 butterflies
         assert!(sim.stage_cycles.iter().all(|&c| c == 128 / 4 + 2));

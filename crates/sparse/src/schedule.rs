@@ -59,7 +59,7 @@ fn div_ceil(a: u64, b: u64) -> u64 {
 mod tests {
     use super::*;
     use crate::pattern::SparsityPattern;
-    use crate::symbolic::analyze;
+    use crate::plan::SparsePlan;
 
     #[test]
     fn dense_cycles_formula() {
@@ -73,16 +73,16 @@ mod tests {
         let pe = PeModel::default();
         let m = 2048;
         let p = SparsityPattern::from_indices(m, (0..9).map(|i| i * 64));
-        let c = analyze(&p.bit_reversed());
-        assert!(pe.sparse_cycles(&c) < pe.dense_cycles(m) / 4);
+        let c = SparsePlan::compile(&p);
+        assert!(pe.sparse_cycles(c.counts()) < pe.dense_cycles(m) / 4);
     }
 
     #[test]
     fn sparse_cycles_equal_dense_for_dense_pattern() {
         let pe = PeModel::default();
         let m = 256;
-        let c = analyze(&SparsityPattern::dense(m));
-        assert_eq!(pe.sparse_cycles(&c), pe.dense_cycles(m));
+        let c = SparsePlan::compile(&SparsityPattern::dense(m));
+        assert_eq!(pe.sparse_cycles(c.counts()), pe.dense_cycles(m));
     }
 
     #[test]

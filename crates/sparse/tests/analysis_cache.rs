@@ -1,23 +1,24 @@
-//! Memoization semantics of the symbolic-analysis cache.
+//! Memoization semantics of the compiled-plan cache, the one memo of the
+//! sparse dataflow's counts.
 
-use flash_sparse::symbolic::{analysis_cache_stats, analyze, analyze_cached, analyze_with_profile};
-use flash_sparse::SparsityPattern;
+use flash_sparse::plan::plan_cache_stats;
+use flash_sparse::{SparsePlan, SparsityPattern};
 use std::sync::Arc;
 
 #[test]
-fn analyze_cached_memoizes_and_matches_uncached() {
+fn shared_plans_memoize_and_match_compile() {
     // Distinct patterns so this test owns its cache keys even though the
     // memo is process-global.
     let p1 = SparsityPattern::from_indices(256, [0usize, 3, 9, 17, 100]);
     let p2 = SparsityPattern::from_indices(256, [1usize, 2, 250]);
 
-    let before = analysis_cache_stats();
-    let a1 = analyze_cached(&p1);
-    let a1_again = analyze_cached(&p1);
-    let a2 = analyze_cached(&p2);
-    let after = analysis_cache_stats();
+    let before = plan_cache_stats();
+    let a1 = SparsePlan::shared(&p1);
+    let a1_again = SparsePlan::shared(&p1);
+    let a2 = SparsePlan::shared(&p2);
+    let after = plan_cache_stats();
 
-    // Same mask -> same Arc, no re-analysis; distinct mask -> new entry.
+    // Same mask -> same Arc, no recompilation; distinct mask -> new entry.
     assert!(
         Arc::ptr_eq(&a1, &a1_again),
         "repeat lookup must hit the memo"
@@ -26,23 +27,26 @@ fn analyze_cached_memoizes_and_matches_uncached() {
     assert!(after.hits > before.hits, "expected a recorded cache hit");
     assert!(after.misses >= before.misses + 2);
 
-    // Memoized results agree exactly with the uncached entry points.
-    assert_eq!(a1.0, analyze(&p1));
-    let (counts, profile) = analyze_with_profile(&p2);
-    assert_eq!(a2.0, counts);
-    assert_eq!(a2.1, profile);
+    // Interned plans count exactly what a fresh compile counts.
+    for (shared, p) in [(&a1, &p1), (&a2, &p2)] {
+        let fresh = SparsePlan::compile(p);
+        assert_eq!(shared.counts(), fresh.counts());
+        assert_eq!(shared.profile(), fresh.profile());
+        assert_eq!(shared.muls(), fresh.muls());
+        assert_eq!(shared.tape_len(), fresh.tape_len());
+    }
 }
 
 #[test]
 fn patterns_differing_only_in_length_do_not_collide() {
     // Same set bits, different pattern lengths: the digest must keep the
-    // exact length so a 64-slot and a 128-slot network never share an
-    // analysis.
+    // exact length so a 64-slot and a 128-slot network never share a
+    // plan.
     let short = SparsityPattern::from_indices(64, [0usize, 5, 9]);
     let long = SparsityPattern::from_indices(128, [0usize, 5, 9]);
-    let a = analyze_cached(&short);
-    let b = analyze_cached(&long);
+    let a = SparsePlan::shared(&short);
+    let b = SparsePlan::shared(&long);
     assert!(!Arc::ptr_eq(&a, &b));
-    assert_eq!(a.0.m, 64);
-    assert_eq!(b.0.m, 128);
+    assert_eq!(a.counts().m, 64);
+    assert_eq!(b.counts().m, 128);
 }

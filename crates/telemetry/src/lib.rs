@@ -19,7 +19,7 @@
 //!   need no `cfg` of their own);
 //! * one [`snapshot()`] that returns every metric in the process —
 //!   registry contents plus the pre-existing counters (NTT/FFT plan
-//!   interners, sparse symbolic-analysis and µop-plan caches, scratch
+//!   interners, the sparse µop-plan cache, scratch
 //!   pools) — as a serializable tree ([`Snapshot::to_json`]).
 //!
 //! # Placement

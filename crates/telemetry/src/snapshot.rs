@@ -2,7 +2,7 @@
 //!
 //! [`snapshot`] merges the registry (counters, gauges, span histograms)
 //! with the pre-existing ad-hoc counter systems — the NTT/FFT plan
-//! interners, the sparse symbolic-analysis and compiled-plan caches,
+//! interners, the sparse compiled-plan cache,
 //! and the scratch pools — so callers report one unified view instead of
 //! stitching four APIs together.
 
@@ -120,10 +120,6 @@ pub fn snapshot() -> Snapshot {
                 "fixed_fft_plans",
                 flash_fft::fixed_fft::FixedNegacyclicFft::shared_cache_stats(),
             ),
-            cache(
-                "sparse_analysis",
-                flash_sparse::symbolic::analysis_cache_stats(),
-            ),
             cache("sparse_plans", pm.stats),
         ],
         pools: vec![
@@ -235,13 +231,7 @@ mod tests {
         let cache_names: Vec<_> = s.caches.iter().map(|c| c.name).collect();
         assert_eq!(
             cache_names,
-            [
-                "ntt_tables",
-                "fft_plans",
-                "fixed_fft_plans",
-                "sparse_analysis",
-                "sparse_plans"
-            ]
+            ["ntt_tables", "fft_plans", "fixed_fft_plans", "sparse_plans"]
         );
         let pool_names: Vec<_> = s.pools.iter().map(|p| p.name).collect();
         assert_eq!(pool_names, ["u64", "f64", "i128", "c64"]);

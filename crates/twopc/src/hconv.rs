@@ -847,12 +847,7 @@ pub fn conv_pack_noise_bound(
 /// so all `(pack, group)` jobs of a band share one interned tape. Callers decide
 /// between the tape and the dense path via [`SparsePlan::worthwhile`].
 pub fn conv_band_plan(encoder: &ConvEncoder, n: usize, b: usize) -> Arc<SparsePlan> {
-    let half = n / 2;
-    let mut mask = vec![false; half];
-    for idx in encoder.weight_indices(b) {
-        mask[idx % half] = true;
-    }
-    SparsePlan::shared(&SparsityPattern::from_mask(mask))
+    SparsePlan::shared(&SparsityPattern::folded(n, encoder.weight_indices(b)))
 }
 
 /// `(upload, download)` payload bytes of one request against `enc` —

@@ -6,19 +6,20 @@
 //!
 //! Reproduces the paper's Examples 4.1 (skipping) and 4.2 (merging) on a
 //! 16-point network, then shows the effect on a real Cheetah-encoded
-//! weight polynomial — with a functional check that the sparse executor
-//! produces bit-identical spectra to the dense FFT.
+//! weight polynomial — with a functional check that the compiled µop
+//! tape produces the same spectrum as the dense negacyclic FFT.
 
+use flash_fft::NegacyclicFft;
 use flash_he::encoding::{ConvEncoder, ConvShape, TileAlignment};
 use flash_math::C64;
-use flash_sparse::executor::SparseFft;
-use flash_sparse::pattern::SparsityPattern;
-use flash_sparse::symbolic::{analyze, twist_mults};
+use flash_sparse::{SparsePlan, SparsityPattern};
 
 fn main() {
+    // The paper's examples give their patterns in bit-reversed (stage-1)
+    // order; a plan compiles from natural order.
     // --- Example 4.1: contiguous valid values -> skipping. ---
-    let p = SparsityPattern::from_indices(16, [0, 1, 2, 3]);
-    let c = analyze(&p);
+    let plan = SparsePlan::compile(&SparsityPattern::from_indices(16, [0, 1, 2, 3]).bit_reversed());
+    let c = plan.counts();
     println!("Example 4.1 (skipping): 4 contiguous valid inputs in a 16-point network");
     println!(
         "  classical: {} mults; sparse: {} mults ({}% reduced — paper: 87.5%)",
@@ -28,8 +29,8 @@ fn main() {
     );
 
     // --- Example 4.2: one isolated value -> merging. ---
-    let p = SparsityPattern::from_indices(16, [6]);
-    let c = analyze(&p);
+    let plan = SparsePlan::compile(&SparsityPattern::from_indices(16, [6]).bit_reversed());
+    let c = plan.counts();
     println!("\nExample 4.2 (merging): single valid input at bit-reversed position 6");
     println!(
         "  classical: {} mults; merged chains: {} mults (paper counts 4, charging ω^0)",
@@ -45,18 +46,12 @@ fn main() {
         m: 1,
         k: 3,
     };
-    let enc = ConvEncoder::with_alignment(shape, 4096, TileAlignment::PowerOfTwo);
+    let n = 4096;
+    let enc = ConvEncoder::with_alignment(shape, n, TileAlignment::PowerOfTwo);
     let idx = enc.weight_indices(0);
-    let natural = SparsityPattern::from_indices(4096, idx.iter().copied());
-    let half = 2048;
-    let folded = SparsityPattern::from_mask(
-        (0..half)
-            .map(|j| natural.get(j) || natural.get(j + half))
-            .collect(),
-    );
-    let counts = analyze(&folded.bit_reversed());
-    let total = counts.mults() + twist_mults(&folded);
-    let dense = 2048 / 2 * 11 + 2048;
+    let plan = SparsePlan::compile(&SparsityPattern::folded(n, idx.iter().copied()));
+    let total = plan.paper_muls();
+    let dense = plan.dense_muls();
     println!("\nResNet-50 stage-1 weight polynomial (9 valid of 4096, aligned layout):");
     println!(
         "  dense FFT: {} mults; sparse dataflow: {} mults ({:.1}% reduced)",
@@ -66,21 +61,18 @@ fn main() {
     );
 
     // --- Functional check: the optimization is an exact rewrite. ---
-    let sp = SparseFft::new(half);
-    let mut input = vec![C64::ZERO; half];
-    for (v, &i) in idx.iter().enumerate().map(|(v, i)| (v as f64 + 1.0, i)) {
-        let slot = i % half;
-        input[slot] += C64::new(v, -v / 2.0);
+    let mut w = vec![0.0f64; n];
+    for (v, &i) in idx.iter().enumerate() {
+        w[i] = v as f64 + 1.0;
     }
-    let sparse_out = sp.transform(&input);
-    let plan = flash_fft::fft64::FftPlan::new(half);
-    let mut dense_out = input.clone();
-    plan.transform(&mut dense_out, flash_fft::dft::Direction::Positive);
+    let mut sparse_out = vec![C64::ZERO; n / 2];
+    plan.execute_f64_into(&w, &mut sparse_out);
+    let dense_out = NegacyclicFft::new(n).forward(&w);
     let max_err = sparse_out
         .iter()
         .zip(&dense_out)
         .map(|(a, b)| (*a - *b).abs())
         .fold(0.0, f64::max);
-    println!("  executor vs dense FFT: max |Δ| = {max_err:.2e} (exact rewrite)");
+    println!("  µop tape vs dense FFT: max |Δ| = {max_err:.2e} (exact rewrite)");
     assert!(max_err < 1e-9);
 }

@@ -191,7 +191,11 @@ fi
 # interpreter, including the exact per-layer ciphertext counts of the
 # benchmark network), the stride-2 path (the fold ≡ strided-reference
 # sweep, the `hconv` unit tests with the folded stem,
-# `run_layer_composition`, and the workload/encoder count equalities).
+# `run_layer_composition`, and the workload/encoder count equalities),
+# and the one sparse dataflow the hardware model reads: the golden pin
+# of its counts and stage profiles, and the two root tests that check
+# the tape's spectrum against the dense transform and its counts
+# against the dense bound (each by exact name).
 # The e2e harness tests enforce exact argmax agreement and the [0.5x,
 # 2x] byte-model band. The golden pins (report rows of both e2e
 # networks; requantizer + logit digests of both plaintext networks),
@@ -233,6 +237,12 @@ if [[ "${1:-}" == "--e2e" ]]; then
     cargo test -q -p flash-accel --test run_layer_composition
     filtered -p flash-accel --test end_to_end stride2_communication_accounting
     filtered -p flash-accel --test cross_validation workload_counts_match_encoder_plan
+    filtered -p flash-sparse --test golden_counts \
+        dataflow_counts_and_profiles_match_their_pins -- --exact
+    filtered -p flash-accel --test cross_validation \
+        counting_and_execution_agree_on_real_patterns -- --exact
+    filtered -p flash-accel --test pipeline_properties \
+        sparse_dataflow_exact_and_never_worse -- --exact
     for t in served_bytes_equal_one_shot_respond_and_every_width_agrees \
         the_benchmark_layers_keep_their_unpacked_partitions \
         a_client_plans_at_the_partition_the_server_announces \

@@ -1,22 +1,20 @@
-//! Cross-model validation: the counting analysis, the functional
-//! executors and the analytical error models must all tell one story.
+//! Cross-model validation: the sparse dataflow's counts, the transforms
+//! that execute and the analytical error models must all tell one story.
 
 use flash_accel::workload::layer_workload;
 use flash_fft::error::{analytical_product_error_variance, monte_carlo_error, ErrorWorkload};
 use flash_fft::fixed_fft::FixedNegacyclicFft;
-use flash_fft::ApproxFftConfig;
+use flash_fft::{ApproxFftConfig, NegacyclicFft};
 use flash_he::encoding::{ConvEncoder, ConvShape, TileAlignment};
 use flash_math::fixed::FxpFormat;
 use flash_math::C64;
 use flash_nn::layers::ConvLayerSpec;
-use flash_sparse::executor::SparseFft;
-use flash_sparse::pattern::SparsityPattern;
-use flash_sparse::symbolic::analyze;
+use flash_sparse::{SparsePlan, SparsityPattern};
 use rand::{Rng, SeedableRng};
 
-/// The symbolic multiplication counter and the value-carrying executor
-/// traverse identical dataflows: wherever the counter claims a butterfly
-/// was skipped, the executor's output still matches the dense transform.
+/// The plan's counts and its µop tape come from one walk: wherever the
+/// counts claim a butterfly was skipped, the tape's output still matches
+/// the dense transform.
 #[test]
 fn counting_and_execution_agree_on_real_patterns() {
     let n = 4096;
@@ -31,27 +29,23 @@ fn counting_and_execution_agree_on_real_patterns() {
         };
         let enc = ConvEncoder::with_alignment(shape, n, TileAlignment::PowerOfTwo);
         let idx = enc.weight_indices(0);
-        // fold to the FFT half-domain
-        let half = n / 2;
-        let mut input = vec![C64::ZERO; half];
+        let mut w = vec![0.0f64; n];
         for &i in &idx {
-            input[i % half] += C64::new(rng.gen_range(-8.0..8.0), 0.0);
+            w[i] = rng.gen_range(-8.0..8.0);
         }
-        let pattern = SparsityPattern::from_mask(input.iter().map(|v| *v != C64::ZERO).collect());
-        let counts = analyze(&pattern.bit_reversed());
+        let plan = SparsePlan::compile(&SparsityPattern::folded(n, idx));
+        let counts = plan.counts();
         assert!(counts.mults() < counts.dense_mults() / 4, "({c},{h},{k})");
 
-        let sp = SparseFft::new(half);
-        let got = sp.transform(&input);
-        let plan = flash_fft::fft64::FftPlan::new(half);
-        let mut want = input.clone();
-        plan.transform(&mut want, flash_fft::dft::Direction::Positive);
+        let mut got = vec![C64::ZERO; n / 2];
+        plan.execute_f64_into(&w, &mut got);
+        let want = NegacyclicFft::new(n).forward(&w);
         let err = got
             .iter()
             .zip(&want)
             .map(|(a, b)| (*a - *b).abs())
             .fold(0.0, f64::max);
-        assert!(err < 1e-6, "({c},{h},{k}): executor error {err}");
+        assert!(err < 1e-6, "({c},{h},{k}): tape error {err}");
     }
 }
 

@@ -6,9 +6,7 @@ use flash_he::encoding::{direct_conv_stride1, ConvEncoder, ConvShape, TileAlignm
 use flash_he::{Poly, SecretKey};
 use flash_math::C64;
 use flash_nn::layers::{conv_reference, ConvLayerSpec};
-use flash_sparse::executor::SparseFft;
-use flash_sparse::pattern::SparsityPattern;
-use flash_sparse::symbolic::analyze;
+use flash_sparse::{SparsePlan, SparsityPattern};
 use proptest::prelude::*;
 use rand::SeedableRng;
 
@@ -82,8 +80,8 @@ proptest! {
         prop_assert_eq!(&aligned, &want);
     }
 
-    /// The sparse executor equals the dense FFT for arbitrary patterns,
-    /// and the counted sparse cost never exceeds the dense cost.
+    /// The sparse µop tape equals the dense negacyclic FFT for arbitrary
+    /// patterns, and the counted sparse cost never exceeds the dense cost.
     #[test]
     fn sparse_dataflow_exact_and_never_worse(
         log_m in 3u32..9,
@@ -93,21 +91,25 @@ proptest! {
         let m = 1usize << log_m;
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         use rand::Rng;
-        let mut input = vec![C64::ZERO; m];
-        for slot in input.iter_mut() {
+        // A live slot j carries coefficients j and j + m of the degree-2m
+        // weight polynomial.
+        let mut w = vec![0.0f64; 2 * m];
+        for j in 0..m {
             if rng.gen_range(0..100) < density_pct {
-                *slot = C64::new(rng.gen_range(-4.0..4.0), rng.gen_range(-4.0..4.0));
+                w[j] = rng.gen_range(-4.0..4.0);
+                w[j + m] = rng.gen_range(-4.0..4.0);
             }
         }
-        let pattern = SparsityPattern::from_mask(input.iter().map(|v| *v != C64::ZERO).collect());
-        let counts = analyze(&pattern.bit_reversed());
+        let plan = SparsePlan::compile(&SparsityPattern::folded(
+            2 * m,
+            (0..2 * m).filter(|&i| w[i] != 0.0),
+        ));
+        let counts = plan.counts();
         prop_assert!(counts.mults() <= counts.dense_mults());
 
-        let sp = SparseFft::new(m);
-        let got = sp.transform(&input);
-        let plan = flash_fft::fft64::FftPlan::new(m);
-        let mut want = input.clone();
-        plan.transform(&mut want, flash_fft::dft::Direction::Positive);
+        let mut got = vec![C64::ZERO; m];
+        plan.execute_f64_into(&w, &mut got);
+        let want = flash_fft::NegacyclicFft::new(2 * m).forward(&w);
         for (a, b) in got.iter().zip(&want) {
             prop_assert!((*a - *b).abs() < 1e-8);
         }
