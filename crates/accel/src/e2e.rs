@@ -686,21 +686,25 @@ mod tests {
             let fold = unit.spec.fold();
             let (shape, kernel) = (fold.shape(), fold.kernel(&unit.weights));
             let proto = ConvProtocol::new(he.clone(), shape, PolyMulBackend::Pow2);
-            let server = proto.server();
+            let plan = proto.server().plan(&kernel).expect("guard");
+            let server = &plan.server;
             assert_eq!(server.layer().truncation(), Some(planned));
             let enc = server.layer().encoder();
             for pack in 0..enc.packs() {
-                let (_, counts) = server.prepare_units(&kernel, pack).expect("guard");
+                let (_, counts) = server.prepare_units(&kernel, pack, plan.fallback[pack]);
                 assert_eq!(counts.fallback, 0, "{} pack={pack}", unit.spec.name);
-                let (noise, err) = server.pack_noise(&kernel, pack);
-                let composed = noise.bound() + err.expect("Pow2 has an error model");
+                let ledger = &plan.ledgers[pack];
+                let composed = ledger.exact
+                    + ledger.truncation
+                    + ledger.approx.expect("Pow2 has an error model");
                 assert!(
-                    composed.log2() <= noise.ceiling().log2() - 1.0,
+                    composed.log2() <= ledger.ceiling.log2() - 1.0,
                     "{} pack={pack}: 2^{:.2} vs ceiling 2^{:.2}",
                     unit.spec.name,
                     composed.log2(),
-                    noise.ceiling().log2()
+                    ledger.ceiling.log2()
                 );
+                assert!(ledger.headroom_bits() >= 1.0);
                 units += enc.bands();
             }
         }
@@ -709,29 +713,27 @@ mod tests {
 
     /// The guard's pricing from the encoded polynomials, kept as the
     /// reference for [`flash_he::encoding::ConvEncoder::pack_norms`]:
-    /// band `b`'s exact-pipeline bound and `Σw²` summed in `f64` over
-    /// every coefficient of every group's polynomial.
+    /// band `b`'s exact-pipeline bound plus truncation, and `Σw²`, summed
+    /// in `f64` over every coefficient of every group's polynomial — fresh
+    /// `6σ`, `+1` share fold, `× ℓ1 + ℓ1` per group, `+1` mask, then
+    /// `2^{d0−1} + 2^{d1−1}·N`.
     fn polynomial_noise_bound(
         params: &flash_he::HeParams,
         w_polys: &[Vec<Vec<i64>>],
         b: usize,
         truncation: Option<(u32, u32)>,
-    ) -> (flash_he::noise::NoiseBound, f64) {
-        use flash_he::noise::NoiseBound;
-        let base = NoiseBound::fresh(params).after_plain_add();
-        let mut acc: Option<NoiseBound> = None;
+    ) -> (f64, f64) {
+        let base = 6.0 * params.noise_std() + 1.0;
+        let mut acc: Option<f64> = None;
         let mut w_sq = 0.0;
         for w_poly in w_polys {
             let band = &w_poly[b];
             let l1: f64 = band.iter().map(|&v| (v as f64).abs()).sum();
             w_sq += band.iter().map(|&v| (v as f64) * (v as f64)).sum::<f64>();
-            let nb = base.after_plain_mul(l1);
-            acc = Some(match acc {
-                None => nb,
-                Some(a) => a.after_ct_add(&nb),
-            });
+            let nb = base * l1 + l1;
+            acc = Some(acc.map_or(nb, |a| a + nb));
         }
-        let mut nb = acc.unwrap_or(base).after_plain_add();
+        let mut bound = acc.unwrap_or(base) + 1.0;
         if let Some((d0, d1)) = truncation {
             let pow = |d: u32| {
                 if d == 0 {
@@ -740,31 +742,35 @@ mod tests {
                     (2.0f64).powi(d as i32 - 1)
                 }
             };
-            nb = nb.after_computation_error(pow(d0) + pow(d1) * params.n as f64);
+            bound += pow(d0) + pow(d1) * params.n as f64;
         }
-        (nb, w_sq)
+        (bound, w_sq)
     }
 
-    /// `(bound, Σw²)` from the kernel norms equals the polynomial form on
-    /// every band of every pack of `server`'s layer, bit for bit.
+    /// `(bound, Σw²)` from the kernel norms — every pack's ledger and the
+    /// norms it prices — equals the polynomial form on every band of every
+    /// pack of `server`'s layer, bit for bit, and so does the approximate
+    /// term priced at the polynomials' `Σw²`.
     fn assert_norms_price_like_polynomials(server: &flash_2pc::HconvServer, kernel: &[i64]) {
         let layer = server.layer();
         let enc = layer.encoder();
-        for pack in 0..enc.packs() {
-            let norms = enc.pack_norms(kernel, pack);
-            let (bound, w_sq) =
-                flash_2pc::hconv::conv_pack_noise_bound(layer.params(), &norms, layer.truncation());
+        let model = PolyMulBackend::Pow2.error_model(layer.params()).unwrap();
+        for (pack, ledger) in server.ledgers(kernel).iter().enumerate() {
+            let bound = ledger.exact + ledger.truncation;
+            let w_sq: f64 = enc.pack_norms(kernel, pack).iter().map(|&(_, sq)| sq).sum();
             let w_polys = enc.encode_pack(kernel, pack);
             for b in 0..enc.bands() {
                 let (want, want_sq) =
                     polynomial_noise_bound(layer.params(), &w_polys, b, layer.truncation());
                 assert_eq!(
-                    (bound.bound().to_bits(), w_sq.to_bits()),
-                    (want.bound().to_bits(), want_sq.to_bits()),
+                    (bound.to_bits(), w_sq.to_bits()),
+                    (want.to_bits(), want_sq.to_bits()),
                     "{} at {:?}, pack {pack} band {b}",
                     enc.shape(),
                     layer.partition()
                 );
+                let want_err = model.phase_error_bound(layer.params(), want_sq, w_polys.len());
+                assert_eq!(ledger.approx.map(f64::to_bits), Some(want_err.to_bits()));
             }
         }
     }

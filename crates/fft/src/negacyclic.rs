@@ -19,7 +19,6 @@ use crate::dft::Direction;
 use crate::fft64::FftPlan;
 use crate::simd::{self, tile, C64x, F64x, SimdLevel};
 use flash_math::bitrev::bit_reverse as bitrev;
-use flash_math::modular::center_lift;
 use flash_math::C64;
 use flash_runtime::{CacheStats, Interner, F64_SCRATCH};
 use std::sync::Arc;
@@ -148,32 +147,6 @@ impl NegacyclicFft {
     /// Panics if `a.len() != N` or `out.len() != N/2`.
     pub fn forward_into(&self, a: &[f64], out: &mut [C64]) {
         self.fold_twist_into(a, out);
-        self.plan.transform(out, Direction::Positive);
-    }
-
-    /// Forward transform of a residue polynomial: fuses the
-    /// `u64 → (−q/2, q/2] → f64` center lift into the fold-and-twist
-    /// stage, so no staged `f64` buffer is needed. This is the integer
-    /// entry point of the lifted ciphertext backends (prime and
-    /// power-of-two alike — only the center lift depends on `q`).
-    ///
-    /// Bit-identical to center-lifting into a buffer and calling
-    /// [`NegacyclicFft::forward_into`]: the lift, the fold, and the
-    /// twist multiply are the same operations in the same order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a.len() != N` or `out.len() != N/2`.
-    pub fn forward_residues_into(&self, a: &[u64], q: u64, out: &mut [C64]) {
-        assert_eq!(a.len(), self.n, "polynomial length must equal degree");
-        let half = self.n / 2;
-        assert_eq!(out.len(), half, "output length must be N/2");
-        for (j, o) in out.iter_mut().enumerate() {
-            *o = C64::new(
-                center_lift(a[j], q) as f64,
-                center_lift(a[j + half], q) as f64,
-            ) * self.twist[j];
-        }
         self.plan.transform(out, Direction::Positive);
     }
 
@@ -831,7 +804,6 @@ mod fused8 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flash_math::prime::ntt_prime;
     use rand::{Rng, SeedableRng};
 
     #[test]
@@ -876,25 +848,6 @@ mod tests {
         let c = plan.polymul_i64(&a, &b);
         assert_eq!(c[0], -1);
         assert!(c[1..].iter().all(|&x| x == 0));
-    }
-
-    #[test]
-    fn fused_residue_forward_is_bit_identical_to_staged_lift() {
-        let n = 256usize;
-        let plan = NegacyclicFft::new(n);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(0x1F7);
-        for q in [ntt_prime(36, n as u64).unwrap(), 1u64 << 62] {
-            let a: Vec<u64> = (0..n).map(|_| rng.gen_range(0..q)).collect();
-            let staged: Vec<f64> = a.iter().map(|&x| center_lift(x, q) as f64).collect();
-            let mut want = vec![C64::ZERO; n / 2];
-            plan.forward_into(&staged, &mut want);
-            let mut got = vec![C64::ZERO; n / 2];
-            plan.forward_residues_into(&a, q, &mut got);
-            for (g, w) in got.iter().zip(&want) {
-                assert_eq!(g.re.to_bits(), w.re.to_bits(), "q={q}");
-                assert_eq!(g.im.to_bits(), w.im.to_bits(), "q={q}");
-            }
-        }
     }
 
     #[test]

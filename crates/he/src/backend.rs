@@ -88,9 +88,7 @@ impl ApproxErrorModel {
     /// component's error passes through the `c1·s` product of the
     /// decryption phase (ternary key, `E[s²] = 2/3`), inflating the phase
     /// variance by `2N/3`, and the tail factor 6 matches
-    /// [`NoiseBound::fresh`]'s convention.
-    ///
-    /// [`NoiseBound::fresh`]: crate::noise::NoiseBound::fresh
+    /// [`crate::noise::fresh_bound`]'s convention.
     pub fn phase_error_bound(&self, params: &HeParams, w_sq_sum: f64, groups: usize) -> f64 {
         let q = params.q as f64;
         let act_var = q * q / 12.0;
@@ -469,7 +467,7 @@ impl BandAccumulator {
 mod tests {
     use super::*;
     use crate::keys::SecretKey;
-    use crate::noise::NoiseBound;
+    use crate::noise::fresh_bound;
     use crate::params::HeParams;
     use flash_fft::ApproxFftConfig;
     use flash_math::fixed::FxpFormat;
@@ -635,13 +633,12 @@ mod tests {
 
             let l1: f64 = w.iter().map(|&x| x.abs() as f64).sum();
             let sq: f64 = w.iter().map(|&x| (x * x) as f64).sum();
-            let bound = NoiseBound::fresh(&p)
-                .after_plain_mul(l1)
-                .after_computation_error(model.phase_error_bound(&p, sq, 1));
+            // fresh → ⊠ w (noise × ℓ1 + the wraparound carry ℓ1) → the
+            // model's phase error
+            let bound = fresh_bound(&p) * l1 + l1 + model.phase_error_bound(&p, sq, 1);
             assert!(
-                measured <= bound.bound(),
-                "frac={frac}: measured {measured} vs bound {}",
-                bound.bound()
+                measured <= bound,
+                "frac={frac}: measured {measured} vs bound {bound}"
             );
         }
     }
@@ -679,24 +676,20 @@ mod tests {
                 let ct = BandAccumulator::finish_bands(vec![acc], &p).remove(0);
 
                 let mut want = Poly::zero(p.n, p.t);
-                let mut exact: Option<NoiseBound> = None;
+                let mut exact = 0.0;
                 let mut sq = 0.0;
                 for (m, w) in ms.iter().zip(&ws) {
                     let mw = negacyclic_mul_naive(m.coeffs(), &residues(w, p.t), p.t);
                     want = want.add(&Poly::from_coeffs(mw, p.t));
                     let l1: f64 = w.iter().map(|&x| x.abs() as f64).sum();
                     sq += w.iter().map(|&x| (x * x) as f64).sum::<f64>();
-                    let term = NoiseBound::fresh(&p).after_plain_mul(l1);
-                    exact = Some(exact.map_or(term, |e| e.after_ct_add(&term)));
+                    exact += fresh_bound(&p) * l1 + l1;
                 }
-                let bound = exact
-                    .unwrap()
-                    .after_computation_error(model.phase_error_bound(&p, sq, groups));
+                let bound = exact + model.phase_error_bound(&p, sq, groups);
                 let measured = sk.noise(&ct, &want).inf_norm() as f64;
                 assert!(
-                    measured <= bound.bound(),
-                    "frac={frac} G={groups}: measured {measured} vs bound {}",
-                    bound.bound()
+                    measured <= bound,
+                    "frac={frac} G={groups}: measured {measured} vs bound {bound}"
                 );
             }
         }

@@ -122,23 +122,6 @@ pub enum TileAlignment {
     PowerOfTwo,
 }
 
-/// One tile of the tiled convolution: a channel range × a row band.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TileSpec {
-    /// First input channel of the group.
-    pub c0: usize,
-    /// Channels in this group (zero-padded up to the layout's group size).
-    pub c_len: usize,
-    /// First input row of the band.
-    pub row0: usize,
-    /// Input rows in the band (`rows_out + k − 1`).
-    pub rows_in: usize,
-    /// First *output* row this band produces.
-    pub out_row0: usize,
-    /// Output rows this band produces.
-    pub rows_out: usize,
-}
-
 /// The tiling plan of one convolution into degree-`n` polynomials.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConvEncoder {
@@ -358,21 +341,6 @@ impl ConvEncoder {
             self.row_stride,
             Self::chan_stride_for(rows_in, self.row_stride, self.alignment),
         )
-    }
-
-    /// Row geometry of band `b` as a [`TileSpec`] with the full channel
-    /// group (callers needing per-group specs combine with
-    /// [`ConvEncoder::groups`]).
-    pub fn band_spec(&self, b: usize) -> TileSpec {
-        let (row0, rows_in, out_row0, rows_out) = self.bands[b];
-        TileSpec {
-            c0: 0,
-            c_len: self.cg,
-            row0,
-            rows_in,
-            out_row0,
-            rows_out,
-        }
     }
 
     /// Encodes the activation tensor (`c·h·w` row-major) into

@@ -23,7 +23,7 @@
 //! comes from the parameter set's [`crate::poly::ErrorSampler`], a
 //! constant-time table sampler of the rounded Gaussian clipped at
 //! `⌊6σ⌋` — the clip moves `≈ 10⁻⁹` of the mass at σ = 3.2 onto
-//! `±⌊6σ⌋` and makes [`crate::noise::NoiseBound::fresh`]'s `6σ` the
+//! `±⌊6σ⌋` and makes [`crate::noise::fresh_bound`]'s `6σ` the
 //! support. Both draw from the caller's RNG, which in this workspace is
 //! the same emulation-grade xoshiro256** generator; a deployment would
 //! draw them from a cryptographic PRG.

@@ -1,139 +1,107 @@
-//! Analytical noise-growth tracking.
+//! One layer pack's decryption-noise ledger.
 //!
 //! The kernel-level robustness argument of the paper rests on the BFV
-//! invariant `‖noise‖_∞ < q/(2t)`. This module provides a conservative
-//! analytical bound that composes across the protocol's homomorphic
-//! operations, so parameter sets can be validated without running the
-//! pipeline (and so the approximate-FFT error budget — the slack between
-//! the bound and the ceiling — is explicit).
+//! invariant `‖noise‖_∞ < q/(2t)`: every layer has that budget, and
+//! approximate arithmetic may spend what the exact pipeline and the
+//! response truncation leave of it. [`NoiseLedger`] holds one
+//! output-channel pack's worst-case terms against the ceiling, priced
+//! once from the pack's kernel norms, and carries the guard's two rules
+//! (overflow and fallback) and the headroom they leave.
 
+use crate::backend::PolyMulBackend;
+use crate::error::HeError;
 use crate::params::HeParams;
+use crate::truncate::truncation_noise;
 
-/// A conservative `‖noise‖_∞` bound, composed operation by operation.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct NoiseBound {
-    bound: f64,
-    ceiling: f64,
+/// Noise bound of a fresh symmetric encryption: `6σ`, which covers the
+/// sampler's support — [`crate::poly::ErrorSampler`] clips every error
+/// coefficient at `⌊6σ⌋`, so this is a worst case, not a tail estimate.
+pub fn fresh_bound(params: &HeParams) -> f64 {
+    6.0 * params.noise_std()
 }
 
-impl NoiseBound {
-    /// Noise bound of a fresh symmetric encryption: `B = 6σ`, which
-    /// covers the sampler's support — [`crate::poly::ErrorSampler`]
-    /// clips every error coefficient at `⌊6σ⌋`, so this is a worst
-    /// case, not a tail estimate.
-    pub fn fresh(params: &HeParams) -> Self {
-        Self {
-            bound: 6.0 * params.noise_std(),
+/// The named noise terms of one layer pack's responses against the
+/// decryption ceiling `q/(2t)`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct NoiseLedger {
+    /// The exact pipeline's worst-case `‖noise‖_∞`: a fresh encryption,
+    /// the server's share folded in, one weight multiply per channel
+    /// group accumulated into the response, the output mask.
+    pub exact: f64,
+    /// The agreed response truncation's worst-case error
+    /// ([`truncation_noise`]; 0 when responses travel whole).
+    pub truncation: f64,
+    /// The approximate product's phase-error bound
+    /// ([`crate::backend::ApproxErrorModel`]); `None` on the exact `Ntt`.
+    pub approx: Option<f64>,
+    /// The decryption ceiling `q/(2t)`.
+    pub ceiling: f64,
+}
+
+impl NoiseLedger {
+    /// Prices one pack from its kernel norms: per channel group, the
+    /// `(ℓ1, Σw²)` of the weight polynomial holding every kernel of the
+    /// pack ([`crate::encoding::ConvEncoder::pack_norms`]).
+    ///
+    /// * exact — `6σ` fresh, `+1` for the share fold (with `q ≡ 1 mod t`
+    ///   the rounding residue of `ct ⊞ pt` is at most 1), per group
+    ///   `× ℓ1 + ℓ1` (the noise scales by the weights' 1-norm, plus the
+    ///   plaintext-ring wraparound carry), summed over groups, `+1` for
+    ///   the mask subtract;
+    /// * truncation — [`truncation_noise`] of the agreed pair;
+    /// * approx — the backend's error model over the pack's total `Σw²`
+    ///   and group count.
+    pub fn new(
+        params: &HeParams,
+        norms: &[(f64, f64)],
+        truncation: Option<(u32, u32)>,
+        backend: &PolyMulBackend,
+    ) -> Self {
+        let folded = fresh_bound(params) + 1.0;
+        let exact = norms.iter().map(|&(l1, _)| folded * l1 + l1).sum::<f64>() + 1.0;
+        let w_sq = norms.iter().map(|&(_, sq)| sq).sum();
+        NoiseLedger {
+            exact,
+            truncation: truncation.map_or(0.0, |pair| truncation_noise(params, pair)),
+            approx: backend
+                .error_model(params)
+                .map(|model| model.phase_error_bound(params, w_sq, norms.len())),
             ceiling: params.noise_ceiling() as f64,
         }
     }
 
-    /// Noise bound of a fresh public-key encryption:
-    /// `B = 6σ·(2N·‖u‖_∞ + 1) ≈ 6σ(2N + 1)` for ternary `u` — again over
-    /// the sampler's support (`|e|, |e1|, |e2| ≤ ⌊6σ⌋`), so a worst case.
-    pub fn fresh_public(params: &HeParams) -> Self {
-        Self {
-            bound: 6.0 * params.noise_std() * (2.0 * params.n as f64 + 1.0),
-            ceiling: params.noise_ceiling() as f64,
-        }
-    }
-
-    /// The current bound.
-    pub fn bound(&self) -> f64 {
-        self.bound
-    }
-
-    /// The decryption ceiling `q/(2t)` this bound is tracked against.
-    pub fn ceiling(&self) -> f64 {
-        self.ceiling
-    }
-
-    /// Typed form of [`NoiseBound::is_safe`]: `Ok(())` while decryption
-    /// is guaranteed correct, otherwise the overflow as an error.
-    pub fn check(&self) -> Result<(), crate::error::HeError> {
-        if self.is_safe() {
+    /// The overflow rule: `Ok(())` while exact + truncation stays below
+    /// the ceiling — decryption is guaranteed on the exact path.
+    ///
+    /// # Errors
+    ///
+    /// [`HeError::NoiseOverflow`] with that sum as the bound otherwise.
+    pub fn check(&self) -> Result<(), HeError> {
+        let bound = self.exact + self.truncation;
+        if bound < self.ceiling {
             Ok(())
         } else {
-            Err(crate::error::HeError::NoiseOverflow {
-                bound: self.bound,
+            Err(HeError::NoiseOverflow {
+                bound,
                 ceiling: self.ceiling,
             })
         }
     }
 
-    /// Remaining budget in bits (`log2(ceiling) − log2(bound)`); negative
-    /// means decryption may fail.
-    pub fn budget_bits(&self) -> f64 {
-        self.ceiling.log2() - self.bound.max(1.0).log2()
+    /// The fallback rule: whether exact + truncation + approx reaches
+    /// `margin × q/(2t)`, so the pack must take the exact path. Never on
+    /// a backend without an error model.
+    pub fn falls_back(&self, margin: f64) -> bool {
+        self.approx
+            .is_some_and(|e| self.exact + self.truncation + e >= margin * self.ceiling)
     }
 
-    /// Whether decryption is guaranteed correct.
-    pub fn is_safe(&self) -> bool {
-        self.bound < self.ceiling
+    /// Bits between the sum of every term and the ceiling; negative when
+    /// decryption may fail.
+    pub fn headroom_bits(&self) -> f64 {
+        let total = self.exact + self.truncation + self.approx.unwrap_or(0.0);
+        self.ceiling.log2() - total.max(1.0).log2()
     }
-
-    /// After `ct ⊞ pt` / `ct ⊟ pt`: with `q ≡ 1 (mod t)` the rounding
-    /// residue adds at most `t/2`-scaled carry × 1 — effectively `+1`.
-    pub fn after_plain_add(self) -> Self {
-        Self {
-            bound: self.bound + 1.0,
-            ..self
-        }
-    }
-
-    /// After `ct ⊠ w` for a plaintext with 1-norm `w_l1` (the sum of
-    /// coefficient magnitudes): noise multiplies by `w_l1`, plus the
-    /// plaintext-ring wraparound carry (`≤ w_l1·t/2` products wrapping
-    /// into a unit residue each, bounded by `w_l1`).
-    pub fn after_plain_mul(self, w_l1: f64) -> Self {
-        Self {
-            bound: self.bound * w_l1 + w_l1,
-            ..self
-        }
-    }
-
-    /// After `ct ⊞ ct`.
-    pub fn after_ct_add(self, other: &NoiseBound) -> Self {
-        Self {
-            bound: self.bound + other.bound,
-            ..self
-        }
-    }
-
-    /// After injecting an approximate-FFT computation error with absolute
-    /// bound `err` (the FLASH error budget consumes noise headroom
-    /// directly).
-    pub fn after_computation_error(self, err: f64) -> Self {
-        Self {
-            bound: self.bound + err,
-            ..self
-        }
-    }
-}
-
-/// Validates that one homomorphic convolution (`groups` accumulated
-/// `ct⊠w` terms of 1-norm ≤ `w_l1`, plus a share add and a mask subtract)
-/// stays decryptable under the *worst-case* bound, returning the
-/// remaining budget in bits.
-pub fn hconv_budget_bits(params: &HeParams, w_l1: f64, groups: u32) -> f64 {
-    let one = NoiseBound::fresh(params)
-        .after_plain_add() // server's share
-        .after_plain_mul(w_l1);
-    let mut acc = one;
-    for _ in 1..groups {
-        acc = acc.after_ct_add(&one);
-    }
-    acc.after_plain_add().budget_bits() // mask subtract
-}
-
-/// Average-case (standard-deviation-composition) budget for the same
-/// chain: `σ_out = 6·σ·w_l2·√groups`. This is the heuristic real
-/// parameter selection uses — worst-case 1-norm bounds are vacuously
-/// loose for Gaussian noise against signed weights.
-pub fn hconv_budget_bits_avg(params: &HeParams, w_l2: f64, groups: u32) -> f64 {
-    let sigma_out = params.noise_std() * w_l2 * (groups as f64).sqrt();
-    let bound = 6.0 * sigma_out + 2.0; // plain add/sub residues
-    (params.noise_ceiling() as f64).log2() - bound.max(1.0).log2()
 }
 
 #[cfg(test)]
@@ -141,7 +109,7 @@ mod tests {
     use super::*;
     use crate::keys::SecretKey;
     use crate::poly::Poly;
-    use crate::PolyMulBackend;
+    use crate::truncate::planned_truncation;
     use rand::{Rng, SeedableRng};
 
     #[test]
@@ -149,16 +117,11 @@ mod tests {
         let p = HeParams::test_256();
         let mut rng = rand::rngs::StdRng::seed_from_u64(1);
         let sk = SecretKey::generate(&p, &mut rng);
-        let pk = sk.public_key(&mut rng);
-        let bound = NoiseBound::fresh(&p);
-        let bound_pk = NoiseBound::fresh_public(&p);
         for seed in 0..5u64 {
             let mut r = rand::rngs::StdRng::seed_from_u64(seed);
             let m = Poly::uniform(p.n, p.t, &mut r);
             let ct = sk.encrypt(&m, &mut r);
-            assert!((sk.noise(&ct, &m).inf_norm() as f64) <= bound.bound());
-            let ct = pk.encrypt(&m, &mut r);
-            assert!((sk.noise(&ct, &m).inf_norm() as f64) <= bound_pk.bound());
+            assert!((sk.noise(&ct, &m).inf_norm() as f64) <= fresh_bound(&p));
         }
     }
 
@@ -170,11 +133,12 @@ mod tests {
         let m = Poly::uniform(p.n, p.t, &mut rng);
         let share = Poly::uniform(p.n, p.t, &mut rng);
         let mut w = vec![0i64; p.n];
-        let mut l1 = 0f64;
+        let (mut l1, mut sq) = (0f64, 0f64);
         for i in 0..9 {
             let v = rng.gen_range(-8i64..8);
             w[i * 13] = v;
             l1 += v.abs() as f64;
+            sq += (v * v) as f64;
         }
         let ct = sk
             .encrypt(&m, &mut rng)
@@ -192,40 +156,57 @@ mod tests {
         );
         let expected2 = mw.add(&mw);
 
-        let bound = NoiseBound::fresh(&p)
-            .after_plain_add()
-            .after_plain_mul(l1.max(1.0));
-        let bound2 = bound.after_ct_add(&bound);
+        // Two channel groups of the same weights.
+        let norms = [(l1.max(1.0), sq); 2];
+        let ledger = NoiseLedger::new(&p, &norms, None, &PolyMulBackend::Ntt);
         let measured2 = sk.noise(&ct2, &expected2).inf_norm() as f64;
         assert!(
-            measured2 <= bound2.bound(),
+            measured2 <= ledger.exact,
             "measured {measured2} vs bound {}",
-            bound2.bound()
+            ledger.exact
         );
-        assert!(bound2.is_safe());
+        assert!(ledger.check().is_ok());
     }
 
     #[test]
     fn hconv_budget_positive_at_paper_parameters() {
-        let p = HeParams::flash_default();
-        // worst ResNet-50 tile: 16 channels x 9 taps of 4-bit weights
-        let w_l2 = (16.0f64 * 9.0 * 64.0).sqrt();
-        let bits = hconv_budget_bits_avg(&p, w_l2, 16);
+        // The worst ResNet-50 tile: 16 groups of 16 channels × 9 taps of
+        // 4-bit weights. At the paper's N = 4096 on the executed
+        // power-of-two ring, exact + planned truncation + the f64 product
+        // leave more than a bit; on the 39-bit prime ring the worst-case
+        // exact bound alone overflows.
+        let norms = [(16.0 * 9.0 * 8.0, 16.0 * 9.0 * 64.0); 16];
+        let p = HeParams::flash_pow2();
+        let ledger = NoiseLedger::new(
+            &p,
+            &norms,
+            Some(planned_truncation(&p)),
+            &PolyMulBackend::Pow2,
+        );
+        assert!(ledger.check().is_ok() && !ledger.falls_back(1.0));
+        let bits = ledger.headroom_bits();
         assert!(
             bits > 1.0,
             "paper parameters must leave budget: {bits} bits"
         );
-        // the worst-case bound is (expectedly) much tighter
-        let wc = hconv_budget_bits(&p, 16.0 * 9.0 * 8.0, 16);
-        assert!(wc < bits);
+        let prime = HeParams::flash_default();
+        let wc = NoiseLedger::new(&prime, &norms, None, &PolyMulBackend::Ntt);
+        assert!(wc.check().is_err());
+        assert!(wc.headroom_bits() < bits);
     }
 
     #[test]
     fn budget_exhausts_for_absurd_norms() {
         let p = HeParams::test_256();
-        let bits = hconv_budget_bits(&p, 1e12, 64);
-        assert!(bits < 0.0);
-        let nb = NoiseBound::fresh(&p).after_computation_error(1e18);
-        assert!(!nb.is_safe());
+        let ledger = NoiseLedger::new(&p, &[(1e12, 1e24); 64], None, &PolyMulBackend::Ntt);
+        assert!(ledger.headroom_bits() < 0.0);
+        assert!(matches!(ledger.check(), Err(HeError::NoiseOverflow { .. })));
+        let approx = NoiseLedger {
+            approx: Some(1e18),
+            ..NoiseLedger::new(&p, &[(1.0, 1.0)], None, &PolyMulBackend::Ntt)
+        };
+        assert!(approx.check().is_ok());
+        assert!(approx.falls_back(1.0));
+        assert!(approx.headroom_bits() < 0.0);
     }
 }

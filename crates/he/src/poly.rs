@@ -244,12 +244,6 @@ impl Poly {
         }
     }
 
-    /// Sets coefficient `i` (must be reduced).
-    pub fn set_coeff(&mut self, i: usize, v: u64) {
-        assert!(v < self.modulus);
-        self.coeffs[i] = v;
-    }
-
     /// Center-lifted coefficients in `(-m/2, m/2]`.
     pub fn lifted(&self) -> Vec<i64> {
         self.coeffs

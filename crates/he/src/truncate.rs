@@ -24,9 +24,10 @@
 //! Every conv layer agrees on [`planned_truncation`] by default: the
 //! largest pair whose worst-case error stays within
 //! [`TRUNCATION_SHARE`] (¼) of the decryption ceiling `q/(2t)`. It
-//! depends on the parameters only; the per-unit noise guard adds the
-//! same truncation term to every unit's exact bound, so the split is
-//! checked where every other noise term is.
+//! depends on the parameters only; every pack's
+//! [`crate::noise::NoiseLedger`] carries the same [`truncation_noise`]
+//! term next to its exact bound, so the split is checked where every
+//! other noise term is.
 
 use crate::cipher::Ciphertext;
 use crate::params::HeParams;
@@ -199,63 +200,40 @@ impl TruncatedCiphertext {
         Ok(Ciphertext::new(c0, c1))
     }
 
-    /// [`TruncatedCiphertext::response_from_bytes_at`] of a response that
-    /// carries every coefficient of `c0`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WireError`] when the bytes are rejected.
-    pub fn response_from_bytes(
-        buf: &[u8],
-        truncation: Option<(u32, u32)>,
-        params: &HeParams,
-    ) -> Result<Ciphertext, WireError> {
-        Self::response_from_bytes_at(buf, 0..params.n, truncation, params)
-    }
-
-    /// Worst-case noise added by the truncation: `2^{d0-1}` from `c0`
-    /// plus `2^{d1-1}·‖s‖₁` from `c1` (ternary key: `‖s‖₁ ≤ N`).
+    /// Worst-case noise added by the truncation ([`truncation_noise`] of
+    /// its pair).
     pub fn noise_bound(&self, params: &HeParams) -> f64 {
-        let e0 = if self.d0 == 0 {
-            0.0
-        } else {
-            (2.0f64).powi(self.d0 as i32 - 1)
-        };
-        let e1 = if self.d1 == 0 {
-            0.0
-        } else {
-            (2.0f64).powi(self.d1 as i32 - 1)
-        };
-        e0 + e1 * params.n as f64
+        truncation_noise(params, (self.d0, self.d1))
     }
 }
 
-/// Picks the largest `(d0, d1)` whose combined truncation noise — the
-/// exact [`TruncatedCiphertext::noise_bound`] expression
-/// `2^{d0-1} + 2^{d1-1}·N` — stays within `margin` times the remaining
-/// noise budget `budget_abs`. Half the target is reserved for each
-/// component, then `d1` grows into whatever `d0` left unused.
-///
-/// The previous version compared `2^{d1}·N/2 < target/2`: the spurious
-/// `/2` on both sides cancelled, and together with the post-loop
-/// decrement it left one admissible bit of `d1` (a factor-2× tighter
-/// truncation than the bound allows) on the table.
+/// Worst-case noise that truncating a response at `(d0, d1)` adds to its
+/// phase: `2^{d0-1}` from `c0` plus `2^{d1-1}·‖s‖₁` from `c1` (ternary
+/// key: `‖s‖₁ ≤ N`). An untruncated component adds nothing.
+pub fn truncation_noise(params: &HeParams, (d0, d1): (u32, u32)) -> f64 {
+    let half = |d: u32| {
+        if d == 0 {
+            0.0
+        } else {
+            (2.0f64).powi(d as i32 - 1)
+        }
+    };
+    half(d0) + half(d1) * params.n as f64
+}
+
+/// Picks the largest `(d0, d1)` whose [`truncation_noise`] stays within
+/// `margin` times the remaining noise budget `budget_abs`. Half the
+/// target is reserved for `c0`, then `d1` grows into whatever `d0` left
+/// unused.
 pub fn safe_truncation(params: &HeParams, budget_abs: f64, margin: f64) -> (u32, u32) {
     let target = budget_abs * margin;
     let max_d = 40.min(modulus_bits(params.q) - 1);
-    // largest d0 with 2^{d0-1} <= target/2
     let mut d0 = 0u32;
-    while d0 < max_d && (2.0f64).powi(d0 as i32) <= target / 2.0 {
+    while d0 < max_d && truncation_noise(params, (d0 + 1, 0)) <= target / 2.0 {
         d0 += 1;
     }
-    let e0 = if d0 == 0 {
-        0.0
-    } else {
-        (2.0f64).powi(d0 as i32 - 1)
-    };
-    // largest d1 with e0 + 2^{d1-1}·N <= target
     let mut d1 = 0u32;
-    while d1 < max_d && e0 + (2.0f64).powi(d1 as i32) * params.n as f64 <= target {
+    while d1 < max_d && truncation_noise(params, (d0, d1 + 1)) <= target {
         d1 += 1;
     }
     (d0, d1)
@@ -442,7 +420,7 @@ mod tests {
                 p.q
             );
             assert_eq!(
-                TruncatedCiphertext::response_from_bytes(&bytes, Some((8, 2)), &p),
+                TruncatedCiphertext::response_from_bytes_at(&bytes, 0..p.n, Some((8, 2)), &p),
                 Err(WireError::TrailingBytes { extra: 1 })
             );
         }

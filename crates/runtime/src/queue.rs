@@ -82,19 +82,6 @@ impl<T> WorkQueue<T> {
         Ok(())
     }
 
-    /// Enqueues only if there is room right now; `Err` carries the item
-    /// back on a full or closed queue.
-    pub fn try_push(&self, item: T) -> Result<(), QueueClosed<T>> {
-        let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        if st.closed || st.items.len() >= self.cap {
-            return Err(QueueClosed(item));
-        }
-        st.items.push_back(item);
-        drop(st);
-        self.not_empty.notify_one();
-        Ok(())
-    }
-
     /// Blocks until an item is available; `None` means the queue was
     /// closed and fully drained (the consumer's shutdown signal).
     pub fn pop(&self) -> Option<T> {
@@ -144,11 +131,6 @@ impl<T> WorkQueue<T> {
         drop(st);
         self.not_empty.notify_all();
         self.not_full.notify_all();
-    }
-
-    /// Whether [`WorkQueue::close`] has been called.
-    pub fn is_closed(&self) -> bool {
-        self.state.lock().unwrap_or_else(|e| e.into_inner()).closed
     }
 }
 

@@ -3,12 +3,12 @@
 //! A [`ModelSpec`] is what an operator registers: parameters, layer
 //! shape, backend, plaintext weights, and the protocol knobs of
 //! [`flash_2pc::ConvProtocol`]. Registration compiles it into a
-//! [`ModelPlan`]: [`HconvServer::guarded`] picks the partition and
-//! [`HconvServer::prepare_units`] — the weight-only half of the
-//! pipeline's **respond** stage (the noise-guard verdict priced from the
-//! pack's kernel norms, encode, the forward weight transforms) — runs
-//! once for every output-channel pack,
-//! and the units are shared by every session and request against the model.
+//! [`ModelPlan`]: [`HconvServer::plan`] prices the weights once — the
+//! partition they are served at and every pack's noise-guard verdict —
+//! and [`HconvServer::prepare_units`] — the weight-only half of the
+//! pipeline's **respond** stage (encode, the forward weight transforms
+//! at the pack's verdict) — runs once for every output-channel pack, and
+//! the units are shared by every session and request against the model.
 //! A model whose exact-path bound overflows the decryption ceiling is
 //! refused here, before any session can name it.
 
@@ -87,8 +87,9 @@ pub struct ModelPlan {
 
 impl ModelPlan {
     /// Compiles a registered model: plans the partition its weights are
-    /// served at ([`HconvServer::guarded`]), then prepares every
-    /// output-channel pack's units once, for reuse by every request.
+    /// served at and every pack's verdict ([`HconvServer::plan`]), then
+    /// prepares every output-channel pack's units once, for reuse by
+    /// every request.
     ///
     /// # Errors
     ///
@@ -103,22 +104,21 @@ impl ModelPlan {
     /// ring family disagree, or on weight-size mismatches with the shape
     /// (operator-side contract violations).
     pub fn build(spec: ModelSpec) -> Result<ModelPlan, ServeError> {
-        let server = HconvServer::new(
+        let served = HconvServer::new(
             HconvLayer::new(spec.params, spec.shape, spec.truncation),
             spec.backend,
             spec.noise_margin,
         )
-        .guarded(&spec.weights)
-        .into_owned();
+        .plan(&spec.weights)?;
         let mut plan = ModelPlan {
             id: spec.id,
-            units: Vec::with_capacity(server.layer().encoder().result_polys()),
-            server,
+            units: Vec::with_capacity(served.server.layer().encoder().result_polys()),
+            server: served.server,
             sparse_units: 0,
             fallback_units: 0,
         };
-        for pack in 0..plan.encoder().packs() {
-            let (units, counts) = plan.server.prepare_units(&spec.weights, pack)?;
+        for (pack, &fallback) in served.fallback.iter().enumerate() {
+            let (units, counts) = plan.server.prepare_units(&spec.weights, pack, fallback);
             plan.units.extend(units);
             plan.sparse_units += counts.sparse;
             plan.fallback_units += counts.fallback;

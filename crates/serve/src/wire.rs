@@ -193,11 +193,13 @@ fn encode_blob_list(tag: u8, req_id: u64, blobs: &[Vec<u8>]) -> Vec<u8> {
     out
 }
 
-fn decode_blob_list(
-    buf: &[u8],
+/// `(req_id, blobs)` of a blob-list message tagged `tag`, the blob
+/// slices borrowing the frame.
+fn decode_blob_list<'a>(
+    buf: &'a [u8],
     tag: u8,
     what: &'static str,
-) -> Result<(u64, Vec<Vec<u8>>), ServeError> {
+) -> Result<(u64, Vec<&'a [u8]>), ServeError> {
     let mut r = Reader::new(buf);
     expect_tag(&mut r, tag, what)?;
     let req_id = r.u64(what)?;
@@ -210,7 +212,7 @@ fn decode_blob_list(
     let mut blobs = Vec::with_capacity(count);
     for _ in 0..count {
         let len = r.u32(what)? as usize;
-        blobs.push(r.bytes(len, what)?.to_vec());
+        blobs.push(r.bytes(len, what)?);
     }
     r.finish(what)?;
     Ok((req_id, blobs))
@@ -222,31 +224,12 @@ pub fn encode_request(req_id: u64, blobs: &[Vec<u8>]) -> Vec<u8> {
     encode_blob_list(TAG_REQUEST, req_id, blobs)
 }
 
-/// Decodes one inference request into `(req_id, ciphertext blobs)`.
-pub fn decode_request(buf: &[u8]) -> Result<(u64, Vec<Vec<u8>>), ServeError> {
-    decode_blob_list(buf, TAG_REQUEST, "request")
-}
-
-/// Zero-copy variant of [`decode_request`]: the returned blob slices
-/// borrow the frame. The admission path deserializes straight out of
-/// the received frame, so copying the payload into owned vectors first
-/// would only add a frame-sized memcpy per request.
+/// Decodes one inference request into `(req_id, ciphertext blobs)`, the
+/// blob slices borrowing the frame: the admission path deserializes
+/// straight out of the received frame, so copying the payload into owned
+/// vectors first would only add a frame-sized memcpy per request.
 pub fn decode_request_borrowed(buf: &[u8]) -> Result<(u64, Vec<&[u8]>), ServeError> {
-    let what = "request";
-    let mut r = Reader::new(buf);
-    expect_tag(&mut r, TAG_REQUEST, what)?;
-    let req_id = r.u64(what)?;
-    let count = r.u32(what)? as usize;
-    if count > buf.len() {
-        return Err(ServeError::Malformed(what));
-    }
-    let mut blobs = Vec::with_capacity(count);
-    for _ in 0..count {
-        let len = r.u32(what)? as usize;
-        blobs.push(r.bytes(len, what)?);
-    }
-    r.finish(what)?;
-    Ok((req_id, blobs))
+    decode_blob_list(buf, TAG_REQUEST, "request")
 }
 
 /// Encodes one inference response: the serialized result ciphertexts
@@ -364,6 +347,7 @@ pub fn decode_response(buf: &[u8]) -> Result<Response, ServeError> {
     match buf.first() {
         Some(&TAG_RESPONSE) => {
             let (req_id, blobs) = decode_blob_list(buf, TAG_RESPONSE, "response")?;
+            let blobs = blobs.into_iter().map(<[u8]>::to_vec).collect();
             Ok(Response::Ok { req_id, blobs })
         }
         Some(&TAG_REFUSED) => {
@@ -416,7 +400,8 @@ mod tests {
     fn request_and_response_roundtrip() {
         let blobs = vec![vec![1u8, 2, 3], vec![], vec![9u8; 40]];
         let req = encode_request(11, &blobs);
-        assert_eq!(decode_request(&req).unwrap(), (11, blobs.clone()));
+        let views: Vec<&[u8]> = blobs.iter().map(Vec::as_slice).collect();
+        assert_eq!(decode_request_borrowed(&req).unwrap(), (11, views));
         let resp = encode_response(11, &blobs);
         assert_eq!(
             decode_response(&resp).unwrap(),
@@ -454,18 +439,18 @@ mod tests {
         let bytes = encode_request(11, &[vec![1u8; 10]]);
         for cut in [0, 1, 5, 14, bytes.len() - 1] {
             assert!(matches!(
-                decode_request(&bytes[..cut]),
+                decode_request_borrowed(&bytes[..cut]),
                 Err(ServeError::Malformed(_))
             ));
         }
         let mut wrong = bytes.clone();
         wrong[0] = TAG_ACK;
-        assert!(decode_request(&wrong).is_err());
+        assert!(decode_request_borrowed(&wrong).is_err());
         // A forged count larger than the buffer cannot trigger a huge
         // allocation.
         let mut forged = encode_request(1, &[]);
         let len = forged.len();
         forged[len - 4..].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(decode_request(&forged).is_err());
+        assert!(decode_request_borrowed(&forged).is_err());
     }
 }

@@ -124,14 +124,17 @@ fn open(layer: &HconvLayer, req: &Sealed) -> Vec<Ciphertext> {
         .unwrap()
 }
 
-/// What `ConvProtocol` does on the server side: per output-channel pack,
-/// prepare one-shot units, respond at width 1, drop them.
+/// What `ConvProtocol` does on the server side: price the weights once,
+/// then per output-channel pack prepare one-shot units at the pack's
+/// verdict, respond at width 1, drop them.
 fn respond_one_shot(
     server: &HconvServer,
     weights: &[i64],
     cts: &[Ciphertext],
     seed_of: impl Fn(usize) -> u64,
 ) -> Response {
+    let plan = server.plan(weights).unwrap();
+    let server = &plan.server;
     let enc = server.layer().encoder();
     let requests = [cts];
     let act = server.spectra(&requests);
@@ -140,7 +143,7 @@ fn respond_one_shot(
         server_share: Vec::new(),
     };
     for pack in 0..enc.packs() {
-        let (units, _) = server.prepare_units(weights, pack).unwrap();
+        let (units, _) = server.prepare_units(weights, pack, plan.fallback[pack]);
         let part = server
             .respond(Some(&act), &requests, pack * enc.bands(), &units, |_, u| {
                 seed_of(u)
@@ -180,7 +183,9 @@ fn served_bytes_equal_one_shot_respond_and_every_width_agrees() {
                     backend.clone(),
                     margin,
                 )
-                .guarded(&weights)
+                .plan(&weights)
+                .unwrap()
+                .server
                 .layer()
                 .clone();
                 if shape == PACKED {
@@ -249,8 +254,9 @@ fn served_bytes_equal_one_shot_respond_and_every_width_agrees() {
 
                 // --- respond over reused units, width by width.
                 let reused = HconvServer::new(layer.clone(), backend.clone(), margin);
+                let verdicts = reused.plan(&weights).unwrap().fallback;
                 let units: Vec<_> = (0..layer.encoder().packs())
-                    .flat_map(|pack| reused.prepare_units(&weights, pack).unwrap().0)
+                    .flat_map(|pack| reused.prepare_units(&weights, pack, verdicts[pack]).0)
                     .collect();
                 let opened: Vec<Vec<Ciphertext>> = sealed.iter().map(|r| open(&layer, r)).collect();
                 let respond = |w: usize| {
@@ -471,9 +477,8 @@ fn a_model_whose_packed_plan_overflows_is_served_unpacked() {
     assert_eq!(layer.partition(), (2, 3));
     let packed = HconvServer::new(layer.clone(), PolyMulBackend::Ntt, 1.0);
     let unpacked = HconvServer::new(layer.unpacked(), PolyMulBackend::Ntt, 1.0);
-    let overflows = |server: &HconvServer, w: &[i64]| {
-        (0..server.layer().encoder().packs()).any(|pack| server.prepare_units(w, pack).is_err())
-    };
+    let overflows =
+        |server: &HconvServer, w: &[i64]| server.ledgers(w).iter().any(|l| l.check().is_err());
     let weights = (0..24)
         .map(|e| vec![1i64 << e; PACKED.m * PACKED.kernel_len()])
         .find(|w| overflows(&packed, w))

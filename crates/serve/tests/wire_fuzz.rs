@@ -10,9 +10,8 @@
 //!    mutation or truncation of a valid message again never panics.
 
 use flash_serve::wire::{
-    decode_ack, decode_hello, decode_request, decode_request_borrowed, decode_response, encode_ack,
-    encode_hello, encode_refusal, encode_request, encode_response, RefusalReason, Response,
-    SessionAck,
+    decode_ack, decode_hello, decode_request_borrowed, decode_response, encode_ack, encode_hello,
+    encode_refusal, encode_request, encode_response, RefusalReason, Response, SessionAck,
 };
 use proptest::prelude::*;
 
@@ -61,7 +60,6 @@ proptest! {
     ) {
         let _ = decode_hello(&bytes);
         let _ = decode_ack(&bytes);
-        let _ = decode_request(&bytes);
         let _ = decode_request_borrowed(&bytes);
         let _ = decode_response(&bytes);
     }
@@ -92,11 +90,10 @@ proptest! {
     }
 
     /// Guarantee 2 for REQUEST/RESPONSE: arbitrary blob schedules
-    /// round-trip through both the owned and the borrowed decoder.
+    /// round-trip through the (borrowing) request decoder.
     #[test]
     fn request_and_response_roundtrip(req_id in any::<u64>(), blobs in arb_blobs()) {
         let req = encode_request(req_id, &blobs);
-        prop_assert_eq!(decode_request(&req).unwrap(), (req_id, blobs.clone()));
         let (got_id, borrowed) = decode_request_borrowed(&req).unwrap();
         prop_assert_eq!(got_id, req_id);
         let views: Vec<&[u8]> = blobs.iter().map(|b| b.as_slice()).collect();

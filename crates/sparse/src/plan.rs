@@ -660,11 +660,6 @@ pub fn plan_cache_metrics() -> PlanCacheMetrics {
     }
 }
 
-/// Drops all interned plans and resets the counters.
-pub fn clear_plan_cache() {
-    PLAN_CACHE.clear()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -23,8 +23,9 @@
 //!   fold the server's share tile in.
 //! * **respond** — splits where the Flash CPU protocol splits:
 //!   [`HconvServer::prepare_units`] does everything that depends on the
-//!   *weights only* for one output-channel pack (encode, the noise-guard
-//!   verdict, the forward weight transforms); [`HconvServer::respond`]
+//!   *weights only* for one output-channel pack (encode, the forward
+//!   weight transforms at the pack's noise-guard verdict);
+//!   [`HconvServer::respond`]
 //!   does the per-request work against a slice of prepared units at
 //!   width `W = requests.len()` — MAC against the activation spectra of
 //!   one [`HconvServer::spectra`] sweep, one batched inverse, then, at
@@ -57,7 +58,7 @@
 //!
 //! A packed weight polynomial holds `M_w` kernels, so its `ℓ1` and `Σw²`
 //! — and its units' noise bound — grow with `M_w`. The weight holder
-//! therefore has the last word: [`HconvServer::guarded`] serves the
+//! therefore has the last word: [`HconvServer::plan`] serves the
 //! unpacked plan ([`HconvLayer::unpacked`]) instead when the guard ranks
 //! it better (spectral, then falling back, then overflowing), so packing
 //! never adds a fallback or a refusal. The partition served is announced
@@ -65,34 +66,32 @@
 //!
 //! # Noise guard
 //!
-//! [`HconvServer::prepare_units`] composes, per output-channel pack, the
-//! worst-case decryption-noise bound of the exact pipeline
-//! ([`conv_pack_noise_bound`]) and, on an approximate backend, adds the
-//! analytical error bound of the transform
-//! ([`flash_he::backend::ApproxErrorModel`]). The bound is priced from
-//! kernel norms ([`ConvEncoder::pack_norms`]: `ℓ1` and `Σw²` per channel
-//! group, integer sums over the pack's `M_w·C_w·k²` taps, no polynomial
-//! built), and every band of a pack holds the same taps, so the verdict
-//! is one per pack. A pack whose total crosses `margin × q/(2t)` has
-//! every unit become [`UnitWeights::Fallback`], answered on the exact
-//! coefficient-domain path of its ring family; if even the exact bound
-//! overflows the ceiling, preparation fails with
-//! [`HeError::NoiseOverflow`] instead of decrypting garbage.
-//! [`HconvServer::guarded`] and [`HconvServer::any_spectral`] read the
-//! same per-pack verdicts.
+//! [`HconvServer::plan`] prices each output-channel pack once into a
+//! [`NoiseLedger`]: the exact pipeline's worst-case bound, the agreed
+//! truncation's error and, on an approximate backend, the transform's
+//! analytical error ([`flash_he::backend::ApproxErrorModel`]). Pricing
+//! reads kernel norms ([`ConvEncoder::pack_norms`]: `ℓ1` and `Σw²` per
+//! channel group, integer sums over the pack's `M_w·C_w·k²` taps, no
+//! polynomial built), and every band of a pack holds the same taps, so
+//! the verdict is one per pack. A pack whose total reaches
+//! `margin × q/(2t)` has every unit become [`UnitWeights::Fallback`],
+//! answered on the exact coefficient-domain path of its ring family; if
+//! even exact + truncation overflows the ceiling, the plan fails with
+//! [`HeError::NoiseOverflow`] before anything is sealed or prepared.
+//! [`HconvServer::prepare_units`] takes the pack's verdict from the plan
+//! and prices nothing.
 
 use crate::error::FlashError;
 use crate::shares::ShareRing;
 use flash_he::backend::{weight_residue_shoups, ActivationSpectra, BandAccumulator, WeightShoups};
 use flash_he::encoding::{ConvEncoder, ConvShape};
 use flash_he::keys::KEY_BATCH;
-use flash_he::noise::NoiseBound;
+use flash_he::noise::NoiseLedger;
 use flash_he::truncate::TruncatedCiphertext;
 use flash_he::{serialize, Ciphertext, HeError, HeParams, Poly, PolyMulBackend, SecretKey};
 use flash_math::C64;
 use flash_sparse::{SparsePlan, SparsityPattern};
 use rand::Rng;
-use std::borrow::Cow;
 use std::sync::{Arc, Mutex};
 
 /// What both parties of one convolution layer agree on: parameters,
@@ -361,17 +360,6 @@ impl HconvLayer {
     }
 }
 
-/// How the noise guard treats a whole layer, best first.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum Verdict {
-    /// Every unit runs on the spectral path.
-    Spectral,
-    /// Some unit takes the exact fallback.
-    Fallback,
-    /// Some unit's exact-path bound overflows the ceiling.
-    Overflow,
-}
-
 /// One `(pack, band)` unit's prepared weights: everything **respond**
 /// needs from the weight side, in the domain its MAC runs in.
 #[derive(Debug, Clone)]
@@ -397,6 +385,17 @@ pub struct UnitCounts {
     pub sparse: usize,
     /// Units pinned to the exact fallback.
     pub fallback: usize,
+}
+
+/// The plan one set of weights is served at ([`HconvServer::plan`]).
+#[derive(Debug, Clone)]
+pub struct ServedPlan {
+    /// The server at the served partition.
+    pub server: HconvServer,
+    /// Every pack's noise ledger, in pack order.
+    pub ledgers: Vec<NoiseLedger>,
+    /// Per pack: whether its units take the exact fallback.
+    pub fallback: Vec<bool>,
 }
 
 /// One request's answer to a slice of units.
@@ -465,127 +464,103 @@ impl HconvServer {
         &self.layer
     }
 
-    /// The composed noise of every unit of pack `pack` (`weights` is the
-    /// full `m×c×k×k` tensor): the exact-pipeline bound and, on an
-    /// approximate backend, the transform's phase-error bound on top
-    /// (`None` for the backends that are exact in the protocol's regime).
-    /// Priced from the pack's kernel norms ([`ConvEncoder::pack_norms`]);
-    /// every band of the pack shares it.
+    /// Every pack's [`NoiseLedger`] for `weights` (the full `m×c×k×k`
+    /// tensor) at this server's partition, in pack order: priced from the
+    /// pack's kernel norms ([`ConvEncoder::pack_norms`]), which every band
+    /// of the pack shares.
     ///
     /// # Panics
     ///
     /// Panics on a weight-size mismatch with the planned shape.
-    pub fn pack_noise(&self, weights: &[i64], pack: usize) -> (NoiseBound, Option<f64>) {
-        let p = &self.layer.params;
-        let norms = self.layer.encoder.pack_norms(weights, pack);
-        let (noise, w_sq) = conv_pack_noise_bound(p, &norms, self.layer.truncation);
-        let err = self
-            .backend
-            .error_model(p)
-            .map(|model| model.phase_error_bound(p, w_sq, norms.len()));
-        (noise, err)
-    }
-
-    /// The guard's verdict on pack `pack`: `Ok(true)` when its units
-    /// must take the exact fallback.
-    ///
-    /// # Errors
-    ///
-    /// [`HeError::NoiseOverflow`] when even the exact-path bound
-    /// overflows the decryption ceiling.
-    fn falls_back(&self, weights: &[i64], pack: usize) -> Result<bool, HeError> {
-        let (noise, err) = self.pack_noise(weights, pack);
-        noise.check()?;
-        // An NTT unit accumulates one lazy (unreduced, < 2q) Shoup
-        // product per group before its single Barrett drain, so the
-        // group count must fit the u64 headroom ⌊(2^64−1)/2q⌋.
-        // Unreachable for any practical q, but a violation would wrap
-        // silently, so such a unit takes the exact fallback too.
-        let is_ntt = matches!(self.backend, PolyMulBackend::Ntt);
-        let groups = self.layer.encoder.groups() as u128;
-        let lazy_wraps = groups * 2 * self.layer.params.q as u128 > u64::MAX as u128;
-        let approx_trips =
-            err.is_some_and(|e| noise.bound() + e >= self.noise_margin * noise.ceiling());
-        Ok(approx_trips || (is_ntt && lazy_wraps))
-    }
-
-    /// The server `weights` are answered on: `self`, unless the noise
-    /// guard ranks its layer's plan worse than the unpacked one
-    /// ([`HconvLayer::unpacked`]) — spectral beats falling back, which
-    /// beats overflowing — and then the same server at the unpacked
-    /// plan. A packed polynomial's `ℓ1` and `Σw²` grow with `M_w`, so this
-    /// keeps packing from turning a layer the unpacked plan serves
-    /// spectrally into fallbacks, or one it serves at all into a
-    /// [`HeError::NoiseOverflow`]; where both plans rank alike, bytes
-    /// decide.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a weight-size mismatch with the planned shape.
-    pub fn guarded(&self, weights: &[i64]) -> Cow<'_, HconvServer> {
-        let enc = &self.layer.encoder;
-        if *enc == ConvEncoder::new(*enc.shape(), enc.degree()) {
-            return Cow::Borrowed(self);
-        }
-        let packed = self.verdict(weights);
-        if packed == Verdict::Spectral {
-            return Cow::Borrowed(self);
-        }
-        let unpacked = HconvServer::new(
-            self.layer.unpacked(),
-            self.backend.clone(),
-            self.noise_margin,
-        );
-        if unpacked.verdict(weights) < packed {
-            Cow::Owned(unpacked)
-        } else {
-            Cow::Borrowed(self)
-        }
-    }
-
-    /// The guard's verdict on every pack of the layer, in pack order
-    /// (see [`HconvServer::falls_back`]); pricing reads kernel norms only,
-    /// as far as the iterator is drawn.
-    fn pack_verdicts<'a>(
-        &'a self,
-        weights: &'a [i64],
-    ) -> impl Iterator<Item = Result<bool, HeError>> + 'a {
-        (0..self.layer.encoder.packs()).map(move |pack| self.falls_back(weights, pack))
-    }
-
-    /// The guard's worst verdict over every unit of the layer.
-    fn verdict(&self, weights: &[i64]) -> Verdict {
-        self.pack_verdicts(weights)
-            .map(|unit| match unit {
-                Err(_) => Verdict::Overflow,
-                Ok(true) => Verdict::Fallback,
-                Ok(false) => Verdict::Spectral,
+    pub fn ledgers(&self, weights: &[i64]) -> Vec<NoiseLedger> {
+        let (p, enc) = (&self.layer.params, &self.layer.encoder);
+        (0..enc.packs())
+            .map(|pack| {
+                let norms = enc.pack_norms(weights, pack);
+                NoiseLedger::new(p, &norms, self.layer.truncation, &self.backend)
             })
-            .max()
-            .unwrap_or(Verdict::Spectral)
+            .collect()
     }
 
-    /// Whether the guard keeps some unit of the layer on the spectral
-    /// path for `weights` — when none, [`HconvServer::respond`] needs no
-    /// activation spectra and the caller skips the sweep.
-    pub fn any_spectral(&self, weights: &[i64]) -> bool {
-        self.pack_verdicts(weights)
-            .any(|pack| matches!(pack, Ok(false)))
+    /// Whether a pack priced at `ledger` takes the exact fallback: its
+    /// ledger's fallback rule, or — not a noise term — an NTT unit's
+    /// group count overflowing the lazy accumulator. An NTT unit
+    /// accumulates one unreduced (< 2q) Shoup product per group before
+    /// its single Barrett drain, so the count must fit `⌊(2^64−1)/2q⌋`;
+    /// unreachable for any practical `q`, but a violation would wrap
+    /// silently.
+    fn falls_back_at(&self, ledger: &NoiseLedger) -> bool {
+        let lazy_wraps = self.layer.encoder.groups() as u128 * 2 * self.layer.params.q as u128
+            > u64::MAX as u128;
+        ledger.falls_back(self.noise_margin)
+            || (matches!(self.backend, PolyMulBackend::Ntt) && lazy_wraps)
     }
 
-    /// All weight-only work of output-channel pack `pack`: runs the noise
-    /// guard on the pack's kernel norms (`weights` is the full `m×c×k×k`
-    /// tensor), encodes its kernels ([`ConvEncoder::encode_pack`]) and,
-    /// unless the guard pins the pack to the exact fallback, transforms
-    /// each band's group polynomials —
-    /// through the band's interned sparse tape when
-    /// [`SparsePlan::worthwhile`], the dense batched kernels otherwise.
-    /// Returns the pack's units in band order.
+    /// The plan `weights` are served at, priced once: this server, unless
+    /// the unpacked plan ([`HconvLayer::unpacked`]) ranks strictly better
+    /// on its worst pack — spectral beats falling back, which beats
+    /// overflowing — and then the same server at the unpacked partition.
+    /// A packed polynomial's `ℓ1` and `Σw²` grow with `M_w`, so this keeps
+    /// packing from turning a layer the unpacked plan serves spectrally
+    /// into fallbacks, or one it serves at all into a refusal; where both
+    /// plans rank alike, bytes decide. The plan carries every pack's
+    /// ledger and verdict for [`HconvServer::prepare_units`].
     ///
     /// # Errors
     ///
-    /// [`HeError::NoiseOverflow`] when a band's exact-path bound overflows
-    /// the decryption ceiling.
+    /// [`HeError::NoiseOverflow`] of the first pack whose exact bound
+    /// plus truncation overflows the decryption ceiling on the served
+    /// partition.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a weight-size mismatch with the planned shape.
+    pub fn plan(&self, weights: &[i64]) -> Result<ServedPlan, HeError> {
+        // A plan's rank, its worst pack's: 0 spectral, 1 fallback,
+        // 2 overflow.
+        let rank = |server: &HconvServer, ledgers: &[NoiseLedger]| {
+            ledgers
+                .iter()
+                .map(|l| match l.check() {
+                    Err(_) => 2,
+                    Ok(()) => u8::from(server.falls_back_at(l)),
+                })
+                .max()
+                .unwrap_or(0)
+        };
+        let ledgers = self.ledgers(weights);
+        let packed = rank(self, &ledgers);
+        let enc = &self.layer.encoder;
+        let unpacked = (packed > 0 && *enc != ConvEncoder::new(*enc.shape(), enc.degree()))
+            .then(|| {
+                let server = HconvServer::new(
+                    self.layer.unpacked(),
+                    self.backend.clone(),
+                    self.noise_margin,
+                );
+                let ledgers = server.ledgers(weights);
+                (server, ledgers)
+            })
+            .filter(|(server, ledgers)| rank(server, ledgers) < packed);
+        let (server, ledgers) = unpacked.unwrap_or_else(|| (self.clone(), ledgers));
+        for ledger in &ledgers {
+            ledger.check()?;
+        }
+        let fallback = ledgers.iter().map(|l| server.falls_back_at(l)).collect();
+        Ok(ServedPlan {
+            server,
+            ledgers,
+            fallback,
+        })
+    }
+
+    /// All weight-only work of output-channel pack `pack` (`weights` is
+    /// the full `m×c×k×k` tensor): encodes its kernels
+    /// ([`ConvEncoder::encode_pack`]) and, unless `fallback` — the pack's
+    /// verdict in [`ServedPlan::fallback`] — pins it to the exact path,
+    /// transforms each band's group polynomials — through the band's
+    /// interned sparse tape when [`SparsePlan::worthwhile`], the dense
+    /// batched kernels otherwise. Returns the pack's units in band order.
     ///
     /// # Panics
     ///
@@ -594,10 +569,10 @@ impl HconvServer {
         &self,
         weights: &[i64],
         pack: usize,
-    ) -> Result<(Vec<UnitWeights>, UnitCounts), HeError> {
+        fallback: bool,
+    ) -> (Vec<UnitWeights>, UnitCounts) {
         let p = &self.layer.params;
         let enc = &self.layer.encoder;
-        let fallback = self.falls_back(weights, pack)?;
         let mut w_polys = enc.encode_pack(weights, pack);
         let groups = w_polys.len();
         let is_ntt = matches!(self.backend, PolyMulBackend::Ntt);
@@ -626,7 +601,7 @@ impl HconvServer {
                 UnitWeights::Fft(fw)
             });
         }
-        Ok((units, counts))
+        (units, counts)
     }
 
     /// Forward-transforms both components of every request's ciphertexts
@@ -796,47 +771,6 @@ impl HconvServer {
             })
             .collect()
     }
-}
-
-/// The worst-case decryption-noise bound of every `(pack, band)` response
-/// of one pack on the exact pipeline — fresh encryption, server share
-/// fold, one weight multiply per channel group accumulated into the
-/// response, the output mask, and the agreed truncation — plus the total
-/// `Σw²` of the pack's weights (the input to
-/// [`flash_he::backend::ApproxErrorModel`]).
-///
-/// `norms` is the pack's [`ConvEncoder::pack_norms`]: per channel group,
-/// the `(ℓ1, Σw²)` of the polynomial holding every kernel of the pack, so
-/// both grow with `M_w`. The bound depends only on the weights, which is
-/// why the guard sits in [`HconvServer::prepare_units`].
-pub fn conv_pack_noise_bound(
-    params: &HeParams,
-    norms: &[(f64, f64)],
-    truncation: Option<(u32, u32)>,
-) -> (NoiseBound, f64) {
-    let base = NoiseBound::fresh(params).after_plain_add();
-    let mut acc: Option<NoiseBound> = None;
-    let mut w_sq = 0.0;
-    for &(l1, sq) in norms {
-        w_sq += sq;
-        let nb = base.after_plain_mul(l1);
-        acc = Some(match acc {
-            None => nb,
-            Some(a) => a.after_ct_add(&nb),
-        });
-    }
-    let mut nb = acc.unwrap_or(base).after_plain_add();
-    if let Some((d0, d1)) = truncation {
-        let pow = |d: u32| {
-            if d == 0 {
-                0.0
-            } else {
-                (2.0f64).powi(d as i32 - 1)
-            }
-        };
-        nb = nb.after_computation_error(pow(d0) + pow(d1) * params.n as f64);
-    }
-    (nb, w_sq)
 }
 
 /// The interned sparse weight-transform plan of band `b`.

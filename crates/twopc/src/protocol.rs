@@ -12,12 +12,14 @@
 //! sums over `Z_t` are exactly the share arithmetic of the 2PC layers
 //! around the convolution.
 //!
-//! Units live for one run here: each output-channel pack prepares its
-//! weights inside the fan-out ([`HconvServer::prepare_units`]), answers the one
-//! request, and drops them — a whole layer's spectra never exist at once.
-//! The noise guard (fallback to the exact path of the ring family, or
-//! [`HeError::NoiseOverflow`]) is part of that preparation; see
-//! [`crate::hconv`].
+//! Each run prices the weights once before anything is sealed
+//! ([`HconvServer::plan`]): the partition they are served at and every
+//! pack's verdict — spectral, the exact fallback of the ring family, or
+//! [`HeError::NoiseOverflow`] for the whole run; see [`crate::hconv`].
+//! Units live for one run: each output-channel pack prepares its weights
+//! at its verdict inside the fan-out ([`HconvServer::prepare_units`]),
+//! answers the one request, and drops them — a whole layer's spectra
+//! never exist at once.
 //!
 //! [`HeError::NoiseOverflow`]: flash_he::HeError
 
@@ -175,8 +177,9 @@ impl ConvProtocol {
         self.server.layer.ring()
     }
 
-    /// The tiling plan. A run serves it unpacked when a packed unit
-    /// fails the noise guard on its weights ([`HconvServer::guarded`]).
+    /// The tiling plan. A run serves it unpacked when the noise guard
+    /// ranks the unpacked plan better on its weights
+    /// ([`HconvServer::plan`]).
     pub fn encoder(&self) -> &ConvEncoder {
         self.server.layer.encoder()
     }
@@ -242,9 +245,11 @@ impl ConvProtocol {
         weights: &[i64],
         rng: &mut R,
     ) -> Result<(ConvOutputShares, ProtocolStats), FlashError> {
-        // The partition these weights are served at: the planned one, or
-        // unpacked when the guard refuses a packed unit.
-        let server = &*self.server.guarded(weights);
+        // The partition these weights are served at — the planned one, or
+        // unpacked when the guard ranks it better — and every pack's
+        // verdict, priced once.
+        let plan = self.server.plan(weights)?;
+        let server = &plan.server;
         let layer = server.layer();
         let enc = layer.encoder();
         let shape = *enc.shape();
@@ -275,27 +280,26 @@ impl ConvProtocol {
         // output-channel pack prepares its units, responds at width 1 and
         // drops them.
         let requests = [cts.as_slice()];
-        let act = server.any_spectral(weights).then(|| {
+        let act = plan.fallback.contains(&false).then(|| {
             stats.activation_transforms = 2 * cts.len();
             server.spectra(&requests)
         });
         let per_pack = flash_runtime::parallel_gen(enc.packs(), |pack| {
-            let (units, counts) = server.prepare_units(weights, pack)?;
+            let (units, counts) = server.prepare_units(weights, pack, plan.fallback[pack]);
             let response = server
                 .respond(act.as_ref(), &requests, pack * bands, &units, |_, u| {
                     mask_seeds[u]
                 })
                 .pop()
                 .expect("one request in, one response out");
-            Ok::<_, FlashError>((response, counts))
+            (response, counts)
         });
 
         // Send the responses over the downlink in deterministic
         // `(pack, band)` order (the fan-out only prepared the bytes).
         let mut y_server = vec![0u64; shape.output_len()];
         let mut fallbacks = 0;
-        for (pack, pack_result) in per_pack.into_iter().enumerate() {
-            let (response, counts) = pack_result?;
+        for (pack, (response, counts)) in per_pack.into_iter().enumerate() {
             stats.sparse_weight_transforms += counts.sparse * groups;
             fallbacks += counts.fallback;
             let at = enc.unit_output_range(pack * bands).start;
@@ -733,15 +737,14 @@ mod tests {
             DEFAULT_NOISE_MARGIN,
         );
         assert_eq!(unpacked.layer().partition(), (4, 1));
-        let overflows = |server: &HconvServer, w: &[i64]| {
-            (0..server.layer().encoder().packs()).any(|pack| server.prepare_units(w, pack).is_err())
-        };
+        let overflows =
+            |server: &HconvServer, w: &[i64]| server.ledgers(w).iter().any(|l| l.check().is_err());
         let w = (0..24)
             .map(|e| vec![1i64 << e; shape.m * shape.kernel_len()])
             .find(|w| overflows(planned, w))
             .expect("large enough weights overflow the packed plan");
         assert!(!overflows(&unpacked, &w));
-        assert_eq!(planned.guarded(&w).layer().partition(), (4, 1));
+        assert_eq!(planned.plan(&w).unwrap().server.layer().partition(), (4, 1));
 
         let mut rng = rand::rngs::StdRng::seed_from_u64(41);
         let sk = SecretKey::generate(&params, &mut rng);

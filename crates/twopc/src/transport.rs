@@ -320,12 +320,6 @@ impl TransportConfig {
             ..Self::default()
         }
     }
-
-    /// The same transport with a different backoff/deadline schedule.
-    pub fn with_backoff(mut self, backoff: BackoffConfig) -> Self {
-        self.backoff = backoff;
-        self
-    }
 }
 
 /// Byte and fault accounting of one transport direction.

@@ -108,14 +108,22 @@ fi
 # draws, its `erfc` against reference values; ternary χ² on
 # {−1, 0, 1} at one word a coefficient), the native ring wrap
 # (`round_to_u64` ≡ the `i128` cast over |x| < 2^100: ±0, ties, powers
-# of two, values ≥ 2^64, and a proptest) and the guard's norm pricing
-# (`(bound, Σw²)` from kernel norms ≡ the encoded polynomials' on every
+# of two, values ≥ 2^64, and a proptest), the guard's norm pricing
+# (every pack's `NoiseLedger` — exact + truncation, `Σw²` and the
+# approximate term — ≡ the encoded polynomials' on every
 # reduced-ResNet-18 unit at its planned and unpacked partition and on
-# the 64×32×32 → 32 layer at N = 4096). The key-product, wire, lane,
+# the 64×32×32 → 32 layer at N = 4096), and the noise guard itself: the
+# golden pin of every pack's verdict, exact/truncation/approx terms and
+# served partition (the reduced ResNet-18, the N = 4096 wide layer, the
+# serve model on Ntt at (8, 2), ApproxFft and the margin-0 fixtures, a
+# packed plan that overflows and an overflowing truncation, plus
+# `planned_truncation` of each parameter set), the packed plan the guard
+# serves unpacked (in the protocol and registered), and the served-layer
+# lookup of the pipeline differential. The key-product, wire, lane,
 # planner, headroom, mask, expander, upload, packing, composition,
-# ring-agreement, sampler, wrap and norm-pricing tests run one exact
-# name at a time, so a renamed test fails the job instead of matching
-# nothing.
+# ring-agreement, sampler, wrap, norm-pricing, golden-pin and guard tests
+# run one exact name at a time, so a renamed test fails the job instead
+# of matching nothing.
 if [[ "${1:-}" == "--backends" ]]; then
     echo "==> ciphertext-backend suite"
     filtered -p flash-math pow2
@@ -163,7 +171,8 @@ if [[ "${1:-}" == "--backends" ]]; then
         hconv::tests::every_upload_seed_is_fresh_within_and_across_seals \
         hconv::tests::open_refuses_a_mutated_upload_typed \
         protocol::tests::pow2_backend_rejects_prime_ring \
-        protocol::tests::ntt_backend_rejects_pow2_ring; do
+        protocol::tests::ntt_backend_rejects_pow2_ring \
+        protocol::tests::a_packed_plan_the_guard_refuses_is_served_unpacked; do
         filtered -p flash-2pc --lib "$t" -- --exact
     done
     filtered -p flash-serve --lib \
@@ -171,6 +180,18 @@ if [[ "${1:-}" == "--backends" ]]; then
     for t in e2e::tests::resnet18_planned_truncation_keeps_a_bit_of_headroom \
         e2e::tests::kernel_norms_price_the_guard_like_the_encoded_polynomials; do
         filtered -p flash-accel --lib "$t" -- --exact
+    done
+    for t in planned_truncation_of_every_pinned_parameter_set \
+        every_reduced_resnet18_unit_matches_its_pin \
+        the_wide_n4096_layer_matches_its_pin \
+        the_serve_model_matches_its_pin \
+        approx_fft_and_the_margin_zero_fixtures_match_their_pins \
+        the_overflowing_packed_weights_and_truncation_match_their_pins; do
+        filtered -p flash-accel --test noise_guard_golden "$t" -- --exact
+    done
+    for t in served_bytes_equal_one_shot_respond_and_every_width_agrees \
+        a_model_whose_packed_plan_overflows_is_served_unpacked; do
+        filtered -p flash-serve --test pipeline_differential "$t" -- --exact
     done
     filtered -p flash-he --test key_batch pow2_8192_ciphertext_bytes_and_phases_match_the_crt_lift
     cargo test -q -p flash-he --test proptests
